@@ -9,18 +9,18 @@ ones.
 import numpy as np
 
 from occelm import (
-    SelectionConfig,
+    VARIANTS,
     ThresholdSpec,
+    choose_params,
     error_threshold,
     gen_banana,
     rbf_kernel,
-    select,
+    score,
     sigma_grid,
     train_boundary,
     zscore_apply,
     zscore_fit,
 )
-from occelm.bench import _fold_trainer, VARIANTS
 from occelm.modelsel import C_GRID
 
 
@@ -40,18 +40,7 @@ def main() -> None:
         f"[{sigmas[0]:.3f}, {sigmas[-1]:.3f}]; C grid: {len(C_GRID)} decades"
     )
 
-    trainer = _fold_trainer(
-        VARIANTS["ockelm_thr1"],
-        "rbf",
-        "additive_sigmoid",
-        ThresholdSpec("thr1", fracrej=0.1),
-        0.1,
-        0,
-    )
-    cfg = SelectionConfig(
-        {"sigma": sigmas.tolist(), "C": list(C_GRID)}, folds=5, rng_seed=0
-    )
-    params, diag = select(trainer, Xz, cfg)
+    params, diag = choose_params(VARIANTS["ockelm_thr1"], Xz, fracrej=0.1, folds=5)
     consistent = [p for p in diag.points if p.consistent]
     print(
         f"scanned {len(diag.points)} combinations, "
@@ -67,8 +56,6 @@ def main() -> None:
         seed=0,
         zstats=stats,
     )
-    from occelm import score
-
     accepted = float(np.mean([d.is_target for d in score(model, data)]))
     print(f"final model accepts {accepted:.0%} of its own training data")
 

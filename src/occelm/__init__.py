@@ -11,20 +11,20 @@ from .bench import (
     VARIANTS,
     BenchResult,
     Variant,
+    choose_params,
+    fit,
     parse_variant,
     run_benchmark,
+    score_model,
 )
 from .dataset import (
     Dataset,
-    MinMaxStats,
     SplitPlan,
     ZScoreStats,
     gen_banana,
     gen_ring,
     identity_stats,
     load_csv,
-    minmax_apply,
-    minmax_fit,
     occ_split,
     round_half_up,
     run_rng,
@@ -102,7 +102,6 @@ from .offline import (
     RECONSTRUCTION,
     OfflineModel,
     score,
-    timed_train,
     train_boundary,
     train_reconstruction,
 )
@@ -113,6 +112,7 @@ from .threshold import (
     THR3,
     THRESHOLD_KINDS,
     Decision,
+    Decisions,
     ThresholdSpec,
     apply_threshold,
     relative_errors,

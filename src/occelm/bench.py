@@ -8,6 +8,10 @@ runs. Training wall-clock covers the final model fit only, never the
 selection scan, and is reported through an optional sink so written
 outputs stay byte-deterministic under a fixed seed.
 
+One path serves the protocol, the selection scan and `occelm train`:
+fit builds any variant, choose_params runs the selection scan, and
+score_model scores either model type.
+
 Variant ids form a closed list of 15 (boundary/reconstruction x
 offline random/offline kernel/online x applicable threshold rules);
 thr3 exists only for reconstruction families. Random-feature ids accept
@@ -41,13 +45,14 @@ from .modelsel import C_GRID, SelectionConfig, SelectionDiagnostics, sigma_grid
 from .offline import (
     BOUNDARY,
     RECONSTRUCTION,
+    OfflineModel,
     _rows,
     score,
     train_boundary,
     train_reconstruction,
 )
 from .online import os_finalize, os_init, os_score, os_update
-from .threshold import ThresholdSpec
+from .threshold import Decisions, ThresholdSpec
 
 KERNEL_ENGINE = "kernel"
 RANDOM_ENGINE = "random"
@@ -152,12 +157,7 @@ def median_pairwise(X) -> float:
     return float(np.median(d))
 
 
-def _mapping_from(
-    engine: str, kernel_kind: str, params: dict, node_type: str, layer_seed
-) -> KernelSpec:
-    if engine == RANDOM_ENGINE:
-        m = int(params["m"])
-        return KernelSpec(RANDOM_ENGINE, m=m, node_type=node_type)
+def _kernel_mapping(kernel_kind: str, params: dict) -> KernelSpec:
     if kernel_kind == "rbf":
         return rbf_kernel(float(params["sigma"]))
     if kernel_kind == "linear":
@@ -223,30 +223,65 @@ def selection_grids(variant: Variant, kernel_kind: str, Xz, folds: int) -> dict:
     return {"m": _capped_hidden_grid(N), "C": list(C_GRID)}
 
 
-def _train_online_model(
+def run_seed(seed: int, run: int = 0) -> list[int]:
+    """Hidden-layer seed of one protocol run; `occelm train` uses run 0."""
+    return [seed, run, _LAYER_STREAM]
+
+
+def fit(
+    variant: Variant,
+    params: dict,
     rows,
-    m: int,
-    node_type: str,
-    family: str,
-    tspec: ThresholdSpec,
-    fracrej: float | None,
-    layer_seed,
+    *,
+    fracrej: float = 0.1,
+    tspec: ThresholdSpec | None = None,
+    kernel_kind: str = "rbf",
+    node_type: str = ADDITIVE_SIGMOID,
+    layer_seed=0,
     zstats=None,
     n0: int | None = None,
     block: int | None = None,
 ):
-    raw = _rows(rows)
-    N, n = raw.shape
-    layer = hidden_init(node_type, m, n, layer_seed)
-    step = max(m, N // 10)
-    n0v = min(N, step if n0 is None else int(n0))
-    blockv = step if block is None else int(block)
-    model = os_init(
-        family, layer, raw[:n0v], zstats=zstats, retain_data=True, block=blockv
+    """Train any variant on rows (original feature space, normalized with
+    zstats when given) with the chosen parameters. tspec defaults to the
+    variant's threshold rule at rejection fraction fracrej.
+
+    Online variants stream the rows in order: an initial chunk of n0 rows,
+    then chunks of block rows, both defaulting to max(m, N // 10).
+    """
+    if tspec is None:
+        tspec = ThresholdSpec(kind=variant.tkind, fracrej=fracrej)
+    if variant.engine == ONLINE_ENGINE:
+        raw = _rows(rows)
+        N, n = raw.shape
+        m = int(params["m"])
+        layer = hidden_init(node_type, m, n, layer_seed)
+        step = max(m, N // 10)
+        n0v = min(N, step if n0 is None else int(n0))
+        blockv = step if block is None else int(block)
+        model = os_init(
+            variant.family, layer, raw[:n0v],
+            zstats=zstats, retain_data=True, block=blockv,
+        )
+        for start in range(n0v, N, blockv):
+            os_update(model, raw[start : start + blockv])
+        return os_finalize(model, tspec, fracrej)
+    if variant.engine == RANDOM_ENGINE:
+        mapping = KernelSpec(RANDOM_ENGINE, m=int(params["m"]), node_type=node_type)
+    else:
+        mapping = _kernel_mapping(kernel_kind, params)
+    train_fn = train_boundary if variant.family == BOUNDARY else train_reconstruction
+    return train_fn(
+        rows, mapping, float(params["C"]), tspec, fracrej,
+        seed=layer_seed, zstats=zstats,
     )
-    for start in range(n0v, N, blockv):
-        os_update(model, raw[start : start + blockv])
-    return os_finalize(model, tspec, fracrej)
+
+
+def score_model(model, rows) -> Decisions:
+    """Decisions of a trained offline or finalized online model for rows in
+    the original feature space."""
+    scorer = score if isinstance(model, OfflineModel) else os_score
+    return scorer(model, rows)
 
 
 def _fold_trainer(
@@ -261,34 +296,39 @@ def _fold_trainer(
     normalized rows (identity stats inside)."""
 
     def trainer(params: dict, train_rows):
-        if variant.engine == ONLINE_ENGINE:
-            model = _train_online_model(
-                train_rows,
-                int(params["m"]),
-                node_type,
-                variant.family,
-                tspec,
-                fracrej,
-                layer_seed=[seed, 0, _SELECT_LAYER_STREAM, int(params["m"])],
-            )
-            return lambda rows: np.array(
-                [d.is_target for d in os_score(model, rows)], dtype=bool
-            )
-        layer_seed = [seed, 0, _SELECT_LAYER_STREAM, int(params.get("m", 0))]
-        mapping = _mapping_from(
-            variant.engine, kernel_kind, params, node_type, layer_seed
+        model = fit(
+            variant, params, train_rows, tspec=tspec, fracrej=fracrej,
+            kernel_kind=kernel_kind, node_type=node_type,
+            layer_seed=[seed, 0, _SELECT_LAYER_STREAM, int(params.get("m", 0))],
         )
-        train_fn = (
-            train_boundary if variant.family == BOUNDARY else train_reconstruction
-        )
-        model = train_fn(
-            train_rows, mapping, float(params["C"]), tspec, fracrej, seed=layer_seed
-        )
-        return lambda rows: np.array(
-            [d.is_target for d in score(model, rows)], dtype=bool
-        )
+        return lambda rows: score_model(model, rows).is_target
 
     return trainer
+
+
+def choose_params(
+    variant: Variant,
+    Xz,
+    *,
+    kernel_kind: str = "rbf",
+    node_type: str = ADDITIVE_SIGMOID,
+    fracrej: float = 0.1,
+    folds: int = 5,
+    sigma_thr: float = 2.0,
+    seed: int = 0,
+) -> tuple[dict, SelectionDiagnostics]:
+    """Consistency-based selection over the variant's grid on normalized
+    target rows Xz; returns the chosen parameters and the diagnostics."""
+    cfg = SelectionConfig(
+        selection_grids(variant, kernel_kind, Xz, folds),
+        folds=folds,
+        sigma_thr=sigma_thr,
+        fracrej=fracrej,
+        rng_seed=[seed, 0, _FOLD_STREAM],
+    )
+    tspec = ThresholdSpec(kind=variant.tkind, fracrej=fracrej)
+    trainer = _fold_trainer(variant, kernel_kind, node_type, tspec, fracrej, seed)
+    return modelsel.select(trainer, Xz, cfg)
 
 
 @dataclass
@@ -358,7 +398,6 @@ def run_benchmark(
         raise ValueError("runs must be >= 1")
 
     plan = SplitPlan(run_count=runs, target_train_fraction=0.5, rng_seed=seed)
-    tspec = ThresholdSpec(kind=variant.tkind, fracrej=fracrej)
     chosen: dict | None = None
     diagnostics: SelectionDiagnostics | None = None
     run_reports: list[EvalReport] = []
@@ -371,18 +410,10 @@ def run_benchmark(
         Xz = zscore_apply(train, zstats).samples
 
         if r == 0 and select_params:
-            grids = selection_grids(variant, kernel_kind, Xz, folds)
-            cfg = SelectionConfig(
-                grids,
-                folds=folds,
-                sigma_thr=sigma_thr,
-                fracrej=fracrej,
-                rng_seed=[seed, 0, _FOLD_STREAM],
+            chosen, diagnostics = choose_params(
+                variant, Xz, kernel_kind=kernel_kind, node_type=node_type,
+                fracrej=fracrej, folds=folds, sigma_thr=sigma_thr, seed=seed,
             )
-            trainer = _fold_trainer(
-                variant, kernel_kind, node_type, tspec, fracrej, seed
-            )
-            chosen, diagnostics = modelsel.select(trainer, Xz, cfg)
 
         if chosen is not None:
             params = dict(chosen)
@@ -392,44 +423,14 @@ def run_benchmark(
             )
         run_params.append(dict(params))
 
-        layer_seed = [seed, r, _LAYER_STREAM]
-        if variant.engine == ONLINE_ENGINE:
-            start = time.perf_counter()
-            model = _train_online_model(
-                train.samples,
-                int(params["m"]),
-                node_type,
-                variant.family,
-                tspec,
-                fracrej,
-                layer_seed,
-                zstats=zstats,
-                n0=n0,
-                block=block,
-            )
-            elapsed = time.perf_counter() - start
-            decisions = os_score(model, test.samples)
-        else:
-            mapping = _mapping_from(
-                variant.engine, kernel_kind, params, node_type, layer_seed
-            )
-            train_fn = (
-                train_boundary
-                if variant.family == BOUNDARY
-                else train_reconstruction
-            )
-            start = time.perf_counter()
-            model = train_fn(
-                train,
-                mapping,
-                float(params["C"]),
-                tspec,
-                fracrej,
-                seed=layer_seed,
-                zstats=zstats,
-            )
-            elapsed = time.perf_counter() - start
-            decisions = score(model, test.samples)
+        start = time.perf_counter()
+        model = fit(
+            variant, params, train, fracrej=fracrej,
+            kernel_kind=kernel_kind, node_type=node_type,
+            layer_seed=run_seed(seed, r), zstats=zstats, n0=n0, block=block,
+        )
+        elapsed = time.perf_counter() - start
+        decisions = score_model(model, test.samples)
 
         train_seconds.append(elapsed)
         run_reports.append(measures(confuse(decisions, test.labels)))

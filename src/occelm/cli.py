@@ -15,30 +15,23 @@ import time
 
 import numpy as np
 
-from . import modelsel
 from .bench import (
-    _FOLD_STREAM,
-    _LAYER_STREAM,
     KERNEL_ENGINE,
-    ONLINE_ENGINE,
     VARIANTS,
-    _fold_trainer,
-    _mapping_from,
-    _train_online_model,
+    choose_params,
     default_params,
+    fit,
     parse_variant,
     run_benchmark,
-    selection_grids,
+    run_seed,
+    score_model,
 )
 from .dataset import Dataset, gen_banana, gen_ring, load_csv, write_csv, zscore_apply, zscore_fit
 from .errors import NotTwoDimensional, NoTargets, OccelmError
 from .featuremap import ADDITIVE_SIGMOID, RBF_NODE
 from .metrics import REPORT_COLUMNS, confuse, measures, render_value
 from .modelio import load_model, save_model
-from .modelsel import SelectionConfig, write_diagnostics
-from .offline import BOUNDARY, OfflineModel, score as offline_score, train_boundary, train_reconstruction
-from .online import os_score
-from .threshold import ThresholdSpec
+from .modelsel import write_diagnostics
 
 _NODE_FLAG = {"sig": ADDITIVE_SIGMOID, "rbf": RBF_NODE}
 _KERNEL_CHOICES = ("rbf", "linear", "polynomial", "wavelet")
@@ -97,20 +90,6 @@ def _print_params(params: dict, consistent: bool | None) -> None:
         print(f"consistent {int(consistent)}")
 
 
-def _select_on(variant, node_type, kernel_kind, Xz, args, seed):
-    tspec = ThresholdSpec(kind=variant.tkind, fracrej=args.fracrej)
-    grids = selection_grids(variant, kernel_kind, Xz, args.folds)
-    cfg = SelectionConfig(
-        grids,
-        folds=args.folds,
-        sigma_thr=args.sigma_thr,
-        fracrej=args.fracrej,
-        rng_seed=[seed, 0, _FOLD_STREAM],
-    )
-    trainer = _fold_trainer(variant, kernel_kind, node_type, tspec, args.fracrej, seed)
-    return modelsel.select(trainer, Xz, cfg)
-
-
 def cmd_gen(args) -> int:
     seed = _resolve_seed(args)
     if args.shape == "banana":
@@ -132,7 +111,10 @@ def cmd_train(args) -> int:
     Xz = zscore_apply(targets, zstats).samples
 
     if args.select:
-        params, diag = _select_on(variant, node_type, args.kernel, Xz, args, seed)
+        params, diag = choose_params(
+            variant, Xz, kernel_kind=args.kernel, node_type=node_type,
+            fracrej=args.fracrej, folds=args.folds, sigma_thr=args.sigma_thr, seed=seed,
+        )
         consistent = diag.consistent
     else:
         params = default_params(
@@ -140,31 +122,12 @@ def cmd_train(args) -> int:
         )
         consistent = None
 
-    tspec = ThresholdSpec(kind=variant.tkind, fracrej=args.fracrej)
-    layer_seed = [seed, 0, _LAYER_STREAM]
     start = time.perf_counter()
-    if variant.engine == ONLINE_ENGINE:
-        model = _train_online_model(
-            targets.samples,
-            int(params["m"]),
-            node_type,
-            variant.family,
-            tspec,
-            args.fracrej,
-            layer_seed,
-            zstats=zstats,
-            n0=args.n0,
-            block=args.block,
-        )
-    else:
-        mapping = _mapping_from(
-            variant.engine, args.kernel, params, node_type, layer_seed
-        )
-        train_fn = train_boundary if variant.family == BOUNDARY else train_reconstruction
-        model = train_fn(
-            targets, mapping, float(params["C"]), tspec, args.fracrej,
-            seed=layer_seed, zstats=zstats,
-        )
+    model = fit(
+        variant, params, targets, fracrej=args.fracrej,
+        kernel_kind=args.kernel, node_type=node_type,
+        layer_seed=run_seed(seed), zstats=zstats, n0=args.n0, block=args.block,
+    )
     print(f"train {time.perf_counter() - start:.4f}s", file=sys.stderr)
     save_model(model, args.out)
     _print_params(params, consistent)
@@ -174,8 +137,7 @@ def cmd_train(args) -> int:
 def cmd_score(args) -> int:
     model = load_model(args.model)
     data = load_csv(args.data, args.label_col)
-    scorer = offline_score if isinstance(model, OfflineModel) else os_score
-    decisions = scorer(model, data.samples)
+    decisions = score_model(model, data.samples)
 
     writer, fh = _out_writer(args.out)
     try:
@@ -262,7 +224,10 @@ def cmd_select(args) -> int:
     targets = _target_rows(data)
     zstats = zscore_fit(targets)
     Xz = zscore_apply(targets, zstats).samples
-    params, diag = _select_on(variant, node_type, args.kernel, Xz, args, seed)
+    params, diag = choose_params(
+        variant, Xz, kernel_kind=args.kernel, node_type=node_type,
+        fracrej=args.fracrej, folds=args.folds, sigma_thr=args.sigma_thr, seed=seed,
+    )
     print(f"err_thr {diag.err_thr:.17g}")
     print(f"fold_size {diag.fold_size}")
     _print_params(params, diag.consistent)
@@ -281,8 +246,7 @@ def cmd_grid(args) -> int:
     xs = np.linspace(xmin, xmax, args.resolution)
     ys = np.linspace(ymin, ymax, args.resolution)
     points = np.array([(x, y) for x in xs for y in ys])
-    scorer = offline_score if isinstance(model, OfflineModel) else os_score
-    decisions = scorer(model, points)
+    decisions = score_model(model, points)
 
     writer, fh = _out_writer(args.out)
     try:

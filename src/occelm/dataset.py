@@ -228,32 +228,6 @@ def zscore_apply(data: Dataset, stats: ZScoreStats) -> Dataset:
     return Dataset(z, data.labels, data.feature_names)
 
 
-@dataclass
-class MinMaxStats:
-    """Per-feature range for the optional [0, 1] rescale."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-
-def minmax_fit(train: Dataset) -> MinMaxStats:
-    """Per-feature min/max of the training rows (experimental alternative
-    to z-score; the benchmark protocol itself always uses z-score)."""
-    return MinMaxStats(train.samples.min(axis=0), train.samples.max(axis=0))
-
-
-def minmax_apply(data: Dataset, stats: MinMaxStats) -> Dataset:
-    """Map each cell to (x - lo) / (hi - lo); constant features map to 0."""
-    lo = np.asarray(stats.lo, dtype=float)
-    span = np.asarray(stats.hi, dtype=float) - lo
-    if lo.shape[0] != data.feature_count:
-        raise DimensionMismatch("minmax stats length mismatch")
-    safe = np.where(span > 0, span, 1.0)
-    out = (data.samples - lo) / safe
-    out[:, span == 0] = 0.0
-    return Dataset(out, data.labels, data.feature_names)
-
-
 def run_rng(rng_seed: int, run_index: int, *extra: int) -> np.random.Generator:
     """Deterministic generator for (seed, run) and optional sub-streams."""
     return np.random.default_rng([rng_seed, run_index, *extra])
@@ -296,28 +270,16 @@ def occ_split(
     return train, test
 
 
-def gen_banana(
-    count: int, noise_std: float = 1.0, seed: int = 0, *, lobes: int = 1
-) -> Dataset:
+def gen_banana(count: int, noise_std: float = 1.0, seed: int = 0) -> Dataset:
     """Banana-shaped 2-D data: a half-annulus arc of radius 5 with angles
-    uniform in [-pi/2, pi/2], plus isotropic Gaussian noise.
-
-    lobes=2 adds a mirrored copy offset by (-5, 2.5); the one-class
-    experiments use the single-lobe default.
-    """
+    uniform in [-pi/2, pi/2], plus isotropic Gaussian noise."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if noise_std < 0:
         raise ValueError("noise_std must be >= 0")
-    if lobes not in (1, 2):
-        raise ValueError("lobes must be 1 or 2")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-np.pi / 2, np.pi / 2, count)
     pts = np.column_stack([5.0 * np.cos(theta), 5.0 * np.sin(theta)])
-    if lobes == 2:
-        half = count // 2
-        pts[half:, 0] = -pts[half:, 0] - 5.0
-        pts[half:, 1] += 2.5
     pts += rng.normal(0.0, noise_std, (count, 2)) if noise_std > 0 else 0.0
     return Dataset(pts, None, ["x", "y"])
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRuns, LengthMismatch
-from .threshold import Decision
+from .threshold import Decision, Decisions
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,8 @@ class EvalReport:
 
 
 def _is_target_vector(decisions) -> np.ndarray:
+    if isinstance(decisions, Decisions):
+        return decisions.is_target
     if isinstance(decisions, np.ndarray) and decisions.dtype == bool:
         return decisions
     return np.array(
@@ -57,7 +59,7 @@ def _is_target_vector(decisions) -> np.ndarray:
 
 
 def confuse(decisions, labels) -> ConfusionCounts:
-    """Tally decisions (Decision objects or booleans) against boolean
+    """Tally decisions (Decisions, Decision objects or booleans) against boolean
     labels (True = target)."""
     predicted = _is_target_vector(decisions)
     actual = np.asarray(labels, dtype=bool)

@@ -5,7 +5,8 @@ matrices (a "<name> <rows> <cols>" line followed by that many rows of
 space-separated values). Floats print with 17 significant digits so a
 round-trip reproduces every float64 bit; thr3 models carry the sentinel
 thresh nan. Online models must be finalized before saving and load as
-score-only finalized models.
+score-only finalized models. Loading refuses non-finite parameters: every
+value a model scores with must be finite, except thr3's nan thresh.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .featuremap import HiddenLayer, KernelSpec
 from .linsolve import RlsState
 from .offline import OfflineModel
 from .online import OnlineModel
-from .threshold import ThresholdSpec
+from .threshold import THR3, ThresholdSpec
 
 HEADER = "OCCELM v1"
 
@@ -111,6 +112,12 @@ def save_model(model: OfflineModel | OnlineModel, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _finite(name: str, value):
+    if not np.all(np.isfinite(value)):
+        raise ModelFormatError(f"{name}: non-finite value")
+    return value
+
+
 class _Reader:
     def __init__(self, path: str) -> None:
         with open(path) as fh:
@@ -144,9 +151,12 @@ class _Reader:
                     f"{name}: row {i} has {len(values)} values, expected {cols}"
                 )
             M[i] = [float(v) for v in values]
-        return M
+        return _finite(name, M)
 
-    def vector(self, name: str) -> np.ndarray:
+    def number(self, name: str) -> float:
+        return _finite(name, float(self.keyword(name)[0]))
+
+    def vector(self, name: str, finite: bool = True) -> np.ndarray:
         parts = self.keyword(name)
         size = int(parts[0])
         values = parts[1:]
@@ -154,7 +164,15 @@ class _Reader:
             raise ModelFormatError(
                 f"{name}: {len(values)} values, expected {size}"
             )
-        return np.array([float(v) for v in values])
+        out = np.array([float(v) for v in values])
+        return _finite(name, out) if finite else out
+
+
+def _read_thresh(reader: _Reader, tspec: ThresholdSpec) -> float:
+    thresh = float(reader.keyword("thresh")[0])
+    if tspec.kind == THR3 and np.isnan(thresh):
+        return thresh  # thr3 decides per sample and stores no cut
+    return _finite("thresh", thresh)
 
 
 def _read_tspec(reader: _Reader) -> ThresholdSpec:
@@ -218,12 +236,12 @@ def _parse_model(reader: _Reader) -> OfflineModel | OnlineModel:
     (family,) = reader.keyword("family")
     if kind == "offline":
         mapping = _read_mapping(reader)
-        C = float(reader.keyword("C")[0])
-        R = float(reader.keyword("R")[0])
+        C = reader.number("C")
+        R = reader.number("R")
         tspec = _read_tspec(reader)
-        thresh = float(reader.keyword("thresh")[0])
+        thresh = _read_thresh(reader, tspec)
         zstats = ZScoreStats(reader.vector("zmean"), reader.vector("zstd"))
-        train_errors = reader.vector("trainerr")
+        train_errors = reader.vector("trainerr", finite=False)
         basis = reader.matrix("basis")
         beta = reader.matrix("beta")
         reader.keyword("end")
@@ -244,11 +262,11 @@ def _parse_model(reader: _Reader) -> OfflineModel | OnlineModel:
         n0 = int(reader.keyword("n0")[0])
         block = int(reader.keyword("block")[0])
         seen = int(reader.keyword("seen")[0])
-        R = float(reader.keyword("R")[0])
+        R = reader.number("R")
         tspec = _read_tspec(reader)
-        thresh = float(reader.keyword("thresh")[0])
+        thresh = _read_thresh(reader, tspec)
         zstats = ZScoreStats(reader.vector("zmean"), reader.vector("zstd"))
-        train_errors = reader.vector("trainerr")
+        train_errors = reader.vector("trainerr", finite=False)
         P = reader.matrix("P")
         beta = reader.matrix("beta")
         reader.keyword("end")

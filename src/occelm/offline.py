@@ -7,11 +7,14 @@ deviation from R, reconstruction models set T to the input itself and score
 squared reconstruction error. Scoring unseen rows uses the cross matrix
 K(test, train) @ beta, which requires storing the training basis (hidden
 activations for the random mapping, raw rows for explicit kernels).
+
+The per-row errors, the threshold fit and the columnar decision defined
+here (row_errors, fit_threshold, decide) are shared with the online models
+in online.py, so both model types score with the same code.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +33,7 @@ from .threshold import (
     THR1,
     THR2,
     THR3,
-    Decision,
+    Decisions,
     ThresholdSpec,
     apply_threshold,
     thr1_fit,
@@ -71,6 +74,14 @@ class OfflineModel:
         return self.zstats.feature_count
 
 
+def targets(family: str, Xs: np.ndarray, R: float) -> np.ndarray:
+    """Training outputs: a constant R column for boundary models, the
+    normalized rows themselves for reconstruction models."""
+    if family == BOUNDARY:
+        return np.full((Xs.shape[0], 1), float(R))
+    return Xs
+
+
 def _materialize(
     mapping: KernelSpec, n: int, seed
 ) -> tuple[KernelSpec, np.ndarray | None]:
@@ -97,21 +108,53 @@ def _gram_and_basis(
     return kernel_gram(mapping, Xs, Xs), Xs
 
 
-def _boundary_errors(O: np.ndarray, R: float, kind: str) -> np.ndarray:
-    dev = O.ravel() - R
-    return np.abs(dev) if kind == THR1 else dev**2
-
-
-def _reconstruction_errors(Xs: np.ndarray, O: np.ndarray) -> np.ndarray:
+def row_errors(family: str, Xs: np.ndarray, O: np.ndarray, R: float) -> np.ndarray:
+    """Per-row base error of normalized rows Xs with outputs O: |o - R| for
+    boundary models, sum((x - o)^2) for reconstruction models."""
+    if family == BOUNDARY:
+        return np.abs(O.ravel() - R)
     return ((Xs - O) ** 2).sum(axis=1)
 
 
-def _fit_thresh(errors: np.ndarray, tspec: ThresholdSpec, fracrej: float) -> float:
+def _compared(family: str, kind: str, base: np.ndarray) -> np.ndarray:
+    # boundary thr2 cuts the squared deviation; every other rule the base
+    return base**2 if family == BOUNDARY and kind == THR2 else base
+
+
+def fit_threshold(
+    family: str, tspec: ThresholdSpec, base: np.ndarray, fracrej: float | None
+) -> tuple[np.ndarray, float]:
+    """The errors the threshold rule compares and its fitted cut (NAN for
+    thr3, which decides per sample at score time); fracrej None takes the
+    spec's own."""
+    errors = _compared(family, tspec.kind, base)
     if tspec.kind == THR1:
-        return thr1_fit(errors, fracrej)
+        return errors, thr1_fit(errors, tspec.fracrej if fracrej is None else fracrej)
     if tspec.kind == THR2:
-        return thr2_fit(errors, tspec.std_mult)
-    return float("nan")  # thr3 decides per sample at score time
+        return errors, thr2_fit(errors, tspec.std_mult)
+    return errors, float("nan")
+
+
+def decide(model, Xs: np.ndarray, O: np.ndarray) -> Decisions:
+    """Decisions of an offline or finalized online model for normalized
+    rows Xs and their outputs O."""
+    tspec = model.tspec
+    if tspec.kind == THR3:
+        return thr3_decide(Xs, O, tspec.condn1, tspec.condn2_frac)
+    base = row_errors(model.family, Xs, O, model.R)
+    return apply_threshold(_compared(model.family, tspec.kind, base), model.thresh)
+
+
+def normalized_rows(model, Y) -> np.ndarray:
+    """Rows in the original feature space, checked against the model's
+    feature count and z-scored with its stats."""
+    raw = _rows(Y)
+    if raw.shape[1] != model.feature_count:
+        raise DimensionMismatch(
+            f"rows have {raw.shape[1]} features, model expects "
+            f"{model.feature_count}"
+        )
+    return zscore_apply(Dataset(raw), model.zstats).samples
 
 
 def _train(
@@ -133,20 +176,11 @@ def _train(
     mapping, _ = _materialize(mapping, n, seed)
     omega, basis = _gram_and_basis(mapping, Xs)
 
-    if family == BOUNDARY:
-        T = np.full((Xs.shape[0], 1), float(R))
-    else:
-        T = Xs
     # C-order so scoring is bitwise identical before and after save/load
-    beta = np.ascontiguousarray(solve_regularized(omega, T, C))
-    O = omega @ beta
-
-    if family == BOUNDARY:
-        errors = _boundary_errors(O, R, tspec.kind)
-    else:
-        errors = _reconstruction_errors(Xs, O)
-    use_fracrej = tspec.fracrej if fracrej is None else fracrej
-    thresh = _fit_thresh(errors, tspec, use_fracrej)
+    beta = np.ascontiguousarray(solve_regularized(omega, targets(family, Xs, R), C))
+    errors, thresh = fit_threshold(
+        family, tspec, row_errors(family, Xs, omega @ beta, R), fracrej
+    )
     return OfflineModel(
         family=family,
         mapping=mapping,
@@ -203,37 +237,7 @@ def _cross_matrix(model: OfflineModel, Ys: np.ndarray) -> np.ndarray:
     return kernel_gram(model.mapping, Ys, model.basis)
 
 
-def decide_rows(model: OfflineModel, Xs: np.ndarray, O: np.ndarray) -> list[Decision]:
-    """Decisions for already-normalized rows and their raw outputs."""
-    if model.family == BOUNDARY:
-        errors = _boundary_errors(O, model.R, model.tspec.kind)
-        return [apply_threshold(e, model.thresh) for e in errors]
-    if model.tspec.kind == THR3:
-        return [
-            thr3_decide(
-                Xs[i], O[i], model.tspec.condn1, model.tspec.condn2_frac
-            )
-            for i in range(Xs.shape[0])
-        ]
-    errors = _reconstruction_errors(Xs, O)
-    return [apply_threshold(e, model.thresh) for e in errors]
-
-
-def score(model: OfflineModel, Y) -> list[Decision]:
+def score(model: OfflineModel, Y) -> Decisions:
     """Score rows given in the original (pre-normalization) feature space."""
-    raw = _rows(Y)
-    if raw.shape[1] != model.feature_count:
-        raise DimensionMismatch(
-            f"rows have {raw.shape[1]} features, model expects "
-            f"{model.feature_count}"
-        )
-    Ys = zscore_apply(Dataset(raw), model.zstats).samples
-    O = _cross_matrix(model, Ys) @ model.beta
-    return decide_rows(model, Ys, O)
-
-
-def timed_train(trainer, *args, **kwargs) -> tuple[OfflineModel, float]:
-    """Run an offline trainer and report wall-clock seconds alongside."""
-    start = time.perf_counter()
-    model = trainer(*args, **kwargs)
-    return model, time.perf_counter() - start
+    Ys = normalized_rows(model, Y)
+    return decide(model, Ys, _cross_matrix(model, Ys) @ model.beta)

@@ -9,6 +9,9 @@ Threshold fitting defaults to recomputing every retained training row's
 error under the final weights; constructing with retain_data=False keeps
 only the running per-chunk errors instead (streaming-pure, at the cost of
 thresholds reflecting interim weights).
+
+Errors, threshold fitting and the columnar decisions are the offline
+models' own (offline.row_errors, fit_threshold, decide).
 """
 
 from __future__ import annotations
@@ -27,18 +30,20 @@ from .errors import (
 )
 from .featuremap import HiddenLayer, hidden_apply
 from .linsolve import RlsState, rls_init, rls_update
-from .offline import BOUNDARY, RECONSTRUCTION, _rows
-from .threshold import (
-    THR1,
-    THR2,
-    THR3,
-    Decision,
-    ThresholdSpec,
-    apply_threshold,
-    thr1_fit,
-    thr2_fit,
-    thr3_decide,
+from .offline import (
+    BOUNDARY,
+    RECONSTRUCTION,
+    _rows,
+    decide,
+    fit_threshold,
+    normalized_rows,
+    row_errors,
+    targets,
 )
+from .threshold import THR3, Decisions, ThresholdSpec
+
+# unused here, kept importable: the benchmark tracer patches these names
+from .threshold import apply_threshold, thr1_fit, thr2_fit, thr3_decide  # noqa: F401
 
 
 @dataclass
@@ -73,14 +78,6 @@ class OnlineModel:
         return self.layer.n
 
 
-def _canonical_errors(model_family: str, O: np.ndarray, T: np.ndarray, R: float) -> np.ndarray:
-    """Per-sample base error: |o - R| for boundary, sum((x - o)^2) for
-    reconstruction. thr2 boundary squares the base at fit time."""
-    if model_family == BOUNDARY:
-        return np.abs(O.ravel() - R)
-    return ((T - O) ** 2).sum(axis=1)
-
-
 def os_init(
     family: str,
     layer: HiddenLayer,
@@ -100,8 +97,7 @@ def os_init(
         raise DimensionMismatch("X0 feature count does not match zstats")
     Xs = zscore_apply(Dataset(raw), zstats).samples
     H0 = hidden_apply(layer, Xs)
-    T0 = np.full((Xs.shape[0], 1), float(R)) if family == BOUNDARY else Xs
-    rls = rls_init(H0, T0)
+    rls = rls_init(H0, targets(family, Xs, R))
     model = OnlineModel(
         family=family,
         layer=layer,
@@ -113,7 +109,7 @@ def os_init(
         block=block or Xs.shape[0],
         retain=retain_data,
     )
-    errors = _canonical_errors(family, H0 @ rls.beta, T0, model.R)
+    errors = row_errors(family, Xs, H0 @ rls.beta, model.R)
     model.train_errors.extend(errors.tolist())
     if retain_data:
         model.retained_rows.append(Xs)
@@ -124,28 +120,15 @@ def os_update(model: OnlineModel, Xc) -> OnlineModel:
     """Sequential phase: fold one chunk (size >= 1) into the weights."""
     if model.finalized:
         raise AlreadyFinalized("no updates after finalize")
-    raw = _rows(Xc)
-    if raw.shape[1] != model.feature_count:
-        raise DimensionMismatch(
-            f"chunk has {raw.shape[1]} features, model expects "
-            f"{model.feature_count}"
-        )
-    Xs = zscore_apply(Dataset(raw), model.zstats).samples
+    Xs = normalized_rows(model, Xc)
     Hc = hidden_apply(model.layer, Xs)
-    Tc = np.full((Xs.shape[0], 1), model.R) if model.family == BOUNDARY else Xs
-    model.rls = rls_update(model.rls, Hc, Tc)
+    model.rls = rls_update(model.rls, Hc, targets(model.family, Xs, model.R))
     model.seen_count += Xs.shape[0]
-    errors = _canonical_errors(model.family, Hc @ model.rls.beta, Tc, model.R)
+    errors = row_errors(model.family, Xs, Hc @ model.rls.beta, model.R)
     model.train_errors.extend(errors.tolist())
     if model.retain:
         model.retained_rows.append(Xs)
     return model
-
-
-def _threshold_errors(model: OnlineModel, base: np.ndarray, kind: str) -> np.ndarray:
-    if model.family == BOUNDARY and kind == THR2:
-        return base**2
-    return base
 
 
 def os_finalize(
@@ -166,49 +149,19 @@ def os_finalize(
         )
     if model.retain:
         Xs = np.vstack(model.retained_rows)
-        H = hidden_apply(model.layer, Xs)
-        T = (
-            np.full((Xs.shape[0], 1), model.R)
-            if model.family == BOUNDARY
-            else Xs
-        )
-        base = _canonical_errors(model.family, H @ model.rls.beta, T, model.R)
+        O = hidden_apply(model.layer, Xs) @ model.rls.beta
+        base = row_errors(model.family, Xs, O, model.R)
         model.train_errors = base.tolist()
     else:
         base = np.asarray(model.train_errors)
-
-    use_fracrej = tspec.fracrej if fracrej is None else fracrej
-    if tspec.kind == THR1:
-        model.thresh = thr1_fit(_threshold_errors(model, base, THR1), use_fracrej)
-    elif tspec.kind == THR2:
-        model.thresh = thr2_fit(_threshold_errors(model, base, THR2), tspec.std_mult)
-    else:
-        model.thresh = float("nan")
+    _, model.thresh = fit_threshold(model.family, tspec, base, fracrej)
     model.tspec = tspec
     return model
 
 
-def os_score(model: OnlineModel, Y) -> list[Decision]:
+def os_score(model: OnlineModel, Y) -> Decisions:
     """Score rows (original feature space) against the finalized model."""
     if not model.finalized:
         raise NotFinalized("call os_finalize before scoring")
-    raw = _rows(Y)
-    if raw.shape[1] != model.feature_count:
-        raise DimensionMismatch(
-            f"rows have {raw.shape[1]} features, model expects "
-            f"{model.feature_count}"
-        )
-    Ys = zscore_apply(Dataset(raw), model.zstats).samples
-    O = hidden_apply(model.layer, Ys) @ model.rls.beta
-    tspec = model.tspec
-    if model.family == BOUNDARY:
-        dev = np.abs(O.ravel() - model.R)
-        errors = dev if tspec.kind == THR1 else dev**2
-        return [apply_threshold(e, model.thresh) for e in errors]
-    if tspec.kind == THR3:
-        return [
-            thr3_decide(Ys[i], O[i], tspec.condn1, tspec.condn2_frac)
-            for i in range(Ys.shape[0])
-        ]
-    errors = ((Ys - O) ** 2).sum(axis=1)
-    return [apply_threshold(e, model.thresh) for e in errors]
+    Ys = normalized_rows(model, Y)
+    return decide(model, Ys, hidden_apply(model.layer, Ys) @ model.rls.beta)

@@ -9,7 +9,8 @@ thr3 (reconstruction models only): per-feature relative error
 condn2_frac of its features are badly reconstructed (inclusive tie).
 
 Decisions use the strict rule: target iff score < thresh. thr3's inclusive
-feature-count tie is the one documented exception.
+feature-count tie is the one documented exception. Both decision rules work
+on whole batches and return a columnar Decisions value.
 """
 
 from __future__ import annotations
@@ -55,6 +56,32 @@ class Decision:
     thresh: float
 
 
+@dataclass(frozen=True, eq=False)
+class Decisions:
+    """Outcomes of a batch of samples as three equal-length arrays;
+    indexing and iteration give one Decision per sample."""
+
+    is_target: np.ndarray
+    score: np.ndarray
+    thresh: np.ndarray
+
+    def __len__(self) -> int:
+        return self.score.shape[0]
+
+    def __getitem__(self, i: int) -> Decision:
+        return Decision(
+            bool(self.is_target[i]), float(self.score[i]), float(self.thresh[i])
+        )
+
+    def __iter__(self):
+        return map(
+            Decision,
+            self.is_target.tolist(),
+            self.score.tolist(),
+            self.thresh.tolist(),
+        )
+
+
 def thr1_fit(errors: np.ndarray, fracrej: float) -> float:
     """Quantile threshold: the round(fracrej*N)-th largest training error."""
     errors = np.asarray(errors, dtype=float).ravel()
@@ -77,13 +104,13 @@ def thr2_fit(errors: np.ndarray, std_mult: float = 0.2) -> float:
 
 
 def relative_errors(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
-    """Per-feature |a - p| / |a + p| with the singular denominator mapped
-    to 0 for exact agreement and 1 otherwise."""
-    actual = np.asarray(actual, dtype=float).ravel()
-    predicted = np.asarray(predicted, dtype=float).ravel()
+    """Elementwise |a - p| / |a + p| with the singular denominator mapped
+    to 0 for exact agreement and 1 otherwise; the shape is kept."""
+    actual = np.atleast_1d(np.asarray(actual, dtype=float))
+    predicted = np.atleast_1d(np.asarray(predicted, dtype=float))
     if actual.shape != predicted.shape:
         raise DimensionMismatch(
-            f"vector lengths differ: {actual.shape[0]} vs {predicted.shape[0]}"
+            f"shapes differ: {actual.shape} vs {predicted.shape}"
         )
     num = np.abs(actual - predicted)
     den = np.abs(actual + predicted)
@@ -99,22 +126,29 @@ def thr3_decide(
     predicted: np.ndarray,
     condn1: float = 0.5,
     condn2_frac: float = 0.1,
-) -> Decision:
-    """Per-feature reconstruction rule: a feature is badly reconstructed
-    when its relative error reaches condn1; the sample stays a target while
-    at most condn2_frac of its features are bad (inclusive)."""
-    err = relative_errors(actual, predicted)
-    n = err.size
+) -> Decisions:
+    """Per-feature reconstruction rule, one verdict per row (a 1-D pair is
+    one row): a feature is badly reconstructed when its relative error
+    reaches condn1; the sample stays a target while at most condn2_frac of
+    its features are bad (inclusive)."""
+    err = relative_errors(np.atleast_2d(actual), np.atleast_2d(predicted))
+    n = err.shape[1]
     if n < 1:
         raise DimensionMismatch("thr3_decide needs at least one feature")
-    not_well = int(np.count_nonzero(err >= condn1))
-    return Decision(
+    not_well = np.count_nonzero(err >= condn1, axis=1)
+    return Decisions(
         is_target=not_well <= condn2_frac * n,
         score=not_well / n,
-        thresh=condn2_frac,
+        thresh=np.full(not_well.shape, float(condn2_frac)),
     )
 
 
-def apply_threshold(score: float, thresh: float) -> Decision:
-    """Strict decision rule: target iff score < thresh."""
-    return Decision(is_target=bool(score < thresh), score=float(score), thresh=float(thresh))
+def apply_threshold(scores, thresh: float) -> Decisions:
+    """Strict decision rule, one verdict per score: target iff
+    score < thresh."""
+    scores = np.asarray(scores, dtype=float).reshape(-1)
+    return Decisions(
+        is_target=scores < thresh,
+        score=scores,
+        thresh=np.full(scores.shape, float(thresh)),
+    )

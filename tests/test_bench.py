@@ -8,17 +8,21 @@ from occelm.bench import (
     HIDDEN_GRID,
     VARIANT_IDS,
     VARIANTS,
+    choose_params,
     classifier_name,
     default_params,
     display_name,
+    fit,
     median_pairwise,
     parse_variant,
     run_benchmark,
+    score_model,
     selection_grids,
 )
-from occelm.dataset import Dataset, gen_ring
+from occelm.dataset import Dataset, gen_ring, zscore_apply, zscore_fit
 from occelm.errors import MissingLabels, NoOutliers
 from occelm.modelsel import C_GRID
+from occelm.online import OnlineModel
 
 
 def _separable(seed=0, targets=60, outliers=20):
@@ -190,6 +194,39 @@ class TestSelectionGrids:
         grids = selection_grids(VARIANTS["os_ocelm_thr1"], "rbf", self._rows(40), 5)
         # largest fold is 8 rows, so m <= 32
         assert grids == {"m": [20, 32]}
+
+
+class TestFitAndScore:
+    @pytest.mark.parametrize("vid", VARIANT_IDS)
+    def test_every_variant_trains_and_scores(self, vid):
+        variant = VARIANTS[vid]
+        data = _separable(seed=5)
+        targets = Dataset(data.samples[data.labels])
+        zstats = zscore_fit(targets)
+        Xz = zscore_apply(targets, zstats).samples
+        params = default_params(variant.engine, "rbf", Xz, hidden=10)
+        model = fit(variant, params, targets, zstats=zstats, layer_seed=[1, 2])
+        assert model.family == variant.family
+        assert model.tspec.kind == variant.tkind
+        assert isinstance(model, OnlineModel) == (variant.engine == "online")
+        decisions = score_model(model, data.samples)
+        assert len(decisions) == data.sample_count
+        assert decisions.is_target.dtype == bool
+        assert np.all(np.isfinite(decisions.score))
+
+    def test_choose_params_matches_the_protocol_selection(self):
+        """run_benchmark selects on run 0 through choose_params."""
+        data = _separable(seed=6)
+        result = run_benchmark(
+            data, "ockelm_thr1", runs=1, seed=4, select_params=True
+        )
+        train, _ = bench.occ_split(data, bench.SplitPlan(1, 0.5, 4), 0)
+        Xz = zscore_apply(train, zscore_fit(train)).samples
+        params, diag = choose_params(VARIANTS["ockelm_thr1"], Xz, seed=4)
+        assert params == result.run_params[0]
+        assert [p.rejection for p in diag.points] == [
+            p.rejection for p in result.selection.points
+        ]
 
 
 class TestRunBenchmark:

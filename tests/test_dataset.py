@@ -11,8 +11,6 @@ from occelm.dataset import (
     gen_ring,
     identity_stats,
     load_csv,
-    minmax_apply,
-    minmax_fit,
     occ_split,
     round_half_up,
     run_rng,
@@ -207,20 +205,6 @@ class TestZScore:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             zscore_apply(Dataset(np.zeros((2, 3))), identity_stats(2))
-
-
-class TestMinMax:
-    def test_unit_interval(self):
-        rng = np.random.default_rng(21)
-        d = Dataset(rng.uniform(-5, 9, size=(30, 3)))
-        out = minmax_apply(d, minmax_fit(d))
-        assert out.samples.min() >= 0.0
-        assert out.samples.max() <= 1.0
-
-    def test_constant_feature_zero(self):
-        d = Dataset(np.array([[7.0, 1.0], [7.0, 2.0]]))
-        out = minmax_apply(d, minmax_fit(d))
-        np.testing.assert_allclose(out.samples[:, 0], 0.0)
 
 
 class TestOccSplit:

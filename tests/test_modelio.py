@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import run_cli
+
 from occelm.dataset import Dataset, zscore_fit
 from occelm.errors import ModelFormatError, NotFinalized
 from occelm.featuremap import hidden_init, random_kernel, rbf_kernel, wavelet_kernel
@@ -163,3 +165,82 @@ class TestMalformedFiles:
         path.write_text("")
         with pytest.raises(ModelFormatError):
             load_model(str(path))
+
+
+def _offline_file(tmp_path, tkind="thr1"):
+    X = _cloud(12)
+    model = train_reconstruction(
+        X, random_kernel(m=6), 1.0, ThresholdSpec(tkind), seed=3,
+        zstats=zscore_fit(Dataset(X)),
+    )
+    path = tmp_path / "off.occ"
+    save_model(model, str(path))
+    return path
+
+
+def _online_file(tmp_path):
+    model, _ = TestOnlineRoundTrip()._trained()
+    path = tmp_path / "on.occ"
+    save_model(model, str(path))
+    return path
+
+
+def _poison(path, name, token):
+    """Put token in place of the first value stored under name."""
+    lines = path.read_text().splitlines()
+    i = next(k for k, line in enumerate(lines) if line.split()[0] == name)
+    parts = lines[i].split()
+    if name in ("layerW", "basis", "beta", "P"):  # matrix: values start a line below
+        row = lines[i + 1].split()
+        lines[i + 1] = " ".join([token] + row[1:])
+    elif name in ("layerb", "zmean", "zstd"):  # vector: "name size v0 v1 ..."
+        lines[i] = " ".join(parts[:2] + [token] + parts[3:])
+    else:  # scalar keyword
+        lines[i] = f"{name} {token}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestNonFiniteParameters:
+    """A non-finite parameter must not load: scoring with it gives NAN
+    scores and silent rejections."""
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "name", ["beta", "basis", "layerW", "layerb", "zmean", "zstd", "C", "R", "thresh"]
+    )
+    def test_offline_rejected(self, tmp_path, name, token):
+        path = _offline_file(tmp_path)
+        _poison(path, name, token)
+        with pytest.raises(ModelFormatError, match=name):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "name", ["beta", "P", "layerW", "layerb", "zmean", "zstd", "R", "thresh"]
+    )
+    def test_online_rejected(self, tmp_path, name, token):
+        path = _online_file(tmp_path)
+        _poison(path, name, token)
+        with pytest.raises(ModelFormatError, match=name):
+            load_model(str(path))
+
+    def test_thr3_nan_thresh_loads(self, tmp_path):
+        path = _offline_file(tmp_path, "thr3")
+        assert np.isnan(load_model(str(path)).thresh)
+
+    def test_thr3_inf_thresh_rejected(self, tmp_path):
+        path = _offline_file(tmp_path, "thr3")
+        _poison(path, "thresh", "inf")
+        with pytest.raises(ModelFormatError, match="thresh"):
+            load_model(str(path))
+
+    def test_cli_score_exits_1(self, tmp_path):
+        path = _offline_file(tmp_path)
+        _poison(path, "beta", "nan")
+        rows = tmp_path / "rows.csv"
+        rows.write_text("a,b,c\n0.1,0.2,0.3\n")
+        proc = run_cli(["score", str(path), str(rows)], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "error:" in proc.stderr and "beta" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -18,7 +18,6 @@ from occelm.offline import (
     DEFAULT_HIDDEN,
     RECONSTRUCTION,
     score,
-    timed_train,
     train_boundary,
     train_reconstruction,
 )
@@ -240,12 +239,3 @@ class TestScore:
         )
         assert len(score(model, data)) == 40
 
-
-class TestTimedTrain:
-    def test_returns_model_and_elapsed(self):
-        model, seconds = timed_train(
-            train_boundary, _cloud(23), rbf_kernel(1.0), 1.0,
-            ThresholdSpec("thr1"),
-        )
-        assert model.family == BOUNDARY
-        assert seconds >= 0.0
