@@ -9,6 +9,7 @@ the flags, while wall-clock lines and any entropy-drawn seed go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 import time
@@ -61,12 +62,14 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _out_writer(out: str | None):
-    """CSV writer on the --out file, or stdout when no path was given."""
-    if out is None:
-        return csv.writer(sys.stdout), None
-    fh = open(out, "w", newline="")
-    return csv.writer(fh), fh
+@contextlib.contextmanager
+def _csv_out(path: str | None):
+    """CSV writer on the file at path, or on stdout when path is None."""
+    if path is None:
+        yield csv.writer(sys.stdout)
+        return
+    with open(path, "w", newline="") as fh:
+        yield csv.writer(fh)
 
 
 def _target_rows(data: Dataset) -> Dataset:
@@ -139,16 +142,12 @@ def cmd_score(args) -> int:
     data = load_csv(args.data, args.label_col)
     decisions = score_model(model, data.samples)
 
-    writer, fh = _out_writer(args.out)
-    try:
+    with _csv_out(args.out) as writer:
         writer.writerow(["row", "decision", "score", "thresh"])
         for i, d in enumerate(decisions):
             writer.writerow(
                 [i, "+1" if d.is_target else "-1", f"{d.score:.17g}", f"{d.thresh:.17g}"]
             )
-    finally:
-        if fh is not None:
-            fh.close()
 
     if data.labels is not None:
         r = measures(confuse(decisions, data.labels))
@@ -162,8 +161,7 @@ def cmd_score(args) -> int:
 
 
 def _write_runs_csv(path: str, result) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+    with _csv_out(path) as writer:
         writer.writerow(["run", "precision", "recall", "specificity", "F1", "ACC", "AUC"])
         for i, r in enumerate(result.run_reports):
             writer.writerow(
@@ -202,15 +200,10 @@ def cmd_bench(args) -> int:
         render_value(result.report.f1), render_value(result.report.accuracy),
         render_value(result.report.auc), render_value(result.report.std_auc),
     ]
-    if args.out is None:
-        writer = csv.writer(sys.stdout)
+    with _csv_out(args.out) as writer:
         writer.writerow(REPORT_COLUMNS)
         writer.writerow(cells)
-    else:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(REPORT_COLUMNS)
-            writer.writerow(cells)
+    if args.out is not None:
         _write_runs_csv(f"{args.out}.runs.csv", result)
         if result.selection is not None:
             write_diagnostics(result.selection, f"{args.out}.sel.csv")
@@ -248,16 +241,12 @@ def cmd_grid(args) -> int:
     points = np.array([(x, y) for x in xs for y in ys])
     decisions = score_model(model, points)
 
-    writer, fh = _out_writer(args.out)
-    try:
+    with _csv_out(args.out) as writer:
         writer.writerow(["x", "y", "score", "is_target"])
         for (x, y), d in zip(points, decisions):
             writer.writerow(
                 [f"{x:.17g}", f"{y:.17g}", f"{d.score:.17g}", int(d.is_target)]
             )
-    finally:
-        if fh is not None:
-            fh.close()
     return 0
 
 
@@ -351,10 +340,9 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"usage error: {exc.args[0]}", file=sys.stderr)
         return 2
-    except OccelmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (OccelmError, OSError, ValueError) as exc:
+        # ValueError: a flag value the library refuses (numpy's LinAlgError
+        # is one too)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -110,18 +110,18 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"kind must be one of {KERNEL_KINDS}")
-        if self.kind == "rbf" and not (self.sigma and self.sigma > 0):
-            raise ValueError("rbf kernel needs sigma > 0")
+        if self.kind == "rbf" and (self.sigma is None or not 0 < self.sigma < np.inf):
+            raise ValueError("rbf kernel needs a finite sigma > 0")
         if self.kind == "polynomial":
             if self.degree is None or self.degree < 1:
                 raise ValueError("polynomial kernel needs degree >= 1")
-            if self.offset is None or self.offset < 0:
-                raise ValueError("polynomial kernel needs offset >= 0")
+            if self.offset is None or not 0 <= self.offset < np.inf:
+                raise ValueError("polynomial kernel needs a finite offset >= 0")
         if self.kind == "wavelet":
             for name in ("a", "b_w", "c_w"):
                 value = getattr(self, name)
-                if value is None or value <= 0:
-                    raise ValueError(f"wavelet kernel needs {name} > 0")
+                if value is None or not 0 < value < np.inf:
+                    raise ValueError(f"wavelet kernel needs a finite {name} > 0")
         if self.kind == "random" and self.node_type not in NODE_TYPES:
             raise ValueError(f"node_type must be one of {NODE_TYPES}")
 

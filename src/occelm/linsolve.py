@@ -42,8 +42,8 @@ def solve_regularized(omega: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:
     refinement; SingularSystem (with a condition estimate) is raised only
     when that bound cannot be met.
     """
-    if C <= 0:
-        raise ValueError("C must be > 0")
+    if not 0 < C < np.inf:  # also refuses a NaN C
+        raise ValueError("C must be finite and > 0")
     omega = np.asarray(omega, dtype=float)
     if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
         raise DimensionMismatch("omega must be square")

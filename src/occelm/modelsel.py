@@ -64,7 +64,6 @@ class SelectionConfig:
     sigma_thr: float = 2.0
     fracrej: float = 0.1
     rng_seed: int = 0
-    preference: list[tuple[str, str]] | None = None
 
     def __post_init__(self) -> None:
         if self.folds < 2:
@@ -145,7 +144,7 @@ def select(trainer, X, cfg: SelectionConfig) -> tuple[dict, SelectionDiagnostics
     M = N // cfg.folds
     err_thr = error_threshold(cfg.fracrej, cfg.sigma_thr, M)
     fold_of = fold_assignment(N, cfg.folds, cfg.rng_seed)
-    prefs = cfg.preference or _default_preference(cfg.grids)
+    prefs = _default_preference(cfg.grids)
 
     diag = SelectionDiagnostics(err_thr=err_thr, fold_size=M)
     for params in _combos(cfg.grids):

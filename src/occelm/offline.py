@@ -82,13 +82,11 @@ def targets(family: str, Xs: np.ndarray, R: float) -> np.ndarray:
     return Xs
 
 
-def _materialize(
-    mapping: KernelSpec, n: int, seed
-) -> tuple[KernelSpec, np.ndarray | None]:
+def _materialize(mapping: KernelSpec, n: int, seed) -> KernelSpec:
     """Concretize a random mapping's hidden layer; explicit kernels pass
     through unchanged."""
     if mapping.kind != "random":
-        return mapping, None
+        return mapping
     layer = mapping.layer
     if layer is None:
         layer = hidden_init(mapping.node_type, mapping.m or DEFAULT_HIDDEN, n, seed)
@@ -96,7 +94,7 @@ def _materialize(
         raise DimensionMismatch(
             f"layer expects {layer.n} features, data has {n}"
         )
-    return KernelSpec("random", layer=layer, m=layer.m, node_type=layer.node_type), layer
+    return KernelSpec("random", layer=layer, m=layer.m, node_type=layer.node_type)
 
 
 def _gram_and_basis(
@@ -173,7 +171,7 @@ def _train(
     if zstats is None:
         zstats = identity_stats(n)
     Xs = zscore_apply(Dataset(raw), zstats).samples
-    mapping, _ = _materialize(mapping, n, seed)
+    mapping = _materialize(mapping, n, seed)
     omega, basis = _gram_and_basis(mapping, Xs)
 
     # C-order so scoring is bitwise identical before and after save/load

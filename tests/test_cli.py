@@ -411,3 +411,43 @@ class TestSubprocess:
         )
         assert again.returncode == 0
         assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "h.csv").read_bytes()
+
+
+_TRAIN = ["train", "aakelm_thr1", "{data}", "--label-col", "-1", "--seed", "1",
+          "-o", "m.occ"]
+_SELECT = ["select", "aakelm_thr1", "{data}", "--label-col", "-1", "--seed", "1"]
+
+
+class TestBadFlagValues:
+    """A flag value the library refuses is reported like any toolbox
+    error: one "error:" line on stderr and exit 1, never a traceback. An
+    infinite C or kernel width is refused at training, since a model file
+    holding it would not load."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            _TRAIN + ["--fracrej", "1.5"],
+            _TRAIN + ["--fracrej", "nan"],
+            _TRAIN + ["--c-reg", "0"],
+            _TRAIN + ["--c-reg", "nan"],
+            _TRAIN + ["--kern-par", "-1"],
+            _TRAIN + ["--c-reg", "inf"],
+            _TRAIN + ["--kern-par", "inf"],
+            _SELECT + ["--folds", "1"],
+            _SELECT + ["--sigma-thr", "-1"],
+            ["gen", "ring", "--radius", "0", "--seed", "1", "-o", "r.csv"],
+            ["gen", "banana", "--noise-std", "-1", "--seed", "1", "-o", "b.csv"],
+        ],
+        ids=[
+            "fracrej-1.5", "fracrej-nan", "c-reg-0", "c-reg-nan", "kern-par--1",
+            "c-reg-inf", "kern-par-inf",
+            "folds-1", "sigma-thr--1", "radius-0", "noise-std--1",
+        ],
+    )
+    def test_exits_1_without_traceback(self, tmp_path, labeled_csv, argv):
+        proc = run_cli([a.format(data=labeled_csv) for a in argv], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""

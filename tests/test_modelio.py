@@ -244,3 +244,102 @@ class TestNonFiniteParameters:
         assert proc.stdout == ""
         assert "error:" in proc.stderr and "beta" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def _rbf_file(tmp_path, tkind="thr1"):
+    X = _cloud(13)
+    model = train_reconstruction(X, rbf_kernel(1.2), 10.0, ThresholdSpec(tkind))
+    path = tmp_path / "rbf.occ"
+    save_model(model, str(path))
+    return path
+
+
+def _edit(path, edit):
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _drop_kparam(lines):
+    i = next(k for k, line in enumerate(lines) if line.startswith("kparam sigma"))
+    del lines[i]
+
+
+def _inf_kparam(lines):
+    i = next(k for k, line in enumerate(lines) if line.startswith("kparam sigma"))
+    lines[i] = "kparam sigma inf"
+
+
+def _nan_condn1(lines):
+    i = next(k for k, line in enumerate(lines) if line.startswith("tspec "))
+    parts = lines[i].split()
+    parts[4] = "nan"
+    lines[i] = " ".join(parts)
+
+
+def _short_beta(lines):
+    i = next(k for k, line in enumerate(lines) if line.startswith("beta "))
+    _, rows, cols = lines[i].split()
+    lines[i] = f"beta {int(rows) - 1} {cols}"
+    del lines[i + int(rows)]
+
+
+# (edit, threshold kind of the edited file, text the error names)
+_LOAD_FAULTS = {
+    "missing_kparam": (_drop_kparam, "thr1", "kparam sigma"),
+    "inf_kparam": (_inf_kparam, "thr1", "kparam sigma"),
+    "nan_condn1": (_nan_condn1, "thr3", "tspec"),
+    "short_beta": (_short_beta, "thr1", "beta"),
+}
+
+
+class TestLoadFaults:
+    """Files that once loaded, or escaped as another exception: a missing
+    kernel parameter, a non-finite kernel or threshold parameter, and a
+    beta with fewer rows than the basis."""
+
+    @pytest.mark.parametrize("fault", list(_LOAD_FAULTS))
+    def test_refused(self, tmp_path, fault):
+        edit, tkind, named = _LOAD_FAULTS[fault]
+        path = _rbf_file(tmp_path, tkind)
+        _edit(path, edit)
+        with pytest.raises(ModelFormatError, match=named):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("fault", list(_LOAD_FAULTS))
+    def test_cli_score_exits_1(self, tmp_path, fault):
+        edit, tkind, _ = _LOAD_FAULTS[fault]
+        path = _rbf_file(tmp_path, tkind)
+        _edit(path, edit)
+        rows = tmp_path / "rows.csv"
+        rows.write_text("a,b,c\n0.1,0.2,0.3\n")
+        proc = run_cli(["score", str(path), str(rows)], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_unknown_family_refused(self, tmp_path):
+        path = _rbf_file(tmp_path)
+        _edit(path, lambda lines: lines.__setitem__(2, "family other"))
+        with pytest.raises(ModelFormatError, match="family"):
+            load_model(str(path))
+
+    def test_content_after_end_refused(self, tmp_path):
+        path = _rbf_file(tmp_path)
+        _edit(path, lambda lines: lines.append("end"))
+        with pytest.raises(ModelFormatError, match="after 'end'"):
+            load_model(str(path))
+
+    def test_oversized_matrix_refused(self, tmp_path):
+        """A header asking for more values than the file holds fails before
+        any allocation."""
+        path = _rbf_file(tmp_path)
+
+        def widen(lines):
+            i = next(k for k, line in enumerate(lines) if line.startswith("basis "))
+            lines[i] = "basis 30 1000000000000"
+
+        _edit(path, widen)
+        with pytest.raises(ModelFormatError, match="does not fit"):
+            load_model(str(path))
