@@ -31,6 +31,7 @@ from .dataset import Dataset, SplitPlan, occ_split, zscore_apply, zscore_fit
 from .errors import AllPointsIdentical, MissingLabels, NoOutliers
 from .featuremap import (
     ADDITIVE_SIGMOID,
+    MAX_WIDTH,
     NODE_TYPES,
     RBF_NODE,
     KernelSpec,
@@ -47,6 +48,7 @@ from .offline import (
     RECONSTRUCTION,
     OfflineModel,
     _rows,
+    scan_c,
     score,
     train_boundary,
     train_reconstruction,
@@ -157,19 +159,6 @@ def median_pairwise(X) -> float:
     return float(np.median(d))
 
 
-def _kernel_mapping(kernel_kind: str, params: dict) -> KernelSpec:
-    if kernel_kind == "rbf":
-        return rbf_kernel(float(params["sigma"]))
-    if kernel_kind == "linear":
-        return linear_kernel()
-    if kernel_kind == "polynomial":
-        return polynomial_kernel(int(params["degree"]))
-    if kernel_kind == "wavelet":
-        b_w = float(params["b_w"])
-        return wavelet_kernel(1.0, b_w, b_w**2)
-    raise ValueError(f"unknown kernel kind {kernel_kind!r}")
-
-
 def default_params(
     engine: str,
     kernel_kind: str,
@@ -266,15 +255,30 @@ def fit(
         for start in range(n0v, N, blockv):
             os_update(model, raw[start : start + blockv])
         return os_finalize(model, tspec, fracrej)
-    if variant.engine == RANDOM_ENGINE:
-        mapping = KernelSpec(RANDOM_ENGINE, m=int(params["m"]), node_type=node_type)
-    else:
-        mapping = _kernel_mapping(kernel_kind, params)
     train_fn = train_boundary if variant.family == BOUNDARY else train_reconstruction
     return train_fn(
-        rows, mapping, float(params["C"]), tspec, fracrej,
-        seed=layer_seed, zstats=zstats,
+        rows, _offline_mapping(variant, params, kernel_kind, node_type),
+        float(params["C"]), tspec, fracrej, seed=layer_seed, zstats=zstats,
     )
+
+
+def _offline_mapping(
+    variant: Variant, params: dict, kernel_kind: str, node_type: str
+) -> KernelSpec:
+    if variant.engine == RANDOM_ENGINE:
+        return KernelSpec(RANDOM_ENGINE, m=int(params["m"]), node_type=node_type)
+    if kernel_kind == "rbf":
+        return rbf_kernel(float(params["sigma"]))
+    if kernel_kind == "linear":
+        return linear_kernel()
+    if kernel_kind == "polynomial":
+        return polynomial_kernel(int(params["degree"]))
+    if kernel_kind == "wavelet":
+        b_w = float(params["b_w"])
+        if not 0 < b_w <= MAX_WIDTH:
+            raise ValueError(f"wavelet kernel needs 0 < b_w <= {MAX_WIDTH:g}")
+        return wavelet_kernel(1.0, b_w, b_w**2)
+    raise ValueError(f"unknown kernel kind {kernel_kind!r}")
 
 
 def score_model(model, rows) -> Decisions:
@@ -292,18 +296,25 @@ def _fold_trainer(
     fracrej: float,
     seed: int,
 ):
-    """Trainer closure for the selection scan; operates on already
-    normalized rows (identity stats inside)."""
+    """Scanner for modelsel.select on already normalized fold rows: offline
+    variants walk the C list with offline.scan_c, online ones fit once."""
 
-    def trainer(params: dict, train_rows):
-        model = fit(
-            variant, params, train_rows, tspec=tspec, fracrej=fracrej,
-            kernel_kind=kernel_kind, node_type=node_type,
-            layer_seed=[seed, 0, _SELECT_LAYER_STREAM, int(params.get("m", 0))],
+    def scan(params: dict, fold):
+        train, val = fold
+        layer_seed = [seed, 0, _SELECT_LAYER_STREAM, int(params.get("m", 0))]
+        if variant.engine == ONLINE_ENGINE:
+            model = fit(
+                variant, params, train, tspec=tspec, fracrej=fracrej,
+                node_type=node_type, layer_seed=layer_seed,
+            )
+            return [score_model(model, val).is_target]
+        mapping = _offline_mapping(variant, params, kernel_kind, node_type)
+        return scan_c(
+            variant.family, train, val, mapping, params["C"], tspec, fracrej,
+            layer_seed,
         )
-        return lambda rows: score_model(model, rows).is_target
 
-    return trainer
+    return scan
 
 
 def choose_params(
@@ -327,8 +338,8 @@ def choose_params(
         rng_seed=[seed, 0, _FOLD_STREAM],
     )
     tspec = ThresholdSpec(kind=variant.tkind, fracrej=fracrej)
-    trainer = _fold_trainer(variant, kernel_kind, node_type, tspec, fracrej, seed)
-    return modelsel.select(trainer, Xz, cfg)
+    scan = _fold_trainer(variant, kernel_kind, node_type, tspec, fracrej, seed)
+    return modelsel.select(scan, Xz, cfg)
 
 
 @dataclass

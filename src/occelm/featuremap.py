@@ -21,6 +21,10 @@ NODE_TYPES = (ADDITIVE_SIGMOID, RBF_NODE)
 
 KERNEL_KINDS = ("random", "rbf", "linear", "polynomial", "wavelet")
 
+# widest rbf sigma (and benchmark wavelet b_w): their Python float squares
+# raise OverflowError, instead of giving inf, past about 1e154
+MAX_WIDTH = 1e150
+
 
 @dataclass(frozen=True)
 class HiddenLayer:
@@ -110,8 +114,8 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"kind must be one of {KERNEL_KINDS}")
-        if self.kind == "rbf" and (self.sigma is None or not 0 < self.sigma < np.inf):
-            raise ValueError("rbf kernel needs a finite sigma > 0")
+        if self.kind == "rbf" and not 0 < (self.sigma or 0) <= MAX_WIDTH:
+            raise ValueError(f"rbf kernel needs 0 < sigma <= {MAX_WIDTH:g}")
         if self.kind == "polynomial":
             if self.degree is None or self.degree < 1:
                 raise ValueError("polynomial kernel needs degree >= 1")

@@ -8,6 +8,10 @@ complex consistent combination wins: smallest sigma first (tighter
 boundary), tie-broken by smallest C; grids without sigma prefer the widest
 hidden layer. When nothing is consistent the minimum-rejection combination
 is returned, flagged.
+
+The scanner that select drives gets a whole list of C per call, so the
+C-independent work (features, Gram and cross matrices) is done once per
+combination of the other grid values and fold.
 """
 
 from __future__ import annotations
@@ -128,14 +132,18 @@ def fold_assignment(N: int, folds: int, rng_seed: int) -> np.ndarray:
     return fold_of
 
 
-def select(trainer, X, cfg: SelectionConfig) -> tuple[dict, SelectionDiagnostics]:
+def select(scan, X, cfg: SelectionConfig) -> tuple[dict, SelectionDiagnostics]:
     """Scan the grid and pick the most complex consistent combination.
 
-    trainer(params, train_rows) must return a predictor mapping validation
-    rows to a boolean is-target array. Combinations whose training fails
-    with a toolbox error record rejection NAN and are never selectable;
-    if nothing is consistent the minimum-rejection combination is returned
-    with diagnostics.consistent False.
+    For each combination of the non-C grid values and each fold, calls
+    scan(params, (train_rows, val_rows)) once; params["C"] lists the C
+    values not yet failed (absent when the grid has no C). scan returns per
+    C, in order, the is-target array of the validation rows or None for a
+    fit that failed with a toolbox error (one item without C); an
+    OccelmError from scan fails every C of the call. A failed C records
+    rejection NAN, is not fitted again and is never selectable; if nothing
+    is consistent the minimum-rejection combination is returned with
+    diagnostics.consistent False.
     """
     rows = _rows(X)
     N = rows.shape[0]
@@ -144,23 +152,36 @@ def select(trainer, X, cfg: SelectionConfig) -> tuple[dict, SelectionDiagnostics
     M = N // cfg.folds
     err_thr = error_threshold(cfg.fracrej, cfg.sigma_thr, M)
     fold_of = fold_assignment(N, cfg.folds, cfg.rng_seed)
+    folds = [(rows[fold_of != j], rows[fold_of == j]) for j in range(cfg.folds)]
     prefs = _default_preference(cfg.grids)
+
+    Cs = cfg.grids.get("C")
+    rejection = {}
+    for group in _combos({k: v for k, v in cfg.grids.items() if k != "C"}):
+        runs = {C: [] for C in Cs or [None]}  # per-fold rejections or None
+        for fold in folds:
+            alive = [C for C, r in runs.items() if r is not None]
+            if not alive:
+                break
+            try:
+                verdicts = scan({**group, "C": alive} if Cs else dict(group), fold)
+            except OccelmError:
+                verdicts = [None] * len(alive)
+            for C, is_target in zip(alive, verdicts, strict=True):
+                if is_target is None:
+                    runs[C] = None
+                else:
+                    runs[C].append(1.0 - float(np.asarray(is_target, bool).mean()))
+        for C, r in runs.items():
+            rej = math.nan if r is None else float(np.mean(r))
+            rejection[tuple(group.values()), C] = rej
 
     diag = SelectionDiagnostics(err_thr=err_thr, fold_size=M)
     for params in _combos(cfg.grids):
-        rejections = []
-        try:
-            for j in range(cfg.folds):
-                val = rows[fold_of == j]
-                train = rows[fold_of != j]
-                predict = trainer(dict(params), train)
-                is_target = np.asarray(predict(val), dtype=bool)
-                rejections.append(1.0 - float(is_target.mean()))
-            rejection = float(np.mean(rejections))
-        except OccelmError:
-            rejection = float("nan")
-        consistent = (not math.isnan(rejection)) and rejection <= err_thr
-        diag.points.append(GridPoint(dict(params), rejection, consistent))
+        group = tuple(v for k, v in params.items() if k != "C")
+        rej = rejection[group, params.get("C")]
+        consistent = (not math.isnan(rej)) and rej <= err_thr
+        diag.points.append(GridPoint(params, rej, consistent))
 
     eligible = [p for p in diag.points if p.consistent]
     if eligible:

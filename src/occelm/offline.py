@@ -8,6 +8,9 @@ squared reconstruction error. Scoring unseen rows uses the cross matrix
 K(test, train) @ beta, which requires storing the training basis (hidden
 activations for the random mapping, raw rows for explicit kernels).
 
+Training builds its C-independent feature stage (hidden layer or kernel,
+Omega) once and then solves per C: _train for one C, scan_c for a list.
+
 The per-row errors, the threshold fit and the columnar decision defined
 here (row_errors, fit_threshold, decide) are shared with the online models
 in online.py, so both model types score with the same code.
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, ZScoreStats, identity_stats, zscore_apply
-from .errors import DimensionMismatch, Thr3NotApplicable
+from .errors import DimensionMismatch, OccelmError, Thr3NotApplicable
 from .featuremap import (
     KernelSpec,
     hidden_apply,
@@ -82,28 +85,11 @@ def targets(family: str, Xs: np.ndarray, R: float) -> np.ndarray:
     return Xs
 
 
-def _materialize(mapping: KernelSpec, n: int, seed) -> KernelSpec:
-    """Concretize a random mapping's hidden layer; explicit kernels pass
-    through unchanged."""
-    if mapping.kind != "random":
-        return mapping
-    layer = mapping.layer
-    if layer is None:
-        layer = hidden_init(mapping.node_type, mapping.m or DEFAULT_HIDDEN, n, seed)
-    elif layer.n != n:
-        raise DimensionMismatch(
-            f"layer expects {layer.n} features, data has {n}"
-        )
-    return KernelSpec("random", layer=layer, m=layer.m, node_type=layer.node_type)
-
-
-def _gram_and_basis(
-    mapping: KernelSpec, Xs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _cross(mapping: KernelSpec, basis: np.ndarray, Ys: np.ndarray) -> np.ndarray:
+    """Cross matrix K(Ys, training rows) of normalized rows Ys."""
     if mapping.kind == "random":
-        H = hidden_apply(mapping.layer, Xs)
-        return random_kernel_gram(H), H
-    return kernel_gram(mapping, Xs, Xs), Xs
+        return hidden_apply(mapping.layer, Ys) @ basis.T
+    return kernel_gram(mapping, Ys, basis)
 
 
 def row_errors(family: str, Xs: np.ndarray, O: np.ndarray, R: float) -> np.ndarray:
@@ -155,6 +141,58 @@ def normalized_rows(model, Y) -> np.ndarray:
     return zscore_apply(Dataset(raw), model.zstats).samples
 
 
+def _feature_stage(
+    family: str,
+    Xs: np.ndarray,
+    mapping: KernelSpec,
+    tspec: ThresholdSpec,
+    fracrej: float | None,
+    seed,
+    R: float,
+    zstats: ZScoreStats,
+):
+    """The one offline training path on normalized rows Xs. Builds the
+    C-independent half once: the mapping (a random one gets its hidden
+    layer drawn from seed), the basis and the Gram matrix Omega. Returns
+    the mapping, the basis and fit(C), which solves and fits the threshold
+    for one C."""
+    n = Xs.shape[1]
+    if mapping.kind == "random":
+        layer = mapping.layer
+        if layer is None:
+            m = mapping.m or DEFAULT_HIDDEN
+            layer = hidden_init(mapping.node_type, m, n, seed)
+        elif layer.n != n:
+            raise DimensionMismatch(f"layer expects {layer.n} features, data has {n}")
+        mapping = KernelSpec("random", layer=layer, m=layer.m, node_type=layer.node_type)
+        basis = hidden_apply(layer, Xs)
+        omega = random_kernel_gram(basis)
+    else:
+        basis, omega = Xs, kernel_gram(mapping, Xs, Xs)
+    T = targets(family, Xs, R)
+
+    def fit(C) -> OfflineModel:
+        # C-order so scoring is bitwise identical before and after save/load
+        beta = np.ascontiguousarray(solve_regularized(omega, T, C))
+        errors, thresh = fit_threshold(
+            family, tspec, row_errors(family, Xs, omega @ beta, R), fracrej
+        )
+        return OfflineModel(
+            family=family,
+            mapping=mapping,
+            basis=basis,
+            beta=beta,
+            C=float(C),
+            tspec=tspec,
+            thresh=thresh,
+            R=float(R),
+            zstats=zstats,
+            train_errors=errors,
+        )
+
+    return mapping, basis, fit
+
+
 def _train(
     family: str,
     X,
@@ -167,30 +205,40 @@ def _train(
     zstats: ZScoreStats | None,
 ) -> OfflineModel:
     raw = _rows(X)
-    n = raw.shape[1]
     if zstats is None:
-        zstats = identity_stats(n)
+        zstats = identity_stats(raw.shape[1])
     Xs = zscore_apply(Dataset(raw), zstats).samples
-    mapping = _materialize(mapping, n, seed)
-    omega, basis = _gram_and_basis(mapping, Xs)
+    _, _, fit = _feature_stage(family, Xs, mapping, tspec, fracrej, seed, R, zstats)
+    return fit(C)
 
-    # C-order so scoring is bitwise identical before and after save/load
-    beta = np.ascontiguousarray(solve_regularized(omega, targets(family, Xs, R), C))
-    errors, thresh = fit_threshold(
-        family, tspec, row_errors(family, Xs, omega @ beta, R), fracrej
+
+def scan_c(
+    family: str,
+    Xs: np.ndarray,
+    Ys: np.ndarray,
+    mapping: KernelSpec,
+    Cs,
+    tspec: ThresholdSpec,
+    fracrej: float | None,
+    seed,
+) -> list[np.ndarray | None]:
+    """The selection scan at one fold: per C, the is-target verdicts on rows
+    Ys of a model (boundary R = 1) trained on rows Xs, both normalized, or
+    None if its fit raised a toolbox error (not kept: it would pin its
+    traceback's frames). Bit-identical to _train and score per C."""
+    zstats = identity_stats(Xs.shape[1])
+    mapping, basis, fit = _feature_stage(
+        family, Xs, mapping, tspec, fracrej, seed, 1.0, zstats
     )
-    return OfflineModel(
-        family=family,
-        mapping=mapping,
-        basis=basis,
-        beta=beta,
-        C=float(C),
-        tspec=tspec,
-        thresh=thresh,
-        R=float(R),
-        zstats=zstats,
-        train_errors=errors,
-    )
+    cross = _cross(mapping, basis, Ys)
+    verdicts: list[np.ndarray | None] = []
+    for C in Cs:
+        try:
+            model = fit(float(C))
+            verdicts.append(decide(model, Ys, cross @ model.beta).is_target)
+        except OccelmError:
+            verdicts.append(None)
+    return verdicts
 
 
 def train_boundary(
@@ -229,13 +277,7 @@ def train_reconstruction(
     return _train(RECONSTRUCTION, X, mapping, C, tspec, fracrej, seed, 1.0, zstats)
 
 
-def _cross_matrix(model: OfflineModel, Ys: np.ndarray) -> np.ndarray:
-    if model.mapping.kind == "random":
-        return hidden_apply(model.mapping.layer, Ys) @ model.basis.T
-    return kernel_gram(model.mapping, Ys, model.basis)
-
-
 def score(model: OfflineModel, Y) -> Decisions:
     """Score rows given in the original (pre-normalization) feature space."""
     Ys = normalized_rows(model, Y)
-    return decide(model, Ys, _cross_matrix(model, Ys) @ model.beta)
+    return decide(model, Ys, _cross(model.mapping, model.basis, Ys) @ model.beta)

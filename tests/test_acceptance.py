@@ -16,13 +16,11 @@ from scipy.spatial import Delaunay
 from conftest import record_criterion, run_cli
 
 from occelm.bench import (
-    _FOLD_STREAM,
     _LAYER_STREAM,
     VARIANTS,
-    _fold_trainer,
+    choose_params,
     median_pairwise,
     run_benchmark,
-    selection_grids,
 )
 from occelm.dataset import (
     Dataset,
@@ -37,7 +35,7 @@ from occelm.errors import RankDeficient
 from occelm.featuremap import hidden_apply, hidden_init, random_kernel, rbf_kernel
 from occelm.linsolve import solve_regularized
 from occelm.metrics import ConfusionCounts, aggregate, measures, render_value
-from occelm.modelsel import C_GRID, SelectionConfig, error_threshold, select
+from occelm.modelsel import C_GRID, error_threshold
 from occelm.offline import score, train_boundary, train_reconstruction
 from occelm.online import os_init, os_update
 from occelm.threshold import (
@@ -255,15 +253,8 @@ def test_criterion_7_boundary_sanity():
     data = gen_banana(100, seed=0)
     stats = zscore_fit(data)
     Xz = zscore_apply(data, stats).samples
-    variant = VARIANTS["ockelm_thr1"]
     tspec = ThresholdSpec("thr1", fracrej=0.1)
-    grids = selection_grids(variant, "rbf", Xz, 5)
-    cfg = SelectionConfig(
-        grids, folds=5, sigma_thr=2.0, fracrej=0.1,
-        rng_seed=[0, 0, _FOLD_STREAM],
-    )
-    trainer = _fold_trainer(variant, "rbf", "additive_sigmoid", tspec, 0.1, 0)
-    params, diag = select(trainer, Xz, cfg)
+    params, diag = choose_params(VARIANTS["ockelm_thr1"], Xz, seed=0)
     model = train_boundary(
         data, rbf_kernel(params["sigma"]), params["C"], tspec,
         fracrej=0.1, seed=[0, 0, _LAYER_STREAM], zstats=stats,

@@ -422,7 +422,7 @@ class TestBadFlagValues:
     """A flag value the library refuses is reported like any toolbox
     error: one "error:" line on stderr and exit 1, never a traceback. An
     infinite C or kernel width is refused at training, since a model file
-    holding it would not load."""
+    holding it would not load; so is a width whose square overflows."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -434,6 +434,8 @@ class TestBadFlagValues:
             _TRAIN + ["--kern-par", "-1"],
             _TRAIN + ["--c-reg", "inf"],
             _TRAIN + ["--kern-par", "inf"],
+            _TRAIN + ["--kern-par", "1e308"],
+            _TRAIN + ["--kernel", "wavelet", "--kern-par", "1e308"],
             _SELECT + ["--folds", "1"],
             _SELECT + ["--sigma-thr", "-1"],
             ["gen", "ring", "--radius", "0", "--seed", "1", "-o", "r.csv"],
@@ -441,7 +443,7 @@ class TestBadFlagValues:
         ],
         ids=[
             "fracrej-1.5", "fracrej-nan", "c-reg-0", "c-reg-nan", "kern-par--1",
-            "c-reg-inf", "kern-par-inf",
+            "c-reg-inf", "kern-par-inf", "kern-par-1e308", "wavelet-kern-par-1e308",
             "folds-1", "sigma-thr--1", "radius-0", "noise-std--1",
         ],
     )

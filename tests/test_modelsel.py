@@ -18,8 +18,27 @@ from occelm.modelsel import (
 )
 
 
-def _accept_all(params, train_rows):
-    return lambda val: np.ones(len(val), dtype=bool)
+def _scanner(point):
+    """Scanner (see select) from point(params, train_rows, val_rows), which
+    gives the validation verdicts of one grid point; a point raising a
+    toolbox error gives None for its C, as the library scanner does."""
+
+    def scan(params, fold):
+        train, val = fold
+        if "C" not in params:
+            return [point(params, train, val)]
+        out = []
+        for C in params["C"]:
+            try:
+                out.append(point({**params, "C": C}, train, val))
+            except OccelmError:
+                out.append(None)
+        return out
+
+    return scan
+
+
+_accept_all = _scanner(lambda params, train, val: np.ones(len(val), dtype=bool))
 
 
 class TestErrorThreshold:
@@ -128,9 +147,10 @@ class TestSelect:
     def test_consistency_bound_filters(self):
         """Narrow kernels that reject too many targets are skipped."""
 
-        def trainer(params, train_rows):
+        @_scanner
+        def trainer(params, train_rows, val):
             ok = params["sigma"] >= 1.0
-            return lambda val: np.full(len(val), ok, dtype=bool)
+            return np.full(len(val), ok, dtype=bool)
 
         cfg = SelectionConfig(grids={"sigma": [0.25, 0.5, 1.0, 2.0]})
         params, diag = select(trainer, self._rows(), cfg)
@@ -152,16 +172,13 @@ class TestSelect:
     def test_nothing_consistent_flags_minimum_rejection(self):
         """The fallback is the lowest-rejection point, marked inconsistent."""
 
-        def trainer(params, train_rows):
+        @_scanner
+        def trainer(params, train_rows, val):
             keep = 1.0 - params["C"] / 10.0  # C=2 -> 80% kept, C=5 -> 50%
-
-            def predict(val):
-                k = int(keep * len(val))
-                out = np.zeros(len(val), dtype=bool)
-                out[:k] = True
-                return out
-
-            return predict
+            k = int(keep * len(val))
+            out = np.zeros(len(val), dtype=bool)
+            out[:k] = True
+            return out
 
         cfg = SelectionConfig(grids={"C": [2.0, 5.0]}, sigma_thr=0.0)
         params, diag = select(trainer, self._rows(40), cfg)
@@ -169,10 +186,11 @@ class TestSelect:
         assert not diag.consistent
 
     def test_failed_points_record_nan_and_never_win(self):
-        def trainer(params, train_rows):
+        @_scanner
+        def trainer(params, train_rows, val):
             if params["C"] == 1.0:
                 raise OccelmError("unstable")
-            return _accept_all(params, train_rows)
+            return np.ones(len(val), dtype=bool)
 
         cfg = SelectionConfig(grids={"C": [1.0, 10.0]})
         params, diag = select(trainer, self._rows(), cfg)
@@ -182,7 +200,7 @@ class TestSelect:
         assert not by_c[1.0].consistent
 
     def test_all_failures_raise(self):
-        def trainer(params, train_rows):
+        def trainer(params, fold):
             raise OccelmError("nope")
 
         cfg = SelectionConfig(grids={"C": [1.0, 2.0]})
@@ -193,11 +211,13 @@ class TestSelect:
         """Every combination sees the same train/validation partition."""
         seen = []
 
-        def trainer(params, train_rows):
+        @_scanner
+        def trainer(params, train_rows, val):
             seen.append(np.asarray(train_rows).sum())
-            return _accept_all(params, train_rows)
+            return np.ones(len(val), dtype=bool)
 
-        cfg = SelectionConfig(grids={"C": [1.0, 2.0, 3.0]}, folds=4)
+        # one scan call per (sigma, fold); C values share their call
+        cfg = SelectionConfig(grids={"sigma": [1.0, 2.0, 3.0]}, folds=4)
         select(trainer, self._rows(), cfg)
         assert len(seen) == 12
         first = seen[:4]
@@ -207,13 +227,11 @@ class TestSelect:
     def test_rejection_is_fold_average(self):
         calls = {"i": 0}
 
-        def trainer(params, train_rows):
-            def predict(val):
-                # alternate folds: all accepted, none accepted
-                calls["i"] += 1
-                return np.full(len(val), calls["i"] % 2 == 1, dtype=bool)
-
-            return predict
+        @_scanner
+        def trainer(params, train_rows, val):
+            # alternate folds: all accepted, none accepted
+            calls["i"] += 1
+            return np.full(len(val), calls["i"] % 2 == 1, dtype=bool)
 
         cfg = SelectionConfig(grids={"C": [1.0]}, folds=4)
         params, diag = select(trainer, self._rows(40), cfg)
@@ -231,6 +249,88 @@ class TestSelect:
         a = select(_accept_all, self._rows(), cfg)[1]
         b = select(_accept_all, self._rows(), cfg)[1]
         assert [p.rejection for p in a.points] == [p.rejection for p in b.points]
+
+
+class TestScannerContract:
+    def _rows(self, n=40):
+        return np.random.default_rng(8).normal(0.0, 1.0, (n, 2))
+
+    def test_one_call_per_group_and_fold_with_the_whole_c_list(self):
+        calls = []
+
+        def scan(params, fold):
+            calls.append((params["sigma"], list(params["C"]), fold[1].shape[0]))
+            return [np.ones(len(fold[1]), dtype=bool) for _ in params["C"]]
+
+        cfg = SelectionConfig(
+            grids={"sigma": [0.5, 1.0], "C": [1.0, 10.0, 100.0]}, folds=3
+        )
+        _, diag = select(scan, self._rows(), cfg)
+        assert [(s, c) for s, c, _ in calls] == [
+            (s, [1.0, 10.0, 100.0]) for s in (0.5, 0.5, 0.5, 1.0, 1.0, 1.0)
+        ]
+        assert sum(m for _, _, m in calls[:3]) == 40
+        assert [(p.params["sigma"], p.params["C"]) for p in diag.points] == [
+            (s, c) for s in (0.5, 1.0) for c in (1.0, 10.0, 100.0)
+        ]
+
+    def test_failed_c_is_not_fitted_at_later_folds(self):
+        seen = []
+
+        def scan(params, fold):
+            seen.append(list(params["C"]))
+            return [
+                None if (C == 10.0 and len(seen) == 2) else np.ones(len(fold[1]), bool)
+                for C in params["C"]
+            ]
+
+        cfg = SelectionConfig(grids={"C": [1.0, 10.0, 100.0]}, folds=4)
+        params, diag = select(scan, self._rows(), cfg)
+        assert seen == [[1.0, 10.0, 100.0]] * 2 + [[1.0, 100.0]] * 2
+        assert [math.isnan(p.rejection) for p in diag.points] == [False, True, False]
+        assert params == {"C": 1.0}
+
+    def test_group_with_every_c_failed_is_not_scanned_again(self):
+        """A grid without C (the online engine's) has one fit per call."""
+        calls = []
+
+        def scan(params, fold):
+            calls.append(params["m"])
+            if params["m"] == 5:
+                raise OccelmError("rank deficient")
+            return [np.ones(len(fold[1]), dtype=bool)]
+
+        cfg = SelectionConfig(grids={"m": [5, 9]}, folds=4)
+        params, diag = select(scan, self._rows(), cfg)
+        assert calls == [5, 9, 9, 9, 9]
+        assert params == {"m": 9}
+        assert math.isnan(diag.points[0].rejection)
+
+    def test_raising_scanner_fails_every_c_of_its_group(self):
+        def scan(params, fold):
+            if params["sigma"] == 0.5 and fold[1].shape[0] == 13:
+                raise OccelmError("feature stage failed")
+            return [np.ones(len(fold[1]), dtype=bool) for _ in params["C"]]
+
+        cfg = SelectionConfig(grids={"sigma": [0.5, 1.0], "C": [1.0, 2.0]}, folds=3)
+        params, diag = select(scan, self._rows(), cfg)
+        assert [math.isnan(p.rejection) for p in diag.points] == [
+            True, True, False, False
+        ]
+        assert params == {"sigma": 1.0, "C": 1.0}
+
+    def test_points_follow_grid_order_when_c_comes_first(self):
+        cfg = SelectionConfig(grids={"C": [1.0, 2.0], "m": [5, 9]})
+        _, diag = select(_accept_all, self._rows(), cfg)
+        assert [p.params for p in diag.points] == [
+            {"C": 1.0, "m": 5}, {"C": 1.0, "m": 9},
+            {"C": 2.0, "m": 5}, {"C": 2.0, "m": 9},
+        ]
+
+    def test_verdict_count_must_match_the_c_list(self):
+        cfg = SelectionConfig(grids={"C": [1.0, 2.0]})
+        with pytest.raises(ValueError):
+            select(lambda params, fold: [np.ones(len(fold[1]), bool)], self._rows(), cfg)
 
 
 class TestSelectionConfig:
@@ -253,10 +353,11 @@ class TestSelectionConfig:
 
 class TestWriteDiagnostics:
     def test_csv_round_trip(self, tmp_path):
-        def trainer(params, train_rows):
+        @_scanner
+        def trainer(params, train_rows, val):
             if params["C"] == 2.0:
                 raise OccelmError("fails")
-            return _accept_all(params, train_rows)
+            return np.ones(len(val), dtype=bool)
 
         rng = np.random.default_rng(5)
         cfg = SelectionConfig(grids={"sigma": [0.5, 1.5], "C": [1.0, 2.0]})

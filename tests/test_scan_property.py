@@ -1,0 +1,198 @@
+"""Property test: the selection scan, which builds features once per
+(grid group, fold) and walks the C list on them, gives the same
+diagnostics, bit for bit, as one full fit and score per (grid point, fold),
+written out below as the reference loop."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import occelm.offline
+from occelm.bench import (
+    _FOLD_STREAM,
+    _SELECT_LAYER_STREAM,
+    VARIANTS,
+    _fold_trainer,
+    choose_params,
+    fit,
+    score_model,
+    selection_grids,
+)
+from occelm.errors import DimensionMismatch, OccelmError
+from occelm.modelsel import (
+    SelectionConfig,
+    error_threshold,
+    fold_assignment,
+    select,
+)
+from occelm.threshold import ThresholdSpec
+
+_C = [1e-2, 1.0, 1e8, 1e16]
+
+# (variant id, kernel kind, node type, grid without C or None for no C axis)
+CASES = [
+    ("ockelm_thr1", "rbf", "additive_sigmoid", {"sigma": [0.5, 2.0]}),
+    ("ockelm_thr2", "linear", "additive_sigmoid", {}),
+    ("aakelm_thr3", "rbf", "additive_sigmoid", {"sigma": [0.7, 3.0]}),
+    ("aakelm_thr1", "polynomial", "additive_sigmoid", {"degree": [2, 3]}),
+    ("aakelm_thr2", "linear", "additive_sigmoid", {}),
+    ("ocelm_thr1", "rbf", "additive_sigmoid", {"m": [5, 40]}),
+    ("ocelm_thr2", "rbf", "rbf", {"m": [4, 30]}),
+    ("aaelm_thr3", "rbf", "rbf", {"m": [6, 25]}),
+    ("aaelm_thr1", "rbf", "additive_sigmoid", {"m": [3, 12]}),
+    ("os_aaelm_thr3", "rbf", "additive_sigmoid", None),
+    ("os_ocelm_thr1", "rbf", "rbf", None),
+    ("os_aaelm_thr2", "rbf", "rbf", None),
+]
+
+
+def _grids(case):
+    vid, _, _, grid = case
+    if grid is None:
+        return {"m": [2, 4, 8, 20]}
+    return {**grid, "C": list(_C)}
+
+
+def _reference(case, X, cfg, seed, fracrej=0.1):
+    """One bench.fit plus score_model per (grid point, fold); a point
+    failing at any fold records NAN; then the documented preference."""
+    vid, kernel_kind, node_type, _ = case
+    variant = VARIANTS[vid]
+    tspec = ThresholdSpec(kind=variant.tkind, fracrej=fracrej)
+    N = X.shape[0]
+    M = N // cfg.folds
+    err_thr = error_threshold(cfg.fracrej, cfg.sigma_thr, M)
+    fold_of = fold_assignment(N, cfg.folds, cfg.rng_seed)
+    names = list(cfg.grids)
+    points = []
+    for values in itertools.product(*(cfg.grids[k] for k in names)):
+        params = dict(zip(names, values))
+        rejections = []
+        try:
+            for j in range(cfg.folds):
+                model = fit(
+                    variant, params, X[fold_of != j], tspec=tspec,
+                    fracrej=fracrej, kernel_kind=kernel_kind, node_type=node_type,
+                    layer_seed=[seed, 0, _SELECT_LAYER_STREAM, int(params.get("m", 0))],
+                )
+                is_target = score_model(model, X[fold_of == j]).is_target
+                rejections.append(1.0 - float(is_target.mean()))
+            rejection = float(np.mean(rejections))
+        except OccelmError:
+            rejection = math.nan
+        points.append((params, rejection, not math.isnan(rejection) and rejection <= err_thr))
+
+    def complexity(params):
+        # smallest sigma, then widest m, then smallest C, then the rest
+        order = [("sigma", 1), ("m", -1), ("C", 1)]
+        order += [(k, 1) for k in names if k not in ("sigma", "m", "C")]
+        return tuple(sign * params[k] for k, sign in order if k in params)
+
+    consistent = [p for p in points if p[2]]
+    if consistent:
+        chosen = min(consistent, key=lambda p: complexity(p[0]))[0]
+    else:
+        scored = [p for p in points if not math.isnan(p[1])]
+        chosen = None if not scored else min(
+            scored, key=lambda p: (p[1], complexity(p[0]))
+        )[0]
+    return err_thr, M, points, chosen, bool(consistent)
+
+
+def _compare(case, X, seed, fold_seed):
+    vid, kernel_kind, node_type, _ = case
+    variant = VARIANTS[vid]
+    cfg = SelectionConfig(_grids(case), folds=5, rng_seed=fold_seed)
+    err_thr, M, points, chosen, consistent = _reference(case, X, cfg, seed)
+    scan = _fold_trainer(
+        variant, kernel_kind, node_type, ThresholdSpec(kind=variant.tkind), 0.1, seed
+    )
+    if chosen is None:
+        with pytest.raises(OccelmError, match="every grid point failed"):
+            select(scan, X, cfg)
+        return
+    params, diag = select(scan, X, cfg)
+    assert (diag.err_thr, diag.fold_size) == (err_thr, M)
+    assert [p.params for p in diag.points] == [p[0] for p in points]
+    got = np.array([p.rejection for p in diag.points])
+    want = np.array([p[1] for p in points])
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert [p.consistent for p in diag.points] == [p[2] for p in points]
+    assert params == chosen == diag.chosen
+    assert diag.consistent == consistent
+
+
+def _rows(data_seed, N, n, duplicates):
+    X = np.random.default_rng(data_seed).normal(0.0, 1.0, (N, n))
+    if duplicates:
+        X[N - duplicates :] = X[:duplicates]
+    return X
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(CASES),
+    data_seed=st.integers(0, 2**32 - 1),
+    N=st.integers(15, 40),
+    n=st.integers(2, 4),
+    duplicates=st.integers(0, 8),
+    seed=st.integers(0, 1000),
+    fold_seed=st.integers(0, 1000),
+)
+def test_scan_matches_per_point_fits(case, data_seed, N, n, duplicates, seed, fold_seed):
+    _compare(case, _rows(data_seed, N, n, duplicates), seed, fold_seed)
+
+
+def test_some_c_fail_and_others_do_not():
+    """Duplicate rows and C = 1e8 / 1e16 make some solves fail while the
+    rest of their group scores; the scan records the same NANs."""
+    case = CASES[8]
+    X = _rows(0, 30, 3, 10)
+    _compare(case, X, 3, 1)
+    cfg = SelectionConfig(_grids(case), folds=5, rng_seed=1)
+    rejection = [p[1] for p in _reference(case, X, cfg, 3)[2]]
+    assert any(math.isnan(r) for r in rejection)
+    assert not all(math.isnan(r) for r in rejection)
+
+
+def test_feature_stage_failing_at_one_fold(monkeypatch):
+    """A feature stage that raises a toolbox error at one (sigma, fold)
+    fails every C of that sigma, in the scan as in the reference."""
+    real = occelm.offline.kernel_gram
+    X = _rows(5, 30, 3, 0)
+
+    def flaky(spec, A, B):
+        # the Gram matrix of the one fold that validates on row 0
+        gram = A.shape[0] > 10 and not (A == X[0]).all(axis=1).any()
+        if spec.sigma == 2.0 and gram:
+            raise DimensionMismatch("injected feature-stage failure")
+        return real(spec, A, B)
+
+    monkeypatch.setattr(occelm.offline, "kernel_gram", flaky)
+    case = CASES[0]
+    _compare(case, X, 0, 2)
+    cfg = SelectionConfig(_grids(case), folds=5, rng_seed=2)
+    points = _reference(case, X, cfg, 0)[2]
+    assert [math.isnan(p[1]) for p in points] == [False] * 4 + [True] * 4
+
+
+@pytest.mark.parametrize("vid", ["ockelm_thr1", "aakelm_thr3", "ocelm_thr1"])
+def test_full_protocol_grid(vid):
+    """choose_params' own grid (20 widths or 4 hidden widths x 17 C)."""
+    X = _rows(9, 36, 4, 4)
+    params, diag = choose_params(VARIANTS[vid], X, seed=2)
+    case = next(c for c in CASES if c[0] == vid and c[1] == "rbf")
+    cfg = SelectionConfig(
+        selection_grids(VARIANTS[vid], "rbf", X, 5), rng_seed=[2, 0, _FOLD_STREAM]
+    )
+    ref = _reference(case, X, cfg, 2)
+    assert [p.params for p in diag.points] == [p[0] for p in ref[2]]
+    np.testing.assert_array_equal(
+        np.array([p.rejection for p in diag.points]).view(np.uint64),
+        np.array([p[1] for p in ref[2]]).view(np.uint64),
+    )
+    assert params == ref[3]
