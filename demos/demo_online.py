@@ -1,8 +1,9 @@
 """Stream a banana set through the sequential trainer chunk by chunk.
 
-The recursive update visits each chunk once, never stores the past, and
-still lands on the same least-squares weights as one batch solve over
-everything it has seen.
+The recursive update visits each chunk once, needs no past rows for the
+weights, and still lands on the same least-squares weights as one batch
+solve over everything it has seen. The model keeps the rows only so that
+finalize can fit the threshold on all of them under the final weights.
 """
 
 import numpy as np

@@ -82,7 +82,6 @@ from .metrics import (
     confuse,
     measures,
     render_value,
-    write_report,
 )
 from .modelio import load_model, save_model
 from .modelsel import (

@@ -141,15 +141,6 @@ def classifier_name(variant: Variant, node_type: str, kernel_kind: str) -> str:
     return variant.base if node_type == ADDITIVE_SIGMOID else f"{variant.base}(RBF)"
 
 
-def display_name(variant: Variant, node_type: str, kernel_kind: str) -> str:
-    """Table-style name, e.g. AAKELM_Thr1 or OS-AAELM_Thr1(RBF)."""
-    name = classifier_name(variant, node_type, kernel_kind)
-    if "(" in name:
-        base, suffix = name.split("(", 1)
-        return f"{base}_{variant.label}({suffix}"
-    return f"{name}_{variant.label}"
-
-
 def median_pairwise(X) -> float:
     """Median nonzero pairwise distance; the no-selection kernel width."""
     d = pdist(_rows(X))
@@ -193,7 +184,8 @@ def _capped_hidden_grid(cap: int) -> list[int]:
 
 def selection_grids(variant: Variant, kernel_kind: str, Xz, folds: int) -> dict:
     """Grid per engine: kernel widths x C, capped hidden widths x C, or
-    capped hidden widths alone for the online engine."""
+    hidden widths alone for the online engine, capped at half the smallest
+    fold training set so that its default initial chunk of 2m rows fits."""
     rows = _rows(Xz)
     N = rows.shape[0]
     if variant.engine == KERNEL_ENGINE:
@@ -208,7 +200,7 @@ def selection_grids(variant: Variant, kernel_kind: str, Xz, folds: int) -> dict:
         raise ValueError(f"unknown kernel kind {kernel_kind!r}")
     if variant.engine == ONLINE_ENGINE:
         largest_fold = (N + folds - 1) // folds
-        return {"m": _capped_hidden_grid(N - largest_fold)}
+        return {"m": _capped_hidden_grid((N - largest_fold) // 2)}
     return {"m": _capped_hidden_grid(N), "C": list(C_GRID)}
 
 
@@ -236,7 +228,8 @@ def fit(
     variant's threshold rule at rejection fraction fracrej.
 
     Online variants stream the rows in order: an initial chunk of n0 rows,
-    then chunks of block rows, both defaulting to max(m, N // 10).
+    by default min(N, max(2m, N // 10)) so that it has more rows than the
+    layer has nodes, then chunks of block rows, by default max(m, N // 10).
     """
     if tspec is None:
         tspec = ThresholdSpec(kind=variant.tkind, fracrej=fracrej)
@@ -245,12 +238,11 @@ def fit(
         N, n = raw.shape
         m = int(params["m"])
         layer = hidden_init(node_type, m, n, layer_seed)
-        step = max(m, N // 10)
-        n0v = min(N, step if n0 is None else int(n0))
-        blockv = step if block is None else int(block)
+        n0v = min(N, max(2 * m, N // 10) if n0 is None else int(n0))
+        blockv = max(m, N // 10) if block is None else int(block)
         model = os_init(
             variant.family, layer, raw[:n0v],
-            zstats=zstats, retain_data=True, block=blockv,
+            zstats=zstats, block=blockv,
         )
         for start in range(n0v, N, blockv):
             os_update(model, raw[start : start + blockv])
@@ -360,18 +352,6 @@ class BenchResult:
     def classifier(self) -> str:
         return classifier_name(self.variant, self.node_type, self.kernel_kind)
 
-    @property
-    def display(self) -> str:
-        return display_name(self.variant, self.node_type, self.kernel_kind)
-
-    def report_row(self) -> dict:
-        return {
-            "dataset": self.dataset_name,
-            "classifier": self.classifier,
-            "variant": self.variant.label,
-            "report": self.report,
-        }
-
 
 def run_benchmark(
     data: Dataset,
@@ -408,7 +388,7 @@ def run_benchmark(
     if runs < 1:
         raise ValueError("runs must be >= 1")
 
-    plan = SplitPlan(run_count=runs, target_train_fraction=0.5, rng_seed=seed)
+    plan = SplitPlan(run_count=runs, rng_seed=seed)
     chosen: dict | None = None
     diagnostics: SelectionDiagnostics | None = None
     run_reports: list[EvalReport] = []

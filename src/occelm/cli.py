@@ -194,9 +194,8 @@ def cmd_bench(args) -> int:
         block=args.block,
         time_sink=lambda line: print(line, file=sys.stderr),
     )
-    row = result.report_row()
     cells = [
-        row["dataset"], row["classifier"], row["variant"],
+        result.dataset_name, result.classifier, result.variant.label,
         render_value(result.report.f1), render_value(result.report.accuracy),
         render_value(result.report.auc), render_value(result.report.std_auc),
     ]
@@ -250,13 +249,16 @@ def cmd_grid(args) -> int:
     return 0
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
+def _add_model_flags(p: argparse.ArgumentParser, fixed_params: bool = True) -> None:
+    """--kernel and --node-type, plus the parameters that selection would
+    otherwise choose, for commands that can run without selection."""
     p.add_argument("--kernel", choices=_KERNEL_CHOICES, default="rbf")
-    p.add_argument("--kern-par", type=float, default=None)
-    p.add_argument("--c-reg", type=float, default=None)
-    p.add_argument("--hidden", type=_positive_int, default=None)
-    p.add_argument("--n0", type=_positive_int, default=None)
-    p.add_argument("--block", type=_positive_int, default=None)
+    if fixed_params:
+        p.add_argument("--kern-par", type=float, default=None)
+        p.add_argument("--c-reg", type=float, default=None)
+        p.add_argument("--hidden", type=_positive_int, default=None)
+        p.add_argument("--n0", type=_positive_int, default=None)
+        p.add_argument("--block", type=_positive_int, default=None)
     p.add_argument("--node-type", choices=tuple(_NODE_FLAG), default=None)
 
 
@@ -318,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-col", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", "-o", default=None)
-    _add_model_flags(p)
+    _add_model_flags(p, fixed_params=False)
     _add_select_flags(p)
     p.set_defaults(func=cmd_select)
 

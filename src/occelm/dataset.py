@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,14 +97,11 @@ class SplitPlan:
     """Repeated-run experiment schedule for target/outlier splits."""
 
     run_count: int = 20
-    target_train_fraction: float = 0.5
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.run_count < 1:
             raise ValueError("run_count must be >= 1")
-        if not 0.0 < self.target_train_fraction <= 1.0:
-            raise ValueError("target_train_fraction must lie in (0, 1]")
 
 
 def _parse_label(token: str, row: int) -> bool:
@@ -236,8 +233,8 @@ def run_rng(rng_seed: int, run_index: int, *extra: int) -> np.random.Generator:
 def occ_split(
     data: Dataset, plan: SplitPlan, run_index: int
 ) -> tuple[Dataset, Dataset]:
-    """One repeated-run split: random targets for training, the rest plus
-    all outliers for testing.
+    """One repeated-run split: a random half of the targets (rounded half
+    up) for training, the rest plus all outliers for testing.
 
     The training half keeps no labels (one-class training); the test half
     keeps labels. Row selection depends only on (rng_seed, run_index).
@@ -253,8 +250,7 @@ def occ_split(
     if outlier_idx.size < 1:
         raise NoOutliers("need at least 1 outlier row")
 
-    k = round_half_up(plan.target_train_fraction * target_idx.size)
-    k = min(max(k, 1), target_idx.size)
+    k = round_half_up(0.5 * target_idx.size)
     rng = run_rng(plan.rng_seed, run_index)
     perm = rng.permutation(target_idx.size)
     chosen = np.sort(target_idx[perm[:k]])

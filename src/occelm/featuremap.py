@@ -80,12 +80,13 @@ def hidden_apply(layer: HiddenLayer, X: np.ndarray) -> np.ndarray:
         )
     if layer.node_type == ADDITIVE_SIGMOID:
         A = X @ layer.W.T + layer.b
-        # sigmoid via the numerically stable split around 0
-        out = np.empty_like(A)
+        # stable sigmoid from e = exp(-|A|), which never overflows: 1 / (1 + e)
+        # where A >= 0, else e / (1 + e); e overwrites A so that at most two
+        # N x m arrays are live
         pos = A >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-A[pos]))
-        ex = np.exp(A[~pos])
-        out[~pos] = ex / (1.0 + ex)
+        e = np.exp(np.negative(np.abs(A, out=A), out=A), out=A)
+        out = np.where(pos, 1.0, e)
+        out /= np.add(e, 1.0, out=e)
         return out
     D = cdist(X, layer.W, "sqeuclidean")
     return np.exp(-layer.b * D)

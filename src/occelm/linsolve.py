@@ -53,7 +53,10 @@ def solve_regularized(omega: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:
             f"T has {T.shape[0]} rows, omega is {omega.shape[0]} square"
         )
 
-    A = omega + np.eye(omega.shape[0]) / C
+    # "+ 0.0" copies omega and, like adding the zero off-diagonal of
+    # I / C, turns any -0.0 into +0.0
+    A = omega + 0.0
+    A.flat[:: A.shape[0] + 1] += 1.0 / C
     tol = 1e-8 * (1.0 + np.linalg.norm(T))
 
     solve = None
@@ -87,10 +90,12 @@ def solve_regularized(omega: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:
         beta = solve(T)
         for _ in range(_REFINE_PASSES):
             residual = T - A @ beta
-            if np.linalg.norm(residual) <= tol:
+            final = np.linalg.norm(residual)
+            if final <= tol:
                 break
             beta = beta + solve(residual)
-        final = np.linalg.norm(T - A @ beta)
+        else:
+            final = np.linalg.norm(T - A @ beta)
     # "not <=" instead of ">" so a NaN residual also trips the guard
     if not final <= tol:
         raise SingularSystem(

@@ -9,7 +9,6 @@ them as the literal token "NAN".
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -126,23 +125,3 @@ def render_value(value: float) -> str:
 
 REPORT_COLUMNS = ["dataset", "classifier", "variant", "F1", "ACC", "AUC", "Std_AUC"]
 
-
-def write_report(path: str, rows: list[dict]) -> None:
-    """Report CSV in the fixed table layout; each row needs dataset,
-    classifier, variant, and an EvalReport under "report"."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for row in rows:
-            report: EvalReport = row["report"]
-            writer.writerow(
-                [
-                    row["dataset"],
-                    row["classifier"],
-                    row["variant"],
-                    render_value(report.f1),
-                    render_value(report.accuracy),
-                    render_value(report.auc),
-                    render_value(report.std_auc),
-                ]
-            )

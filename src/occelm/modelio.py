@@ -242,5 +242,5 @@ def _parse_model(reader: _Reader) -> OfflineModel | OnlineModel:
         )
     return OnlineModel(
         layer=layer, rls=RlsState(matrix, beta), seen_count=seen, n0=n0,
-        block=block, retain=False, train_errors=train_errors.tolist(), **common,
+        block=block, train_errors=train_errors.tolist(), **common,
     )

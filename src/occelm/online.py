@@ -3,12 +3,9 @@
 An OnlineModel is built from an initial chunk (os_init, which needs
 N0 >= m), grown chunk-by-chunk with os_update, then closed with
 os_finalize, which fits the threshold and freezes the model for scoring.
-The sequential path is intentionally unregularized.
-
-Threshold fitting defaults to recomputing every retained training row's
-error under the final weights; constructing with retain_data=False keeps
-only the running per-chunk errors instead (streaming-pure, at the cost of
-thresholds reflecting interim weights).
+The sequential path is intentionally unregularized. The model keeps
+every training row it has seen, so os_finalize fits the threshold on all
+of them under the final weights.
 
 Errors, threshold fitting and the columnar decisions are the offline
 models' own (offline.row_errors, fit_threshold, decide).
@@ -63,7 +60,6 @@ class OnlineModel:
     seen_count: int
     n0: int
     block: int
-    retain: bool
     train_errors: list[float] = field(default_factory=list)
     retained_rows: list[np.ndarray] = field(default_factory=list)
     tspec: ThresholdSpec | None = None
@@ -84,7 +80,6 @@ def os_init(
     X0,
     R: float = 1.0,
     zstats: ZScoreStats | None = None,
-    retain_data: bool = True,
     block: int | None = None,
 ) -> OnlineModel:
     """Initialization phase on the first chunk (N0 >= layer.m rows)."""
@@ -98,7 +93,7 @@ def os_init(
     Xs = zscore_apply(Dataset(raw), zstats).samples
     H0 = hidden_apply(layer, Xs)
     rls = rls_init(H0, targets(family, Xs, R))
-    model = OnlineModel(
+    return OnlineModel(
         family=family,
         layer=layer,
         rls=rls,
@@ -107,13 +102,8 @@ def os_init(
         seen_count=Xs.shape[0],
         n0=Xs.shape[0],
         block=block or Xs.shape[0],
-        retain=retain_data,
+        retained_rows=[Xs],
     )
-    errors = row_errors(family, Xs, H0 @ rls.beta, model.R)
-    model.train_errors.extend(errors.tolist())
-    if retain_data:
-        model.retained_rows.append(Xs)
-    return model
 
 
 def os_update(model: OnlineModel, Xc) -> OnlineModel:
@@ -124,21 +114,15 @@ def os_update(model: OnlineModel, Xc) -> OnlineModel:
     Hc = hidden_apply(model.layer, Xs)
     model.rls = rls_update(model.rls, Hc, targets(model.family, Xs, model.R))
     model.seen_count += Xs.shape[0]
-    errors = row_errors(model.family, Xs, Hc @ model.rls.beta, model.R)
-    model.train_errors.extend(errors.tolist())
-    if model.retain:
-        model.retained_rows.append(Xs)
+    model.retained_rows.append(Xs)
     return model
 
 
 def os_finalize(
     model: OnlineModel, tspec: ThresholdSpec, fracrej: float | None = None
 ) -> OnlineModel:
-    """Fit the threshold and freeze the model.
-
-    With retained rows the per-sample errors are recomputed under the
-    final weights; otherwise the running per-chunk errors are used.
-    """
+    """Fit the threshold on every retained row's error under the final
+    weights and freeze the model."""
     if model.finalized:
         raise AlreadyFinalized("finalize may run once")
     if model.seen_count < 2:
@@ -147,13 +131,10 @@ def os_finalize(
         raise Thr3NotApplicable(
             "thr3 needs per-feature outputs; boundary models have one"
         )
-    if model.retain:
-        Xs = np.vstack(model.retained_rows)
-        O = hidden_apply(model.layer, Xs) @ model.rls.beta
-        base = row_errors(model.family, Xs, O, model.R)
-        model.train_errors = base.tolist()
-    else:
-        base = np.asarray(model.train_errors)
+    Xs = np.vstack(model.retained_rows)
+    O = hidden_apply(model.layer, Xs) @ model.rls.beta
+    base = row_errors(model.family, Xs, O, model.R)
+    model.train_errors = base.tolist()
     _, model.thresh = fit_threshold(model.family, tspec, base, fracrej)
     model.tspec = tspec
     return model

@@ -2,12 +2,14 @@
 
 Collects the acceptance-gate result lines so the terminal summary shows
 one pass/fail line per criterion even when output capture is on, and runs
-the command-line interface in a child process for the subprocess tests.
+the command-line interface or a script in a child process for the
+subprocess tests.
 """
 
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import occelm
@@ -22,7 +24,12 @@ def record_criterion(line: str) -> None:
 
 
 def run_cli(argv, cwd) -> subprocess.CompletedProcess:
-    """Run ``python -m occelm *argv`` in a child process started in ``cwd``.
+    """Run ``python -m occelm *argv`` in a child process started in ``cwd``."""
+    return run_python(["-m", "occelm", *argv], cwd)
+
+
+def run_python(args, cwd) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a child process started in ``cwd``.
 
     The child imports the same ``occelm`` this process imported, from a
     source checkout or an installed package alike: the directory holding
@@ -37,9 +44,19 @@ def run_cli(argv, cwd) -> subprocess.CompletedProcess:
     ]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, *inherited])}
     return subprocess.run(
-        [sys.executable, "-m", "occelm", *argv],
+        [sys.executable, *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+def perfbench_module(name: str) -> types.ModuleType:
+    """``perfbench/<name>.py`` run from its source as a fresh module; it is
+    never imported, so no bytecode is written next to it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

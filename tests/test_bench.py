@@ -11,7 +11,6 @@ from occelm.bench import (
     choose_params,
     classifier_name,
     default_params,
-    display_name,
     fit,
     median_pairwise,
     parse_variant,
@@ -97,21 +96,18 @@ class TestNames:
     def test_kernel_default(self):
         v = VARIANTS["ockelm_thr1"]
         assert classifier_name(v, "additive_sigmoid", "rbf") == "OCKELM"
-        assert display_name(v, "additive_sigmoid", "rbf") == "OCKELM_Thr1"
 
     def test_kernel_nondefault(self):
         v = VARIANTS["aakelm_thr3"]
         assert classifier_name(v, "additive_sigmoid", "linear") == "AAKELM(linear)"
-        assert display_name(v, "additive_sigmoid", "linear") == "AAKELM_Thr3(linear)"
 
     def test_random_rbf_nodes(self):
         v = VARIANTS["os_aaelm_thr1"]
         assert classifier_name(v, "rbf", "rbf") == "OS-AAELM(RBF)"
-        assert display_name(v, "rbf", "rbf") == "OS-AAELM_Thr1(RBF)"
 
     def test_random_sigmoid_nodes(self):
         v = VARIANTS["ocelm_thr2"]
-        assert display_name(v, "additive_sigmoid", "rbf") == "OCELM_Thr2"
+        assert classifier_name(v, "additive_sigmoid", "rbf") == "OCELM"
 
 
 class TestMedianPairwise:
@@ -190,10 +186,11 @@ class TestSelectionGrids:
         assert grids["m"] == list(HIDDEN_GRID)
 
     def test_online_capped_below_training_fold(self):
-        """Online m must fit the smallest cross-validation training set."""
+        """Online m must leave the default initial chunk of 2m rows inside
+        the smallest cross-validation training set."""
         grids = selection_grids(VARIANTS["os_ocelm_thr1"], "rbf", self._rows(40), 5)
-        # largest fold is 8 rows, so m <= 32
-        assert grids == {"m": [20, 32]}
+        # largest fold is 8 rows, so a fold trains on 32 and m <= 16
+        assert grids == {"m": [16]}
 
 
 class TestFitAndScore:
@@ -214,13 +211,23 @@ class TestFitAndScore:
         assert decisions.is_target.dtype == bool
         assert np.all(np.isfinite(decisions.score))
 
+    @pytest.mark.parametrize(
+        "N, m, n0, block", [(60, 8, 16, 8), (300, 8, 30, 30), (12, 8, 12, 8)]
+    )
+    def test_online_chunk_defaults(self, N, m, n0, block):
+        """The initial chunk defaults to min(N, max(2m, N // 10)) rows, the
+        later chunks to max(m, N // 10)."""
+        rows = np.random.default_rng(3).normal(0.0, 1.0, (N, 2))
+        model = fit(VARIANTS["os_ocelm_thr1"], {"m": m}, rows)
+        assert (model.n0, model.block) == (n0, block)
+
     def test_choose_params_matches_the_protocol_selection(self):
         """run_benchmark selects on run 0 through choose_params."""
         data = _separable(seed=6)
         result = run_benchmark(
             data, "ockelm_thr1", runs=1, seed=4, select_params=True
         )
-        train, _ = bench.occ_split(data, bench.SplitPlan(1, 0.5, 4), 0)
+        train, _ = bench.occ_split(data, bench.SplitPlan(1, 4), 0)
         Xz = zscore_apply(train, zscore_fit(train)).samples
         params, diag = choose_params(VARIANTS["ockelm_thr1"], Xz, seed=4)
         assert params == result.run_params[0]
@@ -241,7 +248,7 @@ class TestRunBenchmark:
         assert len(result.train_seconds) == 5
         assert all(s >= 0 for s in result.train_seconds)
         assert result.classifier == "OCKELM"
-        assert result.display == "OCKELM_Thr1"
+        assert result.variant.label == "Thr1"
 
     def test_reconstruction_thr3(self):
         result = run_benchmark(
@@ -292,14 +299,15 @@ class TestRunBenchmark:
         assert all(p == result.run_params[0] for p in result.run_params)
 
     def test_report_row_shape(self):
+        """The fields `occelm bench` writes as the report row's first
+        three cells, ahead of the aggregate measures."""
         result = run_benchmark(
             _separable(), "aaelm_thr1", runs=2, seed=0, hidden=10
         )
-        row = result.report_row()
-        assert row["dataset"] == "data"
-        assert row["classifier"] == "AAELM"
-        assert row["variant"] == "Thr1"
-        assert row["report"] is result.report
+        assert result.dataset_name == "data"
+        assert result.classifier == "AAELM"
+        assert result.variant.label == "Thr1"
+        assert result.report.run_count == 2
 
     def test_time_sink_lines(self):
         lines = []

@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import run_cli
+from conftest import perfbench_module, run_cli
 
 from occelm.cli import main
 from occelm.dataset import Dataset, gen_ring, load_csv, write_csv
@@ -250,6 +250,17 @@ class TestSelect:
         lines = capsys.readouterr().out.splitlines()
         assert any(line.startswith("param m ") for line in lines)
 
+    @pytest.mark.parametrize(
+        "flag", ["--kern-par", "--c-reg", "--hidden", "--n0", "--block"]
+    )
+    def test_fixed_param_flags_refused(self, labeled_csv, capsys, flag):
+        """Selection chooses these parameters, so select does not take them."""
+        with pytest.raises(SystemExit) as exc:
+            main(["select", "ockelm_thr1", labeled_csv, "--label-col", "-1",
+                  "--seed", "1", flag, "3"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
 
 class TestGrid:
     def test_lattice_csv(self, tmp_path, labeled_csv, capsys):
@@ -332,6 +343,32 @@ class TestBench:
         assert "run 0: train " in err
         assert "run 2: train " in err
 
+    def test_report_layout_and_nan(self, tmp_path, capsys):
+        """Four targets far apart, each also present as an outlier, and a
+        kernel width far below their spacing: every test row is rejected,
+        so precision and F1 are 0/0 and render as NAN; one run has a
+        standard deviation of 0."""
+        points = np.array([[0, 0], [100, 30], [30, 100], [70, 65]], dtype=float)
+        labels = np.array([True] * 4 + [False] * 4)
+        data = tmp_path / "toy.csv"
+        write_csv(Dataset(np.vstack([points, points]), labels, ["x", "y"]), str(data))
+        out = tmp_path / "report.csv"
+        code = main(
+            ["bench", "ockelm_thr1", str(data), "--label-col", "-1", "--runs", "1",
+             "--seed", "0", "--kern-par", "0.05", "-o", str(out)]
+        )
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [
+            ["dataset", "classifier", "variant", "F1", "ACC", "AUC", "Std_AUC"],
+            ["toy", "OCKELM", "Thr1", "NAN", "66.67", "50.00", "0.00"],
+        ]
+        with open(str(out) + ".runs.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1] == [
+                "0", "NAN", "0.00", "100.00", "NAN", "66.67", "50.00",
+            ]
+
     def test_stdout_table_without_out(self, tmp_path, labeled_csv, capsys):
         code = main(
             ["bench", "aakelm_thr3", labeled_csv, "--label-col", "-1",
@@ -360,6 +397,33 @@ class TestBench:
               "--runs", "1", "--seed", "0"])
         out = capsys.readouterr().out
         assert out.splitlines()[1].startswith("labeled,")
+
+
+class TestOnlineStandIn:
+    """Every online variant runs the 20-run protocol on the benchmark's
+    699x9 stand-in table (perfbench/workloads.py), with and without
+    selection: the default initial chunk of 2m rows and the m grid capped
+    at half the smallest fold training set keep H0'H0 well conditioned."""
+
+    @pytest.fixture(scope="class")
+    def table(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("stand_in") / "t.csv")
+        perfbench_module("workloads").write_table(3, path)
+        return path
+
+    @pytest.mark.parametrize("select", [[], ["--select"]], ids=["fixed", "select"])
+    @pytest.mark.parametrize(
+        "vid",
+        [f"{stem}_{node}" for stem in (
+            "os_ocelm_thr1", "os_ocelm_thr2", "os_aaelm_thr1", "os_aaelm_thr2",
+            "os_aaelm_thr3",
+        ) for node in ("sig", "rbf")],
+    )
+    def test_bench_exits_0(self, table, capsys, vid, select):
+        code = main(["bench", vid, table, "--label-col", "-1", "--seed", "3", *select])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert len(captured.out.splitlines()) == 2
 
 
 class TestSubprocess:

@@ -228,14 +228,6 @@ class TestOccSplit:
         assert train.sample_count == 3
         assert test.sample_count == 4
 
-    def test_full_fraction(self):
-        d = self._labeled(6, 3)
-        plan = SplitPlan(target_train_fraction=1.0, rng_seed=2)
-        train, test = occ_split(d, plan, 0)
-        assert train.sample_count == 6
-        assert test.sample_count == 3
-        assert not test.labels.any()
-
     def test_train_unlabeled_test_labeled(self):
         d = self._labeled(8, 4)
         train, test = occ_split(d, SplitPlan(rng_seed=3), 1)

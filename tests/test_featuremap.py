@@ -93,6 +93,33 @@ class TestHiddenApply:
         assert np.all(H > 0.0)
         assert np.all(H < 1.0)
 
+    def test_sigmoid_bits_match_masked_form(self):
+        """The sigmoid equals, bit for bit, the boolean-mask form below on
+        zero, infinities, subnormals, the exp overflow and underflow edges
+        and random values; NaN stays NaN."""
+
+        def masked(A):
+            out = np.empty_like(A)
+            pos = A >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-A[pos]))
+            ex = np.exp(A[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        rng = np.random.default_rng(17)
+        edges = [0.0, np.inf, 5e-324, 2.2250738585072014e-308, 1e-300, 36.7,
+                 709.0, 709.8, 745.0, 746.0, 1e308, np.finfo(float).max]
+        values = np.concatenate([
+            edges, np.negative(edges), rng.normal(0.0, 3.0, 50_000),
+            rng.uniform(-800.0, 800.0, 50_000), rng.standard_cauchy(10_000),
+        ])
+        # W = 1 and b = 0 pass every value through, bar the sign of a zero
+        layer = HiddenLayer(ADDITIVE_SIGMOID, np.ones((1, 1)), [0.0])
+        X = values.reshape(-1, 1)
+        A = X @ layer.W.T + layer.b
+        assert hidden_apply(layer, X).tobytes() == masked(A).tobytes()
+        assert np.isnan(hidden_apply(layer, np.array([[np.nan]]))[0, 0])
+
     def test_rbf_unit_at_own_centre(self):
         layer = hidden_init(RBF_NODE, 5, 2, seed=2)
         H = hidden_apply(layer, layer.W)

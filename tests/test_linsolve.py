@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from occelm.linsolve import RlsState, rls_init, rls_update, solve_regularized
 from occelm.errors import (
@@ -38,6 +39,28 @@ class TestSolveRegularized:
             A = omega + np.eye(n) / C
             resid = np.linalg.norm(T - A @ beta)
             assert resid <= 1e-8 * (1.0 + np.linalg.norm(T))
+
+    @pytest.mark.parametrize("C", [1e-8, 1e-3, 1.0, 1e3, 1e8])
+    def test_bits_match_dense_identity_form(self, C):
+        """Adding 1/C on the diagonal in place, and reusing the last
+        residual norm, gives the bits of the form that builds I / C and
+        recomputes the final residual; signed zeros in Omega included."""
+        rng = np.random.default_rng(int(np.log10(C)) + 20)
+        H = rng.normal(0.0, 1.0, (30, 40))
+        omega = H @ H.T
+        omega[:15, 15:] = omega[15:, :15] = -0.0
+        T = rng.normal(0.0, 1.0, (30, 3))
+        A = omega + np.eye(30) / C
+        factor = scipy.linalg.cho_factor(A, check_finite=False)
+        beta = scipy.linalg.cho_solve(factor, T, check_finite=False)
+        tol = 1e-8 * (1.0 + np.linalg.norm(T))
+        for _ in range(4):
+            residual = T - A @ beta
+            if np.linalg.norm(residual) <= tol:
+                break
+            beta = beta + scipy.linalg.cho_solve(factor, residual, check_finite=False)
+        assert np.linalg.norm(T - A @ beta) <= tol
+        assert solve_regularized(omega, T, C).tobytes() == beta.tobytes()
 
     def test_matches_direct_inverse(self):
         rng = np.random.default_rng(55)

@@ -1,6 +1,5 @@
 """Tests for confusion accounting, percent measures, and aggregation."""
 
-import csv
 import math
 
 import numpy as np
@@ -14,7 +13,6 @@ from occelm.metrics import (
     confuse,
     measures,
     render_value,
-    write_report,
 )
 from occelm.threshold import Decision
 
@@ -146,36 +144,3 @@ class TestRenderValue:
 
     def test_nan_literal(self):
         assert render_value(float("nan")) == "NAN"
-
-
-class TestWriteReport:
-    def test_layout(self, tmp_path):
-        report = measures(ConfusionCounts(tp=8, fp=2, tn=6, fn=4))
-        nan_report = measures(ConfusionCounts(tp=0, fp=0, tn=5, fn=5))
-        path = tmp_path / "report.csv"
-        write_report(
-            str(path),
-            [
-                {
-                    "dataset": "banana",
-                    "classifier": "demo",
-                    "variant": "Thr1",
-                    "report": report,
-                },
-                {
-                    "dataset": "banana",
-                    "classifier": "demo",
-                    "variant": "Thr2",
-                    "report": nan_report,
-                },
-            ],
-        )
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == [
-            "dataset", "classifier", "variant", "F1", "ACC", "AUC", "Std_AUC",
-        ]
-        assert rows[1][:3] == ["banana", "demo", "Thr1"]
-        assert rows[1][4] == "70.00"
-        assert rows[2][3] == "NAN"
-        assert rows[2][6] == "0.00"

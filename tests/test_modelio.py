@@ -122,7 +122,6 @@ class TestOnlineRoundTrip:
         path = tmp_path / "m.occ"
         save_model(model, str(path))
         loaded = load_model(str(path))
-        assert loaded.retain is False
         assert loaded.retained_rows == []
 
     def test_unfinalized_save_refused(self, tmp_path):

@@ -56,16 +56,13 @@ class TestOsInit:
             os_init("generative", _layer(), _cloud(4, count=20))
 
     def test_records_errors_and_rows(self):
+        """The chunk's rows are kept; their errors are computed once, at
+        finalize."""
         model = os_init("boundary", _layer(), _cloud(5, count=12))
-        assert len(model.train_errors) == 12
         assert len(model.retained_rows) == 1
+        assert model.train_errors == []
         assert not model.finalized
-
-    def test_retain_false_keeps_no_rows(self):
-        model = os_init(
-            "boundary", _layer(), _cloud(6, count=12), retain_data=False
-        )
-        assert model.retained_rows == []
+        os_finalize(model, ThresholdSpec("thr1"))
         assert len(model.train_errors) == 12
 
 
@@ -120,7 +117,7 @@ class TestOsUpdate:
 
 class TestOsFinalize:
     def test_threshold_from_final_weights(self):
-        """With retained rows the errors are recomputed under the final
+        """The errors of every retained row are computed under the final
         weights, so the threshold matches an offline-style refit."""
         layer = _layer(m=6)
         X = _cloud(13, count=40)
@@ -131,20 +128,6 @@ class TestOsFinalize:
         errors = np.abs((H @ model.rls.beta).ravel() - 1.0)
         assert model.thresh == thr1_fit(errors, 0.1)
         np.testing.assert_allclose(model.train_errors, errors, atol=1e-12)
-
-    def test_streaming_pure_uses_interim_errors(self):
-        """retain_data=False keeps the running per-chunk errors instead."""
-        layer = _layer(m=6)
-        X = _cloud(14, count=40)
-        retained = os_init("boundary", layer, X[:15])
-        os_update(retained, X[15:])
-        pure = os_init("boundary", layer, X[:15], retain_data=False)
-        os_update(pure, X[15:])
-        os_finalize(retained, ThresholdSpec("thr1"))
-        os_finalize(pure, ThresholdSpec("thr1"))
-        assert len(pure.train_errors) == 40
-        # interim errors for the first chunk reflect pre-update weights
-        assert not np.allclose(pure.train_errors, retained.train_errors)
 
     def test_thr2_boundary_squares_deviation(self):
         layer = _layer(m=6)

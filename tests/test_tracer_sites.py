@@ -4,25 +4,15 @@ of them silently breaks a traced benchmark run. The tracer file is
 compiled from source here, never imported, so no bytecode is written
 next to it."""
 
-import types
-from pathlib import Path
-
 import numpy as np
+
+from conftest import perfbench_module
 
 from occelm.bench import VARIANTS, choose_params
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-
-
-def _spans():
-    module = types.ModuleType("perfbench_spans")
-    module.__file__ = str(SPANS)
-    exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
-    return module
-
 
 def test_every_site_resolves_to_a_function():
-    spans = _spans()
+    spans = perfbench_module("spans")
     missing = [
         f"{module.__name__}.{attr}"
         for module, attr, _, _ in spans.SITES
@@ -35,7 +25,7 @@ def test_traced_selection_matches_untraced():
     """The tracer wraps the selection scanner as counted(params, rows):
     select must call it with exactly two positional arguments, and the
     traced scan must choose what the untraced one chooses."""
-    spans = _spans()
+    spans = perfbench_module("spans")
     Xz = np.random.default_rng(2).normal(0.0, 1.0, (40, 3))
     for vid in ("ockelm_thr1", "aaelm_thr3"):
         plain = choose_params(VARIANTS[vid], Xz, seed=1)
