@@ -28,7 +28,7 @@ from scipy.spatial.distance import pdist
 
 from . import modelsel
 from .dataset import Dataset, SplitPlan, occ_split, zscore_apply, zscore_fit
-from .errors import AllPointsIdentical, MissingLabels, NoOutliers
+from .errors import AllPointsIdentical, MissingLabels, NoOutliers, TooFewSamples
 from .featuremap import (
     ADDITIVE_SIGMOID,
     MAX_WIDTH,
@@ -160,7 +160,8 @@ def default_params(
 ) -> dict:
     """Parameters used when selection is off: explicit values win, the
     kernel width falls back to the median pairwise distance of the run's
-    normalized training targets, C to 1, the hidden width to 100."""
+    normalized training targets, C to 1, the hidden width to 100 (online:
+    at most half the rows, so that the initial chunk of 2m rows fits)."""
     C = 1.0 if c_reg is None else float(c_reg)
     if engine == KERNEL_ENGINE:
         if kernel_kind == "linear":
@@ -173,7 +174,7 @@ def default_params(
         return {key: width, "C": C}
     rows = _rows(Xz)
     if engine == ONLINE_ENGINE:
-        m = min(100, rows.shape[0]) if hidden is None else int(hidden)
+        m = min(100, max(1, rows.shape[0] // 2)) if hidden is None else int(hidden)
         return {"m": m}
     return {"m": 100 if hidden is None else int(hidden), "C": C}
 
@@ -199,8 +200,15 @@ def selection_grids(variant: Variant, kernel_kind: str, Xz, folds: int) -> dict:
             return {"b_w": [float(s) for s in sigma_grid(rows)], "C": list(C_GRID)}
         raise ValueError(f"unknown kernel kind {kernel_kind!r}")
     if variant.engine == ONLINE_ENGINE:
-        largest_fold = (N + folds - 1) // folds
-        return {"m": _capped_hidden_grid((N - largest_fold) // 2)}
+        smallest_train = N - (N + folds - 1) // folds
+        widths = _capped_hidden_grid(smallest_train // 2)
+        if not widths:
+            raise TooFewSamples(
+                f"{N} training rows are too few for online selection: the "
+                f"smallest of {folds} fold training sets has {smallest_train} "
+                "rows, and a hidden width m needs 2m of them"
+            )
+        return {"m": widths}
     return {"m": _capped_hidden_grid(N), "C": list(C_GRID)}
 
 

@@ -19,7 +19,7 @@ from occelm.bench import (
     selection_grids,
 )
 from occelm.dataset import Dataset, gen_ring, zscore_apply, zscore_fit
-from occelm.errors import MissingLabels, NoOutliers
+from occelm.errors import MissingLabels, NoOutliers, TooFewSamples
 from occelm.modelsel import C_GRID
 from occelm.online import OnlineModel
 
@@ -151,8 +151,12 @@ class TestDefaultParams:
         }
 
     def test_online_caps_m_at_row_count(self):
-        assert default_params("online", "rbf", np.zeros((30, 2))) == {"m": 30}
+        """At most half the rows, so the default initial chunk of 2m rows
+        fits; at least 1."""
+        assert default_params("online", "rbf", np.zeros((30, 2))) == {"m": 15}
+        assert default_params("online", "rbf", np.zeros((199, 2))) == {"m": 99}
         assert default_params("online", "rbf", np.zeros((300, 2))) == {"m": 100}
+        assert default_params("online", "rbf", np.zeros((1, 2))) == {"m": 1}
 
 
 class TestSelectionGrids:
@@ -191,6 +195,14 @@ class TestSelectionGrids:
         grids = selection_grids(VARIANTS["os_ocelm_thr1"], "rbf", self._rows(40), 5)
         # largest fold is 8 rows, so a fold trains on 32 and m <= 16
         assert grids == {"m": [16]}
+
+    def test_online_too_few_rows_for_any_width(self):
+        """A grid with no width is refused as too few rows, naming N and
+        the smallest fold training set."""
+        with pytest.raises(TooFewSamples, match=r"^3 training rows .* has 1 rows"):
+            selection_grids(VARIANTS["os_ocelm_thr1"], "rbf", self._rows(3), 2)
+        grids = selection_grids(VARIANTS["os_ocelm_thr1"], "rbf", self._rows(4), 2)
+        assert grids == {"m": [1]}
 
 
 class TestFitAndScore:

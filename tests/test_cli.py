@@ -426,6 +426,40 @@ class TestOnlineStandIn:
         assert len(captured.out.splitlines()) == 2
 
 
+class TestOnlineSmallTable:
+    """With fewer than 200 training rows the default hidden width is half
+    of them, so the default initial chunk of 2m rows is not square: every
+    online id trains on 90 targets, 10 of them duplicated (a width of N
+    made H0 square and, with repeated rows, rank-deficient). The table
+    has 3 features: on 2, 45 hidden nodes are too collinear for the
+    unregularized start whatever the row count."""
+
+    @pytest.fixture(scope="class")
+    def table(self, tmp_path_factory):
+        rng = np.random.default_rng(5)
+        targets = rng.normal(0.0, 1.0, (80, 3))
+        samples = np.vstack([targets, targets[:10], rng.normal(6.0, 1.0, (40, 3))])
+        labels = np.array([True] * 90 + [False] * 40)
+        path = str(tmp_path_factory.mktemp("small") / "t.csv")
+        write_csv(Dataset(samples, labels), path)
+        return path
+
+    @pytest.mark.parametrize(
+        "vid",
+        [f"{stem}{node}" for stem in (
+            "os_ocelm_thr1", "os_ocelm_thr2", "os_aaelm_thr1", "os_aaelm_thr2",
+            "os_aaelm_thr3",
+        ) for node in ("", "_sig", "_rbf")],
+    )
+    def test_train_exits_0(self, tmp_path, table, capsys, vid):
+        out = str(tmp_path / "m.occ")
+        code = main(["train", vid, table, "--label-col", "-1", "--seed", "2", "-o", out])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "param m 45" in captured.out
+        assert load_model(out).finalized
+
+
 class TestSubprocess:
     def test_bench_byte_deterministic(self, tmp_path, labeled_csv):
         """Identical seeds give identical bytes in every artifact; timing
@@ -460,6 +494,20 @@ class TestSubprocess:
             ["gen", "ring", "--seed", "0", "-o", str(tmp_path / "r.csv")], tmp_path
         )
         assert ok.returncode == 0
+
+    def test_online_select_on_too_few_rows(self, tmp_path):
+        """Two folds of a 3-row file leave 1 training row: too few for
+        any online hidden width."""
+        path = tmp_path / "three.csv"
+        path.write_text("1.0,2.0\n2.0,1.5\n0.5,0.1\n")
+        proc = run_cli(
+            ["select", "os_ocelm_thr1", str(path), "--folds", "2", "--seed", "1"],
+            tmp_path,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: 3 training rows")
+        assert "has 1 rows" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_entropy_seed_still_deterministic_files(self, tmp_path):
         """Without --seed the drawn seed is announced on stderr, and
