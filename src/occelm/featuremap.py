@@ -83,15 +83,18 @@ def hidden_apply(layer: HiddenLayer, X: np.ndarray) -> np.ndarray:
             f"X has {X.shape[1]} features, layer expects {layer.n}"
         )
     if layer.node_type == ADDITIVE_SIGMOID:
-        A = X @ layer.W.T + layer.b
+        A = X @ layer.W.T
+        A += layer.b
         # stable sigmoid from e = exp(-|A|), which never overflows: 1 / (1 + e)
-        # where A >= 0, else e / (1 + e); e overwrites A so that at most two
-        # N x m arrays are live
-        pos = A >= 0
-        e = np.exp(np.negative(np.abs(A, out=A), out=A), out=A)
-        out = np.where(pos, 1.0, e)
-        out /= np.add(e, 1.0, out=e)
-        return out
+        # where A >= 0, else e / (1 + e). It is elementwise, so it runs in
+        # place over row tiles of A and only tile-sized temporaries are made
+        for rows in _row_tiles(*A.shape):
+            tile = A[rows]
+            e = np.abs(tile)
+            np.exp(np.negative(e, out=e), out=e)
+            tile[...] = np.where(tile >= 0, 1.0, e)
+            tile /= np.add(e, 1.0, out=e)
+        return A
     D = cdist(X, layer.W, "sqeuclidean")
     np.multiply(-layer.b, D, out=D)
     return np.exp(D, out=D)

@@ -100,32 +100,49 @@ class TestHiddenApply:
         assert np.all(H > 0.0)
         assert np.all(H < 1.0)
 
-    def test_sigmoid_bits_match_masked_form(self):
-        """The sigmoid equals, bit for bit, the boolean-mask form below on
-        zero, infinities, subnormals, the exp overflow and underflow edges
-        and random values; NaN stays NaN."""
+    @staticmethod
+    def _masked_sigmoid(A):
+        out = np.empty_like(A)
+        pos = A >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-A[pos]))
+        ex = np.exp(A[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
 
-        def masked(A):
-            out = np.empty_like(A)
-            pos = A >= 0
-            out[pos] = 1.0 / (1.0 + np.exp(-A[pos]))
-            ex = np.exp(A[~pos])
-            out[~pos] = ex / (1.0 + ex)
-            return out
-
+    @staticmethod
+    def _sigmoid_values():
         rng = np.random.default_rng(17)
         edges = [0.0, np.inf, 5e-324, 2.2250738585072014e-308, 1e-300, 36.7,
                  709.0, 709.8, 745.0, 746.0, 1e308, np.finfo(float).max]
-        values = np.concatenate([
+        return np.concatenate([
             edges, np.negative(edges), rng.normal(0.0, 3.0, 50_000),
             rng.uniform(-800.0, 800.0, 50_000), rng.standard_cauchy(10_000),
         ])
+
+    def test_sigmoid_bits_match_masked_form(self):
+        """The sigmoid equals, bit for bit, the boolean-mask form on zero,
+        infinities, subnormals, the exp overflow and underflow edges and
+        random values; NaN stays NaN."""
         # W = 1 and b = 0 pass every value through, bar the sign of a zero
         layer = HiddenLayer(ADDITIVE_SIGMOID, np.ones((1, 1)), [0.0])
-        X = values.reshape(-1, 1)
+        X = self._sigmoid_values().reshape(-1, 1)
         A = X @ layer.W.T + layer.b
-        assert hidden_apply(layer, X).tobytes() == masked(A).tobytes()
+        assert hidden_apply(layer, X).tobytes() == self._masked_sigmoid(A).tobytes()
         assert np.isnan(hidden_apply(layer, np.array([[np.nan]]))[0, 0])
+
+    @pytest.mark.parametrize("m", [1, 7])
+    @pytest.mark.parametrize("edge", ["one", "below", "step", "above", "several"])
+    def test_sigmoid_bits_match_masked_form_at_tile_edges(self, m, edge):
+        """The same bitwise match at row counts on every edge of the row
+        tile step that the in-place sigmoid walks."""
+        step = TILE_CELLS // m
+        rows = {"one": 1, "below": step - 1, "step": step, "above": step + 1,
+                "several": 3 * step + 5}[edge]
+        # each of the m nodes sees the same value
+        layer = HiddenLayer(ADDITIVE_SIGMOID, np.ones((m, 1)), np.zeros(m))
+        X = np.resize(self._sigmoid_values(), rows).reshape(-1, 1)
+        A = X @ layer.W.T + layer.b
+        assert hidden_apply(layer, X).tobytes() == self._masked_sigmoid(A).tobytes()
 
     def test_rbf_unit_at_own_centre(self):
         layer = hidden_init(RBF_NODE, 5, 2, seed=2)
@@ -393,3 +410,16 @@ class TestTiledGram:
         finally:
             tracemalloc.stop()
         assert peak <= K.nbytes + 4 * TILE_CELLS * K.itemsize
+
+    def test_sigmoid_nodes_peak_memory_is_result_plus_tiles(self):
+        """Before the sigmoid ran over row tiles, 100 500 rows at m = 100
+        peaked at 162.9 MB for a 76.7 MB result."""
+        layer = hidden_init(ADDITIVE_SIGMOID, 100, 9, seed=5)
+        X = np.random.default_rng(5).normal(0.0, 3.0, (20_000, 9))
+        tracemalloc.start()
+        try:
+            H = hidden_apply(layer, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= H.nbytes + 4 * TILE_CELLS * H.itemsize

@@ -1,8 +1,13 @@
 """Tests for the regularized batch solve and the RLS recursion."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occelm.linsolve import RlsState, rls_init, rls_update, solve_regularized
 from occelm.errors import (
@@ -85,11 +90,153 @@ class TestSolveRegularized:
         with pytest.raises(DimensionMismatch):
             solve_regularized(np.eye(2), np.zeros(3), 1.0)
 
+    def test_empty_system_gives_empty_beta(self):
+        assert solve_regularized(np.zeros((0, 0)), np.zeros(0), 1.0).shape == (0,)
+        assert solve_regularized(np.zeros((0, 0)), np.zeros((0, 2)), 1.0).shape == (0, 2)
+
     def test_exactly_singular_system_raises(self):
         """Omega with eigenvalue -1/C makes the shifted matrix singular."""
         omega = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(SingularSystem):
             solve_regularized(omega, np.array([1.0, 0.0]), 1.0)
+
+
+def _dense_reference(omega, T, C):
+    """The solve with Omega + I/C held apart from its factor: a dense
+    "omega + 0.0" copy with 1/C added to the diagonal, cho_factor, or
+    lu_factor when Cholesky fails, refined against that copy. Returns
+    None where the residual bound is not met."""
+    T2 = T.reshape(-1, 1) if T.ndim == 1 else T
+    A = omega + 0.0
+    A.flat[:: A.shape[0] + 1] += 1.0 / C
+    tol = 1e-8 * (1.0 + np.linalg.norm(T2))
+    try:
+        factor = scipy.linalg.cho_factor(A, check_finite=False)
+
+        def solve(rhs):
+            return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+
+    except scipy.linalg.LinAlgError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu = scipy.linalg.lu_factor(A, check_finite=False)
+
+        def solve(rhs):
+            return scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+
+    with np.errstate(all="ignore"):
+        beta = solve(T2)
+        for _ in range(4):
+            residual = T2 - A @ beta
+            final = np.linalg.norm(residual)
+            if final <= tol:
+                break
+            beta = beta + solve(residual)
+        else:
+            final = np.linalg.norm(T2 - A @ beta)
+    if not final <= tol:
+        return None
+    return beta.ravel() if T.ndim == 1 else beta
+
+
+@st.composite
+def _borrowed_systems(draw):
+    """Omega of one of five kinds (PSD, PSD with -0.0 off-diagonal blocks,
+    indefinite so Cholesky fails, exactly singular once shifted, or with a
+    NaN), in one of four layouts (C order, Fortran order, a strided view,
+    read-only), with C from 1e-8 to 1e8 and a 1-D or 2-D T."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["psd", "signed_zero", "indefinite", "singular", "nan"]))
+    C = 10.0 ** draw(st.floats(-8.0, 8.0))
+    if kind == "singular":
+        # 1/C is a power of two, so (1 - 1/C) + 1/C is exactly 1 and the
+        # shifted matrix is all ones: rank one
+        C = 2.0 ** draw(st.integers(-20, 20))
+        n = max(n, 2)
+        omega = np.ones((n, n))
+        omega.flat[:: n + 1] -= 1.0 / C
+    elif kind == "indefinite":
+        G = rng.normal(0.0, 1.0, (n, n))
+        omega = G + G.T - (2.0 * n + 1.0 / C) * np.eye(n)
+    else:
+        H = rng.normal(0.0, 1.0, (n, int(rng.integers(1, 60))))
+        omega = H @ H.T
+        if kind == "signed_zero":
+            half = n // 2
+            omega[:half, half:] = omega[half:, :half] = -0.0
+        if kind == "nan":
+            omega[rng.integers(n), rng.integers(n)] = np.nan
+    layout = draw(st.sampled_from(["C", "F", "strided", "readonly"]))
+    if layout == "F":
+        omega = np.asfortranarray(omega)
+    elif layout == "strided":
+        wide = np.full((n, 2 * n), 7.0)
+        wide[:, ::2] = omega
+        omega = wide[:, ::2]
+    elif layout == "readonly":
+        omega.flags.writeable = False
+    k = draw(st.integers(0, 4))
+    T = rng.normal(0.0, 1.0, n if k == 0 else (n, k))
+    return omega, T, C
+
+
+class TestBorrowedOmega:
+    """solve_regularized factors in its own Fortran-order workspace and
+    borrows Omega, its diagonal shifted by 1/C, as the refinement operator:
+    beta keeps the bits of the dense reference and Omega ends unchanged."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_borrowed_systems())
+    def test_bits_match_dense_reference_and_omega_is_restored(self, case):
+        omega, T, C = case
+        before = omega.tobytes()
+        expected = _dense_reference(omega, T, C)
+        if expected is None:
+            with pytest.raises(SingularSystem):
+                solve_regularized(omega, T, C)
+        else:
+            beta = solve_regularized(omega, T, C)
+            assert beta.shape == expected.shape
+            assert beta.tobytes() == expected.tobytes()
+        assert omega.tobytes() == before
+
+    def test_indefinite_case_takes_the_lu_fallback(self):
+        """The indefinite kind above really fails Cholesky, so the LU
+        branch and its refill of the workspace are covered."""
+        G = np.random.default_rng(3).normal(0.0, 1.0, (6, 6))
+        omega = G + G.T - 13.0 * np.eye(6)
+        with pytest.raises(scipy.linalg.LinAlgError):
+            scipy.linalg.cho_factor(omega + np.eye(6))
+        T = np.arange(6.0)
+        assert solve_regularized(omega, T, 1.0).tobytes() == (
+            _dense_reference(omega, T, 1.0).tobytes()
+        )
+
+    def test_omega_sharing_memory_with_t_is_copied(self):
+        """A right-hand side that views Omega's diagonal stays unshifted."""
+        rng = np.random.default_rng(8)
+        H = rng.normal(0.0, 1.0, (12, 20))
+        omega = H @ H.T
+        T = omega[:, :2]
+        expected = _dense_reference(omega, T.copy(), 0.5)
+        assert solve_regularized(omega, T, 0.5).tobytes() == expected.tobytes()
+
+    def test_peak_memory_is_one_workspace(self):
+        """The solve's own peak is one N x N workspace plus O(N k); with
+        Omega + I/C held apart from its factor it was 2.00 N^2 doubles."""
+        n, k = 1500, 2
+        rng = np.random.default_rng(4)
+        H = rng.normal(0.0, 1.0, (n, 60))
+        omega = H @ H.T
+        T = rng.normal(0.0, 1.0, (n, k))
+        tracemalloc.start()
+        try:
+            solve_regularized(omega, T, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * n * n * 8 + 16 * n * (k + 1) * 8
 
 
 class TestRlsInit:
