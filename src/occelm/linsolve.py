@@ -36,11 +36,17 @@ def _as_rhs(T: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def solve_regularized(omega: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:
-    """Solve (Omega + I/C) beta = T for symmetric Omega.
+    """Solve (Omega + I/C) beta = T for bitwise symmetric Omega.
 
     The residual is driven below 1e-8 * (1 + ||T||_F) by iterative
     refinement; SingularSystem (with a condition estimate) is raised only
     when that bound cannot be met.
+
+    Omega must equal Omega.T bit for bit, as every Gram matrix of
+    featuremap does: a C-order Omega is copied into the Fortran-order
+    workspace through its transpose (at N = 4000 that copy takes 27 ms
+    instead of the transposing copy's 148 ms), so Cholesky reads the
+    upper triangle of Omega.T.
 
     Workspace: one N x N Fortran-order array, which LAPACK factors in
     place (dpotrf/dpotrs, or getrf when Cholesky fails). Omega itself is
@@ -96,8 +102,12 @@ def _cond(A: np.ndarray) -> float:
 def _solve_shifted(A: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Solve A beta = T with A = Omega + I/C, refined against A itself."""
     # "+ 0.0" turns any -0.0 into +0.0, as adding the zero off-diagonal of
-    # I / C did; on the diagonal, already shifted by 1/C, it changes no bit
-    F = np.add(A, 0.0, out=np.empty(A.shape, order="F"))
+    # I / C did; on the diagonal, already shifted by 1/C, it changes no bit.
+    # A C-order A is copied through its transpose, which is F-contiguous:
+    # a straight pass instead of a transposing one, and the same values
+    # because A is bitwise symmetric
+    F = np.empty(A.shape, order="F")
+    np.add(A.T if A.flags.c_contiguous else A, 0.0, out=F)
     tol = 1e-8 * (1.0 + np.linalg.norm(T))
 
     _, info = scipy.linalg.lapack.dpotrf(F, lower=0, clean=0, overwrite_a=1)
@@ -107,7 +117,7 @@ def _solve_shifted(A: np.ndarray, T: np.ndarray) -> np.ndarray:
             return scipy.linalg.lapack.dpotrs(F, rhs, lower=0)[0]
 
     else:
-        np.add(A, 0.0, out=F)
+        np.add(A, 0.0, out=F)  # A itself, whatever its symmetry
         try:
             with warnings.catch_warnings():
                 # the residual check below is the real verdict on near

@@ -114,11 +114,8 @@ def relative_errors(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
         )
     num = np.abs(actual - predicted)
     den = np.abs(actual + predicted)
-    err = np.empty_like(num)
-    regular = den >= _SINGULAR_EPS
-    err[regular] = num[regular] / den[regular]
-    err[~regular] = np.where(num[~regular] < _SINGULAR_EPS, 0.0, 1.0)
-    return err
+    err = np.where(num < _SINGULAR_EPS, 0.0, 1.0)
+    return np.divide(num, den, out=err, where=den >= _SINGULAR_EPS)
 
 
 def thr3_decide(

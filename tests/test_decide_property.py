@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occelm.offline import BOUNDARY, RECONSTRUCTION, decide
-from occelm.threshold import Decision, Decisions, ThresholdSpec
+from occelm.threshold import Decision, Decisions, ThresholdSpec, relative_errors
 
 _EPS = 1e-12
 
@@ -115,6 +115,21 @@ def test_thr3_matches_per_row_rule(pair, condn1, budget):
         R=1.0,
     )
     _assert_same(decide(model, Xs, O), _ref_decide(model, Xs, O))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_pairs(), poison=st.integers(0, 2**32 - 1))
+def test_relative_errors_match_masked_form(pair, poison):
+    """Bit for bit, non-finite cells included: NaN and inf in either
+    operand, and signed zeros."""
+    A, P = pair
+    rng = np.random.default_rng(poison)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+    for M in (A, P):
+        hit = rng.random(M.shape) < 0.2
+        M[hit] = rng.choice(special, np.count_nonzero(hit))
+    with np.errstate(invalid="ignore"):
+        assert relative_errors(A, P).tobytes() == _ref_relative_errors(A, P).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

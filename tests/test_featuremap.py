@@ -1,5 +1,6 @@
 """Tests for hidden-layer feature maps and kernel Gram matrices."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.spatial.distance import cdist
 from occelm.featuremap import (
     ADDITIVE_SIGMOID,
     MAX_WIDTH,
+    NODE_TYPES,
     RBF_NODE,
     TILE_CELLS,
     HiddenLayer,
@@ -423,3 +425,50 @@ class TestTiledGram:
         finally:
             tracemalloc.stop()
         assert peak <= H.nbytes + 4 * TILE_CELLS * H.itemsize
+
+
+@st.composite
+def _square_gram_cases(draw):
+    """A kernel and rows X for the square K(X, X), with a row count on an
+    edge of kernel_gram's tile step: 1, 2, the count N whose step is
+    about N, one below or above it, or twice it. Rows repeat."""
+    spec = draw(_kernel_specs())
+    n = draw(st.integers(1, 5))
+    per_row = n if spec.kind == "wavelet" else 1
+    # at N = edge rows the step TILE_CELLS // (N * per_row) is about N
+    edge = math.isqrt(TILE_CELLS // per_row)
+    N = draw(st.sampled_from([1, 2, edge - 1, edge, edge + 1, 2 * edge]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(0.0, draw(st.sampled_from([1e-3, 1.0, 30.0])), (N, n))
+    X[N // 2 :: 5] = X[0]
+    return spec, X
+
+
+class TestGramSymmetry:
+    """solve_regularized copies a C-order Omega through its transpose, so
+    every training Gram matrix must equal its transpose bit for bit."""
+
+    @settings(max_examples=160, deadline=None)
+    @given(_square_gram_cases())
+    def test_explicit_kernels_are_bitwise_symmetric(self, case):
+        spec, X = case
+        K = kernel_gram(spec, X, X)
+        assert K.tobytes() == K.T.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(NODE_TYPES),
+        st.sampled_from([1, 7, 60, 100]),
+        st.sampled_from([-1, 0, 1]),
+        st.integers(1, 9),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_kernel_is_bitwise_symmetric(self, node_type, m, edge, n, seed):
+        """Row counts on hidden_apply's tile edges (one step is
+        TILE_CELLS // m rows), capped to keep the Gram small."""
+        rows = min(TILE_CELLS // m, 1500) + edge
+        layer = hidden_init(node_type, m, n, seed)
+        X = np.random.default_rng(seed).normal(0.0, 2.0, (rows, n))
+        X[rows // 2 :: 9] = X[0]
+        K = random_kernel_gram(hidden_apply(layer, X))
+        assert K.tobytes() == K.T.tobytes()

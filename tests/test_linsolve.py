@@ -9,6 +9,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from occelm.featuremap import (
+    hidden_apply,
+    hidden_init,
+    kernel_gram,
+    random_kernel_gram,
+    rbf_kernel,
+)
 from occelm.linsolve import RlsState, rls_init, rls_update, solve_regularized
 from occelm.errors import (
     DimensionMismatch,
@@ -237,6 +244,72 @@ class TestBorrowedOmega:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * n * n * 8 + 16 * n * (k + 1) * 8
+
+
+def _fortran_copy_reference(omega, T, C):
+    """The solve as it stood before C-order Omega was copied through its
+    transpose: Omega + I/C copied into a Fortran-order array by a
+    transposing copy, dpotrf/dpotrs on it, or LU of a refill when Cholesky
+    fails, refined against Omega + I/C."""
+    A = omega + 0.0
+    A.flat[:: A.shape[0] + 1] += 1.0 / C
+    F = np.add(A, 0.0, out=np.empty(A.shape, order="F"))
+    tol = 1e-8 * (1.0 + np.linalg.norm(T))
+    _, info = scipy.linalg.lapack.dpotrf(F, lower=0, clean=0, overwrite_a=1)
+    if info == 0:
+
+        def solve(rhs):
+            return scipy.linalg.lapack.dpotrs(F, rhs, lower=0)[0]
+
+    else:
+        np.add(A, 0.0, out=F)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu = scipy.linalg.lu_factor(F, overwrite_a=True, check_finite=False)
+
+        def solve(rhs):
+            return scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+
+    beta = solve(T)
+    for _ in range(4):
+        residual = T - A @ beta
+        if np.linalg.norm(residual) <= tol:
+            break
+        beta = beta + solve(residual)
+    assert np.linalg.norm(T - A @ beta) <= tol  # the cases below all solve
+    return beta, info == 0
+
+
+def _symmetric_omega(kind, n=183):
+    rng = np.random.default_rng(n)
+    X = rng.normal(0.0, 1.0, (n, 5))
+    if kind == "rbf":
+        return kernel_gram(rbf_kernel(1.5), X, X)
+    if kind == "random":
+        return random_kernel_gram(hidden_apply(hidden_init("rbf", 400, 5, 1), X))
+    G = rng.normal(0.0, 1.0, (n, n))
+    return G + G.T - 1e9 * np.eye(n)  # indefinite at every C here
+
+
+class TestWorkspaceCopy:
+    """A C-order Omega reaches LAPACK through its transpose; on the
+    bitwise-symmetric Omega the library builds, beta keeps the bits of the
+    transposing Fortran-order copy, and Omega ends unchanged."""
+
+    @pytest.mark.parametrize("C", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("kind", ["rbf", "random", "indefinite"])
+    def test_beta_bits_match_fortran_copy(self, kind, order, C):
+        omega = _symmetric_omega(kind)
+        assert np.array_equal(omega, omega.T)
+        omega = np.asarray(omega, order=order)
+        assert omega.flags[f"{order}_CONTIGUOUS"]
+        T = np.random.default_rng(2).normal(0.0, 1.0, (omega.shape[0], 2))
+        before = omega.tobytes(order="A")
+        expected, cholesky = _fortran_copy_reference(omega, T, C)
+        assert cholesky == (kind != "indefinite")
+        assert solve_regularized(omega, T, C).tobytes() == expected.tobytes()
+        assert omega.tobytes(order="A") == before
 
 
 class TestRlsInit:

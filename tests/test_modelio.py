@@ -8,7 +8,14 @@ from conftest import run_cli
 from occelm.dataset import Dataset, zscore_fit
 from occelm.errors import ModelFormatError, NotFinalized
 from occelm.featuremap import hidden_init, random_kernel, rbf_kernel, wavelet_kernel
-from occelm.modelio import load_model, save_model
+from occelm.modelio import (
+    _BLOCK_TOKENS,
+    _Reader,
+    _Writer,
+    _row,
+    load_model,
+    save_model,
+)
 from occelm.offline import score, train_boundary, train_reconstruction
 from occelm.online import os_finalize, os_init, os_score, os_update
 from occelm.threshold import ThresholdSpec
@@ -341,4 +348,90 @@ class TestLoadFaults:
 
         _edit(path, widen)
         with pytest.raises(ModelFormatError, match="does not fit"):
+            load_model(str(path))
+
+
+def _joined_row(values):
+    """The per-value writer _row replaced."""
+    return " ".join(f"{v:.17g}" for v in values.tolist())
+
+
+class TestRowCodec:
+    """_row formats a whole row in one call and _Reader.matrix parses rows
+    in blocks of at most _BLOCK_TOKENS tokens; the bytes written and the
+    bits read are those of the per-value codec."""
+
+    def test_row_matches_per_value_join(self):
+        rng = np.random.default_rng(40)
+        patterns = rng.integers(0, 2**64, 20_000, dtype=np.uint64)
+        special = np.array(
+            [
+                0x0000000000000000, 0x8000000000000000,  # +0, -0
+                0x0000000000000001, 0x800FFFFFFFFFFFFF,  # subnormals
+                0x7FF0000000000000, 0xFFF0000000000000,  # +inf, -inf
+                0x7FF8000000000000, 0xFFF8000000000001,  # quiet NaNs
+                0x7FF0000000000001, 0x7FF4DEADBEEF0000,  # NaN payloads
+                0x7FEFFFFFFFFFFFFF, 0x0010000000000000,  # max, min normal
+            ],
+            dtype=np.uint64,
+        )
+        for bits in (patterns, special, special[:1], special[:0]):
+            values = bits.view(np.float64)
+            assert _row(values) == _joined_row(values)
+
+    @staticmethod
+    def _round_trip(tmp_path, M):
+        out = _Writer()
+        out.matrix("basis", M)
+        path = tmp_path / "matrix.occ"
+        path.write_text("\n".join(out) + "\n")
+        return _Reader(str(path)).matrix("basis")
+
+    @pytest.mark.parametrize("cols", [1, 3, 100, _BLOCK_TOKENS + 1])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("edge", [-1, 0, 1])
+    def test_block_edges_load_bitwise(self, tmp_path, cols, k, edge):
+        step = max(1, _BLOCK_TOKENS // cols)
+        rows = k * step + edge
+        bits = np.random.default_rng(rows + cols).integers(
+            0, 2**64, (rows, cols), dtype=np.uint64
+        )
+        M = bits.view(np.float64)
+        M[~np.isfinite(M)] = -0.0
+        assert self._round_trip(tmp_path, M).tobytes() == M.tobytes()
+
+    def test_short_row_in_later_block_names_global_index(self, tmp_path):
+        cols = 3
+        row = 2 * (_BLOCK_TOKENS // cols) + 5
+        M = np.arange(3.0 * _BLOCK_TOKENS).reshape(-1, cols)
+        out = _Writer()
+        out.matrix("basis", M)
+        out[1 + row] = " ".join(out[1 + row].split()[:2])
+        path = tmp_path / "short.occ"
+        path.write_text("\n".join(out) + "\n")
+        with pytest.raises(ModelFormatError) as info:
+            _Reader(str(path)).matrix("basis")
+        assert str(info.value) == f"basis row {row}: 2 values, not 3"
+
+    def test_bad_number_before_short_row_is_reported_first(self, tmp_path):
+        """As when rows were parsed one at a time: rows before a short one,
+        in the same block, are parsed before the short row is refused."""
+        out = _Writer()
+        out.matrix("basis", np.ones((6, 2)))
+        out[2] = "1 abc"
+        out[5] = "1"
+        path = tmp_path / "two_faults.occ"
+        path.write_text("\n".join(out) + "\n")
+        with pytest.raises(ValueError, match="abc"):
+            _Reader(str(path)).matrix("basis")
+
+    def test_file_cut_inside_matrix(self, tmp_path):
+        X = _cloud(13, count=40)
+        model = train_boundary(X, rbf_kernel(1.0), 1.0, ThresholdSpec("thr1"))
+        path = tmp_path / "m.occ"
+        save_model(model, str(path))
+        lines = path.read_text().splitlines()
+        i = next(k for k, line in enumerate(lines) if line.startswith("basis "))
+        path.write_text("\n".join(lines[: i + 20]) + "\n")
+        with pytest.raises(ModelFormatError, match="unexpected end of model file"):
             load_model(str(path))
