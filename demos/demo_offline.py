@@ -40,9 +40,7 @@ def main() -> None:
     ]
     print("variant              thresh    sens    spec     auc")
     for name, trainer, mapping in cases:
-        model = trainer(
-            train, mapping, 1.0, tspec, fracrej=0.1, seed=11, zstats=stats
-        )
+        model = trainer(train, mapping, 1.0, tspec, seed=11, zstats=stats)
         decisions = score(model, test_X)
         result = measures(confuse(decisions, truth))
         print(

@@ -28,9 +28,7 @@ def main() -> None:
     errors = None
     for kind in ("thr1", "thr2", "thr3"):
         tspec = ThresholdSpec(kind, fracrej=0.1)
-        model = train_reconstruction(
-            train, mapping, 1.0, tspec, fracrej=0.1, seed=21, zstats=stats
-        )
+        model = train_reconstruction(train, mapping, 1.0, tspec, seed=21, zstats=stats)
         if errors is None:
             errors = np.asarray(model.train_errors)
             print(

@@ -43,6 +43,7 @@ from .errors import (
     MissingLabels,
     ModelFormatError,
     NoOutliers,
+    NonFiniteOutput,
     NotFinalized,
     NoTargets,
     NotTwoDimensional,

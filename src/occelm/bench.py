@@ -5,8 +5,9 @@ training targets, trains one classifier variant, and scores the held-out
 targets plus every outlier. Hyperparameter selection, when requested,
 happens on run 0 only and the chosen values are reused for the remaining
 runs. Training wall-clock covers the final model fit only, never the
-selection scan, and is reported through an optional sink so written
-outputs stay byte-deterministic under a fixed seed.
+selection scan, and is returned in BenchResult.train_seconds, never
+written to an output file, so written outputs stay byte-deterministic
+under a fixed seed.
 
 One path serves the protocol, the selection scan and `occelm train`:
 fit builds any variant, choose_params runs the selection scan, and
@@ -223,7 +224,6 @@ def fit(
     rows,
     *,
     fracrej: float = 0.1,
-    tspec: ThresholdSpec | None = None,
     kernel_kind: str = "rbf",
     node_type: str = ADDITIVE_SIGMOID,
     layer_seed=0,
@@ -232,15 +232,14 @@ def fit(
     block: int | None = None,
 ):
     """Train any variant on rows (original feature space, normalized with
-    zstats when given) with the chosen parameters. tspec defaults to the
-    variant's threshold rule at rejection fraction fracrej.
+    zstats when given) with the chosen parameters, under the variant's
+    threshold rule at rejection fraction fracrej.
 
     Online variants stream the rows in order: an initial chunk of n0 rows,
     by default min(N, max(2m, N // 10)) so that it has more rows than the
     layer has nodes, then chunks of block rows, by default max(m, N // 10).
     """
-    if tspec is None:
-        tspec = ThresholdSpec(kind=variant.tkind, fracrej=fracrej)
+    tspec = ThresholdSpec(kind=variant.tkind, fracrej=fracrej)
     if variant.engine == ONLINE_ENGINE:
         raw = _rows(rows)
         N, n = raw.shape
@@ -254,11 +253,11 @@ def fit(
         )
         for start in range(n0v, N, blockv):
             os_update(model, raw[start : start + blockv])
-        return os_finalize(model, tspec, fracrej)
+        return os_finalize(model, tspec)
     train_fn = train_boundary if variant.family == BOUNDARY else train_reconstruction
     return train_fn(
         rows, _offline_mapping(variant, params, kernel_kind, node_type),
-        float(params["C"]), tspec, fracrej, seed=layer_seed, zstats=zstats,
+        float(params["C"]), tspec, seed=layer_seed, zstats=zstats,
     )
 
 
@@ -292,26 +291,25 @@ def _fold_trainer(
     variant: Variant,
     kernel_kind: str,
     node_type: str,
-    tspec: ThresholdSpec,
     fracrej: float,
     seed: int,
 ):
     """Scanner for modelsel.select on already normalized fold rows: offline
     variants walk the C list with offline.scan_c, online ones fit once."""
+    tspec = ThresholdSpec(kind=variant.tkind, fracrej=fracrej)
 
     def scan(params: dict, fold):
         train, val = fold
         layer_seed = [seed, 0, _SELECT_LAYER_STREAM, int(params.get("m", 0))]
         if variant.engine == ONLINE_ENGINE:
             model = fit(
-                variant, params, train, tspec=tspec, fracrej=fracrej,
+                variant, params, train, fracrej=fracrej,
                 node_type=node_type, layer_seed=layer_seed,
             )
             return [score_model(model, val).is_target]
         mapping = _offline_mapping(variant, params, kernel_kind, node_type)
         return scan_c(
-            variant.family, train, val, mapping, params["C"], tspec, fracrej,
-            layer_seed,
+            variant.family, train, val, mapping, params["C"], tspec, layer_seed
         )
 
     return scan
@@ -337,8 +335,7 @@ def choose_params(
         fracrej=fracrej,
         rng_seed=[seed, 0, _FOLD_STREAM],
     )
-    tspec = ThresholdSpec(kind=variant.tkind, fracrej=fracrej)
-    scan = _fold_trainer(variant, kernel_kind, node_type, tspec, fracrej, seed)
+    scan = _fold_trainer(variant, kernel_kind, node_type, fracrej, seed)
     return modelsel.select(scan, Xz, cfg)
 
 
@@ -379,14 +376,11 @@ def run_benchmark(
     hidden: int | None = None,
     n0: int | None = None,
     block: int | None = None,
-    time_sink=None,
 ) -> BenchResult:
     """Run the full protocol for one variant and return the aggregate.
 
     data must carry labels with at least one outlier; runs repeats the
-    split/train/score cycle with run-indexed seed streams. time_sink, when
-    given, receives one human-readable line per run with the training
-    wall-clock (selection excluded).
+    split/train/score cycle with run-indexed seed streams.
     """
     variant, node_type = parse_variant(variant_id, node_type)
     if data.labels is None:
@@ -428,13 +422,9 @@ def run_benchmark(
             kernel_kind=kernel_kind, node_type=node_type,
             layer_seed=run_seed(seed, r), zstats=zstats, n0=n0, block=block,
         )
-        elapsed = time.perf_counter() - start
+        train_seconds.append(time.perf_counter() - start)
         decisions = score_model(model, test.samples)
-
-        train_seconds.append(elapsed)
         run_reports.append(measures(confuse(decisions, test.labels)))
-        if time_sink is not None:
-            time_sink(f"run {r}: train {elapsed:.4f}s")
 
     return BenchResult(
         dataset_name=dataset_name,

@@ -192,8 +192,9 @@ def cmd_bench(args) -> int:
         hidden=args.hidden,
         n0=args.n0,
         block=args.block,
-        time_sink=lambda line: print(line, file=sys.stderr),
     )
+    for r, secs in enumerate(result.train_seconds):
+        print(f"run {r}: train {secs:.4f}s", file=sys.stderr)
     cells = [
         result.dataset_name, result.classifier, result.variant.label,
         render_value(result.report.f1), render_value(result.report.accuracy),

@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     EmptyFile,
     MissingLabels,
+    NonFiniteOutput,
     NoOutliers,
     NoTargets,
     ParseError,
@@ -208,9 +209,10 @@ def zscore_fit(train: Dataset) -> ZScoreStats:
     """Per-feature mean and sample std (ddof=1) of the training rows."""
     if train.sample_count < 2:
         raise TooFewSamples("zscore_fit needs at least 2 rows for a sample std")
-    return ZScoreStats(
-        train.samples.mean(axis=0), train.samples.std(axis=0, ddof=1)
-    )
+    mean, std = train.samples.mean(axis=0), train.samples.std(axis=0, ddof=1)
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise NonFiniteOutput("a feature's mean or sample std overflowed to inf")
+    return ZScoreStats(mean, std)
 
 
 def zscore_apply(data: Dataset, stats: ZScoreStats) -> Dataset:
@@ -222,7 +224,17 @@ def zscore_apply(data: Dataset, stats: ZScoreStats) -> Dataset:
     safe = np.where(stats.std > 0, stats.std, 1.0)
     z = (data.samples - stats.mean) / safe
     z[:, stats.std == 0] = 0.0
+    require_finite(z, "a z-scored value")
     return Dataset(z, data.labels, data.feature_names)
+
+
+def require_finite(values: np.ndarray, what: str) -> None:
+    """Raise NonFiniteOutput naming the first row of computed values that
+    holds an inf or NAN."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = int(np.argwhere(~finite)[0, 0])
+        raise NonFiniteOutput(f"row {row}: {what} overflowed to inf or nan")
 
 
 def run_rng(rng_seed: int, run_index: int, *extra: int) -> np.random.Generator:

@@ -68,6 +68,12 @@ class Thr3NotApplicable(OccelmError):
     """Thr3 is defined only for reconstruction-based models."""
 
 
+# scoring
+class NonFiniteOutput(OccelmError):
+    """Finite rows overflowed to inf or NAN in the z-score stats, a z-scored
+    value or a model output (the message names the first such row)."""
+
+
 # online
 class AlreadyFinalized(OccelmError):
     """Sequential updates are closed once a model is finalized."""

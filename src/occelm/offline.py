@@ -13,7 +13,8 @@ Omega) once and then solves per C: _train for one C, scan_c for a list.
 
 The per-row errors, the threshold fit and the columnar decision defined
 here (row_errors, fit_threshold, decide) are shared with the online models
-in online.py, so both model types score with the same code.
+in online.py. fit_threshold alone reads the rejection fraction, refuses
+thr3 for boundary models and gives the training errors a model stores.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, ZScoreStats, identity_stats, zscore_apply
+from .dataset import Dataset, ZScoreStats, identity_stats, require_finite, zscore_apply
 from .errors import DimensionMismatch, OccelmError, Thr3NotApplicable
 from .featuremap import (
     KernelSpec,
@@ -106,14 +107,18 @@ def _compared(family: str, kind: str, base: np.ndarray) -> np.ndarray:
 
 
 def fit_threshold(
-    family: str, tspec: ThresholdSpec, base: np.ndarray, fracrej: float | None
+    family: str, tspec: ThresholdSpec, base: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """The errors the threshold rule compares and its fitted cut (NAN for
-    thr3, which decides per sample at score time); fracrej None takes the
-    spec's own."""
+    """The errors the threshold rule compares, which the model stores as
+    its training errors, and the fitted cut (NAN for thr3, which decides
+    per sample at score time)."""
+    if family == BOUNDARY and tspec.kind == THR3:
+        raise Thr3NotApplicable(
+            "thr3 needs per-feature outputs; boundary models have one"
+        )
     errors = _compared(family, tspec.kind, base)
     if tspec.kind == THR1:
-        return errors, thr1_fit(errors, tspec.fracrej if fracrej is None else fracrej)
+        return errors, thr1_fit(errors, tspec.fracrej)
     if tspec.kind == THR2:
         return errors, thr2_fit(errors, tspec.std_mult)
     return errors, float("nan")
@@ -121,7 +126,9 @@ def fit_threshold(
 
 def decide(model, Xs: np.ndarray, O: np.ndarray) -> Decisions:
     """Decisions of an offline or finalized online model for normalized
-    rows Xs and their outputs O."""
+    rows Xs and their outputs O; an output that overflowed to inf or NAN
+    raises NonFiniteOutput instead of becoming a verdict."""
+    require_finite(O, "the model output")
     tspec = model.tspec
     if tspec.kind == THR3:
         return thr3_decide(Xs, O, tspec.condn1, tspec.condn2_frac)
@@ -146,7 +153,6 @@ def _feature_stage(
     Xs: np.ndarray,
     mapping: KernelSpec,
     tspec: ThresholdSpec,
-    fracrej: float | None,
     seed,
     R: float,
     zstats: ZScoreStats,
@@ -175,7 +181,7 @@ def _feature_stage(
         # C-order so scoring is bitwise identical before and after save/load
         beta = np.ascontiguousarray(solve_regularized(omega, T, C))
         errors, thresh = fit_threshold(
-            family, tspec, row_errors(family, Xs, omega @ beta, R), fracrej
+            family, tspec, row_errors(family, Xs, omega @ beta, R)
         )
         return OfflineModel(
             family=family,
@@ -199,7 +205,6 @@ def _train(
     mapping: KernelSpec,
     C: float,
     tspec: ThresholdSpec,
-    fracrej: float | None,
     seed,
     R: float,
     zstats: ZScoreStats | None,
@@ -208,7 +213,7 @@ def _train(
     if zstats is None:
         zstats = identity_stats(raw.shape[1])
     Xs = zscore_apply(Dataset(raw), zstats).samples
-    _, _, fit = _feature_stage(family, Xs, mapping, tspec, fracrej, seed, R, zstats)
+    _, _, fit = _feature_stage(family, Xs, mapping, tspec, seed, R, zstats)
     return fit(C)
 
 
@@ -219,7 +224,6 @@ def scan_c(
     mapping: KernelSpec,
     Cs,
     tspec: ThresholdSpec,
-    fracrej: float | None,
     seed,
 ) -> list[np.ndarray | None]:
     """The selection scan at one fold: per C, the is-target verdicts on rows
@@ -227,9 +231,7 @@ def scan_c(
     None if its fit raised a toolbox error (not kept: it would pin its
     traceback's frames). Bit-identical to _train and score per C."""
     zstats = identity_stats(Xs.shape[1])
-    mapping, basis, fit = _feature_stage(
-        family, Xs, mapping, tspec, fracrej, seed, 1.0, zstats
-    )
+    mapping, basis, fit = _feature_stage(family, Xs, mapping, tspec, seed, 1.0, zstats)
     cross = _cross(mapping, basis, Ys)
     verdicts: list[np.ndarray | None] = []
     for C in Cs:
@@ -246,7 +248,7 @@ def train_boundary(
     mapping: KernelSpec,
     C: float,
     tspec: ThresholdSpec,
-    fracrej: float | None = None,
+    *,
     seed=0,
     R: float = 1.0,
     zstats: ZScoreStats | None = None,
@@ -256,11 +258,7 @@ def train_boundary(
     Thr1 scores |o - R|, Thr2 scores (o - R)^2, both exactly as fitted at
     training time; thr3 is rejected for this family.
     """
-    if tspec.kind == THR3:
-        raise Thr3NotApplicable(
-            "thr3 needs per-feature outputs; boundary models have one"
-        )
-    return _train(BOUNDARY, X, mapping, C, tspec, fracrej, seed, R, zstats)
+    return _train(BOUNDARY, X, mapping, C, tspec, seed, R, zstats)
 
 
 def train_reconstruction(
@@ -268,13 +266,13 @@ def train_reconstruction(
     mapping: KernelSpec,
     C: float,
     tspec: ThresholdSpec,
-    fracrej: float | None = None,
+    *,
     seed=0,
     zstats: ZScoreStats | None = None,
 ) -> OfflineModel:
     """Train an autoassociative model on target rows (outputs reconstruct
     the normalized inputs); accepts any threshold kind."""
-    return _train(RECONSTRUCTION, X, mapping, C, tspec, fracrej, seed, 1.0, zstats)
+    return _train(RECONSTRUCTION, X, mapping, C, tspec, seed, 1.0, zstats)
 
 
 def score(model: OfflineModel, Y) -> Decisions:

@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, ZScoreStats, identity_stats, zscore_apply
-from .errors import (
-    AlreadyFinalized,
-    DimensionMismatch,
-    NotFinalized,
-    Thr3NotApplicable,
-    TooFewSamples,
-)
+from .errors import AlreadyFinalized, DimensionMismatch, NotFinalized, TooFewSamples
 from .featuremap import HiddenLayer, hidden_apply
 from .linsolve import RlsState, rls_init, rls_update
 from .offline import (
@@ -37,7 +31,7 @@ from .offline import (
     row_errors,
     targets,
 )
-from .threshold import THR3, Decisions, ThresholdSpec
+from .threshold import Decisions, ThresholdSpec
 
 # unused here, kept importable: the benchmark tracer patches these names
 from .threshold import apply_threshold, thr1_fit, thr2_fit, thr3_decide  # noqa: F401
@@ -118,24 +112,19 @@ def os_update(model: OnlineModel, Xc) -> OnlineModel:
     return model
 
 
-def os_finalize(
-    model: OnlineModel, tspec: ThresholdSpec, fracrej: float | None = None
-) -> OnlineModel:
+def os_finalize(model: OnlineModel, tspec: ThresholdSpec) -> OnlineModel:
     """Fit the threshold on every retained row's error under the final
     weights and freeze the model."""
     if model.finalized:
         raise AlreadyFinalized("finalize may run once")
     if model.seen_count < 2:
         raise TooFewSamples("finalize needs at least 2 seen samples")
-    if model.family == BOUNDARY and tspec.kind == THR3:
-        raise Thr3NotApplicable(
-            "thr3 needs per-feature outputs; boundary models have one"
-        )
     Xs = np.vstack(model.retained_rows)
     O = hidden_apply(model.layer, Xs) @ model.rls.beta
-    base = row_errors(model.family, Xs, O, model.R)
-    model.train_errors = base.tolist()
-    _, model.thresh = fit_threshold(model.family, tspec, base, fracrej)
+    errors, model.thresh = fit_threshold(
+        model.family, tspec, row_errors(model.family, Xs, O, model.R)
+    )
+    model.train_errors = errors.tolist()
     model.tspec = tspec
     return model
 

@@ -257,7 +257,7 @@ def test_criterion_7_boundary_sanity():
     params, diag = choose_params(VARIANTS["ockelm_thr1"], Xz, seed=0)
     model = train_boundary(
         data, rbf_kernel(params["sigma"]), params["C"], tspec,
-        fracrej=0.1, seed=[0, 0, _LAYER_STREAM], zstats=stats,
+        seed=[0, 0, _LAYER_STREAM], zstats=stats,
     )
     acceptance = float(
         np.mean([d.is_target for d in score(model, data)])
@@ -309,7 +309,7 @@ def test_criterion_8_training_speed():
     timings = []
     for name, trainer, mapping in cases:
         start = time.perf_counter()
-        trainer(targets, mapping, 1.0, tspec1, fracrej=0.1, zstats=stats)
+        trainer(targets, mapping, 1.0, tspec1, zstats=stats)
         timings.append((name, time.perf_counter() - start))
     worst = max(t for _, t in timings)
     detail = ", ".join(f"{n} {t * 1000:.0f}ms" for n, t in timings)

@@ -321,17 +321,6 @@ class TestRunBenchmark:
         assert result.variant.label == "Thr1"
         assert result.report.run_count == 2
 
-    def test_time_sink_lines(self):
-        lines = []
-        run_benchmark(
-            _separable(), "ockelm_thr1", runs=3, seed=0,
-            time_sink=lines.append,
-        )
-        assert len(lines) == 3
-        assert lines[0].startswith("run 0: train ")
-        assert lines[2].startswith("run 2: train ")
-        assert lines[0].endswith("s")
-
     def test_unlabeled_rejected(self):
         data = gen_ring(30, seed=0)
         with pytest.raises(MissingLabels):

@@ -103,7 +103,7 @@ class TestOnlineRoundTrip:
         layer = hidden_init("additive_sigmoid", 8, 3, seed=1)
         model = os_init("boundary", layer, X[:20])
         os_update(model, X[20:])
-        os_finalize(model, ThresholdSpec("thr1"), fracrej=0.15)
+        os_finalize(model, ThresholdSpec("thr1", fracrej=0.15))
         return model, X
 
     def test_finalized_model_round_trip(self, tmp_path):

@@ -186,7 +186,7 @@ class TestScore:
     def test_thr1_rejects_about_fracrej_of_trainset(self):
         X = _cloud(18, count=200)
         model = train_boundary(
-            X, rbf_kernel(1.0), 1.0, ThresholdSpec("thr1"), fracrej=0.1
+            X, rbf_kernel(1.0), 1.0, ThresholdSpec("thr1", fracrej=0.1)
         )
         rejected = sum(not d.is_target for d in score(model, X))
         assert rejected == 20

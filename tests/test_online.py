@@ -123,20 +123,23 @@ class TestOsFinalize:
         X = _cloud(13, count=40)
         model = os_init("boundary", layer, X[:15])
         os_update(model, X[15:])
-        os_finalize(model, ThresholdSpec("thr1"), fracrej=0.1)
+        os_finalize(model, ThresholdSpec("thr1"))
         H = hidden_apply(layer, X)
         errors = np.abs((H @ model.rls.beta).ravel() - 1.0)
         assert model.thresh == thr1_fit(errors, 0.1)
         np.testing.assert_allclose(model.train_errors, errors, atol=1e-12)
 
     def test_thr2_boundary_squares_deviation(self):
+        """The stored training errors are the squared deviations thr2
+        cuts, as an offline boundary model stores them."""
         layer = _layer(m=6)
         X = _cloud(15, count=30)
         model = os_init("boundary", layer, X[:12])
         os_update(model, X[12:])
         os_finalize(model, ThresholdSpec("thr2"))
-        errors = np.asarray(model.train_errors)
-        assert model.thresh == thr2_fit(errors**2, 0.2)
+        deviation = np.abs((hidden_apply(layer, X) @ model.rls.beta).ravel() - 1.0)
+        np.testing.assert_array_equal(model.train_errors, deviation**2)
+        assert model.thresh == thr2_fit(model.train_errors, 0.2)
 
     def test_thr3_boundary_rejected(self):
         model = os_init("boundary", _layer(), _cloud(16, count=12))
@@ -166,7 +169,7 @@ class TestOsScore:
         X = _cloud(21, count=100)
         model = os_init("boundary", _layer(m=10), X[:30])
         os_update(model, X[30:])
-        os_finalize(model, ThresholdSpec("thr1"), fracrej=0.1)
+        os_finalize(model, ThresholdSpec("thr1"))
         decisions = os_score(model, X)
         accepted = sum(d.is_target for d in decisions)
         assert accepted == 90

@@ -29,7 +29,6 @@ from occelm.modelsel import (
     fold_assignment,
     select,
 )
-from occelm.threshold import ThresholdSpec
 
 _C = [1e-2, 1.0, 1e8, 1e16]
 
@@ -62,7 +61,6 @@ def _reference(case, X, cfg, seed, fracrej=0.1):
     failing at any fold records NAN; then the documented preference."""
     vid, kernel_kind, node_type, _ = case
     variant = VARIANTS[vid]
-    tspec = ThresholdSpec(kind=variant.tkind, fracrej=fracrej)
     N = X.shape[0]
     M = N // cfg.folds
     err_thr = error_threshold(cfg.fracrej, cfg.sigma_thr, M)
@@ -75,7 +73,7 @@ def _reference(case, X, cfg, seed, fracrej=0.1):
         try:
             for j in range(cfg.folds):
                 model = fit(
-                    variant, params, X[fold_of != j], tspec=tspec,
+                    variant, params, X[fold_of != j],
                     fracrej=fracrej, kernel_kind=kernel_kind, node_type=node_type,
                     layer_seed=[seed, 0, _SELECT_LAYER_STREAM, int(params.get("m", 0))],
                 )
@@ -108,9 +106,7 @@ def _compare(case, X, seed, fold_seed):
     variant = VARIANTS[vid]
     cfg = SelectionConfig(_grids(case), folds=5, rng_seed=fold_seed)
     err_thr, M, points, chosen, consistent = _reference(case, X, cfg, seed)
-    scan = _fold_trainer(
-        variant, kernel_kind, node_type, ThresholdSpec(kind=variant.tkind), 0.1, seed
-    )
+    scan = _fold_trainer(variant, kernel_kind, node_type, 0.1, seed)
     if chosen is None:
         with pytest.raises(OccelmError, match="every grid point failed"):
             select(scan, X, cfg)

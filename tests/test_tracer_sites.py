@@ -72,3 +72,23 @@ def test_kernel_score_makes_one_full_gram_call(monkeypatch):
         assert calls == [((rows, 3), (300, 3))]
         assert rec.counts[-1]["featuremap.kernel_gram_cells"] == rows * 300
         assert rec.per_cycle()[-1]["featuremap.kernel_gram"][1] == 1
+
+
+def test_one_threshold_fit_and_decide_span_per_engine():
+    """The tracer counts threshold.fit at offline.thr1_fit and
+    threshold.decide at offline.apply_threshold: one thr1 fit and one
+    score must record exactly one of each, for every engine. Moving
+    fit_threshold or decide out of offline.py would record none."""
+    spans = perfbench_module("spans")
+    rows = np.random.default_rng(3).normal(0.0, 1.0, (40, 3))
+    cases = [
+        ("ockelm_thr1", {"sigma": 1.5, "C": 1.0}),
+        ("ocelm_thr1", {"m": 10, "C": 1.0}),
+        ("os_ocelm_thr1", {"m": 6}),
+    ]
+    for vid, params in cases:
+        rec = spans.Recorder()
+        with rec.cycle(), spans.traced(rec):
+            score_model(fit(VARIANTS[vid], params, rows), rows[:5])
+        calls = {name: n for name, (_, n) in rec.per_cycle()[-1].items()}
+        assert (calls["threshold.fit"], calls["threshold.decide"]) == (1, 1), vid
