@@ -209,7 +209,8 @@ def zscore_fit(train: Dataset) -> ZScoreStats:
     """Per-feature mean and sample std (ddof=1) of the training rows."""
     if train.sample_count < 2:
         raise TooFewSamples("zscore_fit needs at least 2 rows for a sample std")
-    mean, std = train.samples.mean(axis=0), train.samples.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # judged just below
+        mean, std = train.samples.mean(axis=0), train.samples.std(axis=0, ddof=1)
     if not (np.isfinite(mean).all() and np.isfinite(std).all()):
         raise NonFiniteOutput("a feature's mean or sample std overflowed to inf")
     return ZScoreStats(mean, std)

@@ -2,24 +2,27 @@
 
 Both model kinds share one layout, written and read in this order:
 
-1. the header "OCCELM v1", then `kind` (offline or online) and `family`;
+1. the header "OCCELM v2", then `kind` (offline or online) and `family`;
 2. the feature map. Offline: `mapping`, then the hidden layer or the
    kernel's `kparam` lines (KERNEL_PARAMS), then `C`. Online: the hidden
    layer, then `n0`, `block` and `seen`;
 3. `R`, `tspec`, `thresh`, `zmean`, `zstd` and `trainerr`;
-4. the kind's matrix: `basis` (offline) or `P` (online);
+4. `basis` (offline: the normalized training rows) or `P` (online);
 5. `beta`, then `end`.
 
 A hidden layer is `nodetype`, matrix `layerW` and vector `layerb`. A
 vector is one line "<name> <size> v0 v1 ...", a matrix a "<name> <rows>
 <cols>" line and that many rows. Ints print as they are, floats with 17
 significant digits (a round trip keeps every bit); thr3 stores thresh nan.
-Online models must be finalized to save, and load score-only.
+Online models must be finalized to save, and load score-only. Random
+offline models rebuild H at load, in one hidden_apply call on all rows as
+at training, so H keeps its trained bits.
 
-load_model raises ModelFormatError for a missing, misplaced or extra line,
-an unparseable or non-finite number (except trainerr, which scoring never
-reads, and thr3's nan thresh), and matrix shapes that disagree with each
-other or with the feature count.
+load_model raises ModelFormatError for another header (v1 stored H as the
+random basis), a missing, misplaced or extra line, an unparseable or
+non-finite number (except trainerr, which scoring never reads, and thr3's
+nan thresh), and shapes that disagree with each other or with the feature
+count: `basis` has one column per feature, `layerW` one row per `P` row.
 """
 
 from __future__ import annotations
@@ -30,13 +33,13 @@ import numpy as np
 
 from .dataset import ZScoreStats
 from .errors import DimensionMismatch, ModelFormatError, NotFinalized
-from .featuremap import HiddenLayer, KernelSpec, random_kernel
+from .featuremap import HiddenLayer, KernelSpec, hidden_apply, random_kernel
 from .linsolve import RlsState
 from .offline import BOUNDARY, RECONSTRUCTION, OfflineModel
 from .online import OnlineModel
 from .threshold import THR3, ThresholdSpec
 
-HEADER = "OCCELM v1"
+HEADER = "OCCELM v2"
 
 # most tokens a matrix holds as strings at once while parsing; blocks of
 # 2**16 raised the peak memory of the train/save/load/score benchmark by 2 MB
@@ -100,7 +103,7 @@ def save_model(model: OfflineModel | OnlineModel, path: str) -> None:
         for name, _ in KERNEL_PARAMS.get(mapping.kind, ()):
             out.fields(f"kparam {name}", getattr(mapping, name))
         out.fields("C", model.C)
-        matrix, beta = ("basis", model.basis), model.beta
+        matrix, beta = ("basis", model.rows), model.beta
     else:
         out.layer(model.layer)
         out.fields("n0", model.n0)
@@ -245,20 +248,21 @@ def _parse_model(reader: _Reader) -> OfflineModel | OnlineModel:
     if reader.pos != len(reader.lines):
         raise ModelFormatError("content after 'end'")
 
-    n = zstats.feature_count
-    m = n if layer is None else layer.m  # columns of basis or P
+    n, rows = zstats.feature_count, matrix.shape[0]
+    m = layer.m if kind == "offline" and layer is not None else rows
     for name, shape, want in (
         ("layerW", (m, n) if layer is None else layer.W.shape, (m, n)),
-        (matrix_name, matrix.shape, (matrix.shape[0], m)),
-        ("beta", beta.shape, (matrix.shape[0], 1 if family == BOUNDARY else n)),
+        (matrix_name, matrix.shape, (rows, n if kind == "offline" else m)),
+        ("beta", beta.shape, (rows, 1 if family == BOUNDARY else n)),
     ):
         if shape != want:
             raise ModelFormatError(f"{name} is {shape}, expected {want}")
 
     common = dict(family=family, R=R, zstats=zstats, tspec=tspec, thresh=thresh)
     if kind == "offline":
+        basis = matrix if layer is None else hidden_apply(layer, matrix)
         return OfflineModel(
-            mapping=mapping, basis=matrix, beta=beta, C=C,
+            mapping=mapping, rows=matrix, basis=basis, beta=beta, C=C,
             train_errors=train_errors, **common,
         )
     return OnlineModel(

@@ -5,8 +5,8 @@ Training solves (Omega + I/C) beta = T on the Gram matrix of the training
 rows; boundary models set T to a constant column R (default 1) and score
 deviation from R, reconstruction models set T to the input itself and score
 squared reconstruction error. Scoring unseen rows uses the cross matrix
-K(test, train) @ beta, which requires storing the training basis (hidden
-activations for the random mapping, raw rows for explicit kernels).
+K(test, train) @ beta with the training basis: the normalized training
+rows, or their hidden activations H for the random mapping.
 
 Training builds its C-independent feature stage (hidden layer or kernel,
 Omega) once and then solves per C: _train for one C, scan_c for a list.
@@ -64,7 +64,8 @@ class OfflineModel:
 
     family: str
     mapping: KernelSpec
-    basis: np.ndarray
+    rows: np.ndarray  # normalized training rows, N x n
+    basis: np.ndarray  # rows, or their hidden activations H (N x m)
     beta: np.ndarray
     C: float
     tspec: ThresholdSpec
@@ -186,6 +187,7 @@ def _feature_stage(
         return OfflineModel(
             family=family,
             mapping=mapping,
+            rows=Xs,
             basis=basis,
             beta=beta,
             C=float(C),
@@ -213,8 +215,9 @@ def _train(
     if zstats is None:
         zstats = identity_stats(raw.shape[1])
     Xs = zscore_apply(Dataset(raw), zstats).samples
-    _, _, fit = _feature_stage(family, Xs, mapping, tspec, seed, R, zstats)
-    return fit(C)
+    with np.errstate(over="ignore", invalid="ignore"):  # the solver judges
+        _, _, fit = _feature_stage(family, Xs, mapping, tspec, seed, R, zstats)
+        return fit(C)
 
 
 def scan_c(
@@ -277,5 +280,7 @@ def train_reconstruction(
 
 def score(model: OfflineModel, Y) -> Decisions:
     """Score rows given in the original (pre-normalization) feature space."""
-    Ys = normalized_rows(model, Y)
-    return decide(model, Ys, _cross(model.mapping, model.basis, Ys) @ model.beta)
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite judges
+        Ys = normalized_rows(model, Y)
+        O = _cross(model.mapping, model.basis, Ys) @ model.beta
+    return decide(model, Ys, O)

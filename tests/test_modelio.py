@@ -5,9 +5,19 @@ import pytest
 
 from conftest import run_cli
 
+import occelm.modelio
+import occelm.offline
 from occelm.dataset import Dataset, zscore_fit
 from occelm.errors import ModelFormatError, NotFinalized
-from occelm.featuremap import hidden_init, random_kernel, rbf_kernel, wavelet_kernel
+from occelm.featuremap import (
+    NODE_TYPES,
+    TILE_CELLS,
+    hidden_apply,
+    hidden_init,
+    random_kernel,
+    rbf_kernel,
+    wavelet_kernel,
+)
 from occelm.modelio import (
     _BLOCK_TOKENS,
     _Reader,
@@ -16,7 +26,13 @@ from occelm.modelio import (
     load_model,
     save_model,
 )
-from occelm.offline import score, train_boundary, train_reconstruction
+from occelm.offline import (
+    BOUNDARY,
+    RECONSTRUCTION,
+    score,
+    train_boundary,
+    train_reconstruction,
+)
 from occelm.online import os_finalize, os_init, os_score, os_update
 from occelm.threshold import ThresholdSpec
 
@@ -97,6 +113,95 @@ class TestOfflineRoundTrip:
         assert np.isnan(loaded.thresh)
 
 
+def _score_bits(model, Y) -> bytes:
+    d = score(model, Y)
+    return d.score.tobytes() + d.is_target.tobytes() + np.float64(d.thresh).tobytes()
+
+
+class TestRandomModelRoundTrip:
+    """A random model's file holds its normalized training rows; load_model
+    rebuilds H from them in one hidden_apply call, bit for bit. N sits on
+    hidden_apply's row-tile edges for two hidden widths."""
+
+    CASES = [
+        (node_type, family, m, TILE_CELLS // m + edge)
+        for node_type in NODE_TYPES
+        for family in (BOUNDARY, RECONSTRUCTION)
+        for m in (100, 150)
+        for edge in (-1, 0, 1)
+    ]
+
+    @pytest.mark.parametrize("node_type,family,m,N", CASES)
+    def test_round_trip_bitwise(self, tmp_path, node_type, family, m, N):
+        X = _cloud(m + N, count=N, n=5)
+        train = train_boundary if family == BOUNDARY else train_reconstruction
+        tspec = ThresholdSpec("thr1" if family == BOUNDARY else "thr3")
+        model = train(
+            X, random_kernel(m, node_type), 1.0, tspec, seed=N,
+            zstats=zscore_fit(Dataset(X)),
+        )
+        first, second = tmp_path / "a.occ", tmp_path / "b.occ"
+        save_model(model, str(first))
+        loaded = load_model(str(first))
+        assert loaded.basis.shape == (N, m)
+        assert loaded.basis.tobytes() == model.basis.tobytes()
+        Y = _cloud(N, count=300, n=5) * 2.0
+        assert _score_bits(loaded, Y) == _score_bits(model, Y)
+        save_model(loaded, str(second))
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_file_stores_rows_not_activations(self, tmp_path):
+        X = _cloud(30, count=40, n=3)
+        model = train_boundary(X, random_kernel(m=25), 1.0, ThresholdSpec("thr1"))
+        path = tmp_path / "m.occ"
+        save_model(model, str(path))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "OCCELM v2"
+        assert "basis 40 3" in lines
+        assert load_model(str(path)).rows.tobytes() == X.tobytes()
+
+    def test_h_built_once_at_load_and_never_when_scoring(self, tmp_path, monkeypatch):
+        """load_model applies the layer to all N training rows once; a score
+        call applies it only to the rows it scores."""
+        X = _cloud(31, count=50, n=3)
+        model = train_boundary(X, random_kernel(m=20), 1.0, ThresholdSpec("thr1"))
+        path = tmp_path / "m.occ"
+        save_model(model, str(path))
+        calls = []
+
+        def counted(layer, rows):
+            calls.append(rows.shape[0])
+            return hidden_apply(layer, rows)
+
+        monkeypatch.setattr(occelm.modelio, "hidden_apply", counted)
+        monkeypatch.setattr(occelm.offline, "hidden_apply", counted)
+        loaded = load_model(str(path))
+        assert calls == [50]
+        score(loaded, _cloud(32, count=7, n=3))
+        score(loaded, _cloud(33, count=4, n=3))
+        assert calls == [50, 7, 4]
+
+    def test_v1_file_refused(self, tmp_path):
+        """A v1 random file stored H as its basis. With m == n it has the
+        shape of a v2 file's rows, so only the header tells them apart."""
+        X = _cloud(34, count=20, n=3)
+        model = train_boundary(X, random_kernel(m=3), 1.0, ThresholdSpec("thr1"))
+        path = tmp_path / "m.occ"
+        save_model(model, str(path))
+        lines = path.read_text().splitlines()
+        i = lines.index("basis 20 3")
+        v1 = _Writer(["OCCELM v1", *lines[1:i]])
+        v1.matrix("basis", model.basis)
+        v1.extend(lines[i + 21:])
+        path.write_text("\n".join(v1) + "\n")
+        with pytest.raises(ModelFormatError, match="found 'OCCELM v1'"):
+            load_model(str(path))
+        # read as v2, the same body loads, with H applied to H
+        path.write_text("\n".join(["OCCELM v2", *v1[1:]]) + "\n")
+        misread = load_model(str(path))
+        assert not np.array_equal(misread.basis, model.basis)
+
+
 class TestOnlineRoundTrip:
     def _trained(self, seed=7):
         X = _cloud(seed, count=50)
@@ -130,6 +235,22 @@ class TestOnlineRoundTrip:
         save_model(model, str(path))
         loaded = load_model(str(path))
         assert loaded.retained_rows == []
+
+    def test_p_with_extra_row_refused(self, tmp_path):
+        """P is m x m: a P and beta grown by one row each still agree
+        with each other, but not with the layer's m nodes."""
+        path = _online_file(tmp_path)
+
+        def grow(lines):
+            for name in ("P", "beta"):
+                i = next(k for k, line in enumerate(lines) if line.split()[0] == name)
+                _, rows, cols = lines[i].split()
+                lines[i] = f"{name} {int(rows) + 1} {cols}"
+                lines.insert(i + 1, lines[i + 1])
+
+        _edit(path, grow)
+        with pytest.raises(ModelFormatError, match="layerW"):
+            load_model(str(path))
 
     def test_unfinalized_save_refused(self, tmp_path):
         X = _cloud(9, count=20)

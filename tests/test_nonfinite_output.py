@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import run_cli
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,6 +86,26 @@ def test_train_refuses_overflowing_stats(tmp_path, capsys):
         assert main(argv + ["-o", str(model)]) == 1
     assert "error: a feature's mean or sample std" in capsys.readouterr().err
     assert not model.exists()
+
+
+def test_overflow_reports_only_the_error_line(tmp_path):
+    """In a fresh process, with numpy's default warning settings, the
+    overflow reaches stderr as the one error line and no RuntimeWarning."""
+    write_csv(Dataset(_training_rows()), str(tmp_path / "train.csv"))
+    write_csv(Dataset(HUGE_ROWS), str(tmp_path / "huge.csv"))
+    flags = ["--kernel", "polynomial", "--seed", "1"]
+    argv = ["train", "ockelm_thr1", "train.csv", *flags, "-o", "m.occ"]
+    trained = run_cli(argv, tmp_path)
+    assert trained.returncode == 0, trained.stderr
+    for argv in (
+        ["score", "m.occ", "huge.csv"],
+        ["train", "ockelm_thr1", "huge.csv", *flags, "-o", "huge.occ"],
+    ):
+        proc = run_cli(argv, tmp_path)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 EXPLICIT_KERNELS = [kind for kind in KERNEL_KINDS if kind != "random"]
