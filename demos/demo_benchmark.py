@@ -58,7 +58,7 @@ def main() -> None:
         )
         r = result.report
         print(
-            f"{result.classifier:<12}  {result.variant.label:>7}"
+            f"{result.variant.classifier:<12}  {result.variant.label:>7}"
             f"  {r.f1:6.2f}  {r.accuracy:6.2f}  {r.auc:6.2f}  {r.std_auc:7.2f}"
         )
     print(

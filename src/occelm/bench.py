@@ -15,21 +15,22 @@ score_model scores either model type.
 
 Variant ids form a closed list of 15 (boundary/reconstruction x
 offline random/offline kernel/online x applicable threshold rules);
-thr3 exists only for reconstruction families. Random-feature ids accept
-an optional _sig/_rbf suffix picking the hidden node type.
+thr3 exists only for reconstruction families. parse_variant resolves an
+id together with its feature map, once: a kernel for kernel variants, a
+hidden node type (flag or _sig/_rbf suffix) for random and online ones.
+Every later step reads the map from the Variant it returns.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from . import modelsel
 from .dataset import Dataset, SplitPlan, occ_split, zscore_apply, zscore_fit
-from .errors import AllPointsIdentical, MissingLabels, NoOutliers, TooFewSamples
+from .errors import MissingLabels, NoOutliers, TooFewSamples
 from .featuremap import (
     ADDITIVE_SIGMOID,
     MAX_WIDTH,
@@ -61,6 +62,7 @@ KERNEL_ENGINE = "kernel"
 RANDOM_ENGINE = "random"
 ONLINE_ENGINE = "online"
 
+KERNELS = ("rbf", "linear", "polynomial", "wavelet")
 HIDDEN_GRID = (20, 50, 100, 200)
 DEFAULT_DEGREE = 2
 
@@ -73,17 +75,28 @@ _SELECT_LAYER_STREAM = 13
 
 @dataclass(frozen=True)
 class Variant:
-    """One row of the closed variant list."""
+    """One row of the closed variant list with its feature map: kernel is
+    read by kernel variants only, node_type by random and online ones."""
 
     vid: str
     base: str
     family: str
     engine: str
     tkind: str
+    kernel: str = "rbf"
+    node_type: str = ADDITIVE_SIGMOID
 
     @property
     def label(self) -> str:
         return self.tkind.capitalize()
+
+    @property
+    def classifier(self) -> str:
+        """Classifier column text: base name plus a parenthetical for
+        non-default maps (RBF hidden nodes, non-rbf kernels)."""
+        if self.engine == KERNEL_ENGINE:
+            return self.base if self.kernel == "rbf" else f"{self.base}({self.kernel})"
+        return self.base if self.node_type == ADDITIVE_SIGMOID else f"{self.base}(RBF)"
 
 
 def _build_variants() -> dict[str, Variant]:
@@ -109,51 +122,44 @@ VARIANT_IDS: tuple[str, ...] = tuple(VARIANTS)
 _NODE_SUFFIXES = {"_sig": ADDITIVE_SIGMOID, "_rbf": RBF_NODE}
 
 
-def parse_variant(text: str, node_type: str | None = None) -> tuple[Variant, str]:
-    """Resolve a variant id, honoring an optional _sig/_rbf suffix.
-
-    Returns the variant and the hidden node type to use (suffix wins over
-    the default; a suffix conflicting with an explicit node_type is an
-    error). Unknown ids raise KeyError.
-    """
+def parse_variant(
+    text: str, node_type: str | None = None, kernel: str | None = None
+) -> Variant:
+    """Resolve a variant id and its feature map: a hidden node type from a
+    _sig/_rbf suffix or node_type (they must agree), or a kernel. Raises
+    KeyError for an unknown id, node type or kernel, and for a map the
+    variant's engine does not read."""
     vid = text.lower()
     suffix_type = None
     for suffix, kind in _NODE_SUFFIXES.items():
-        stem = vid[: -len(suffix)]
-        if vid.endswith(suffix) and stem in VARIANTS:
-            if VARIANTS[stem].engine == KERNEL_ENGINE:
-                raise KeyError(f"{text!r}: kernel variants take no node suffix")
-            vid, suffix_type = stem, kind
+        if vid.endswith(suffix) and vid[: -len(suffix)] in VARIANTS:
+            vid, suffix_type = vid[: -len(suffix)], kind
             break
     if vid not in VARIANTS:
         raise KeyError(f"unknown variant id {text!r}")
     if node_type is not None and node_type not in NODE_TYPES:
         raise KeyError(f"unknown node type {node_type!r}")
+    if kernel is not None and kernel not in KERNELS:
+        raise KeyError(f"unknown kernel {kernel!r}")
     if suffix_type is not None and node_type is not None and suffix_type != node_type:
         raise KeyError(f"{text!r} conflicts with node type {node_type!r}")
-    return VARIANTS[vid], suffix_type or node_type or ADDITIVE_SIGMOID
-
-
-def classifier_name(variant: Variant, node_type: str, kernel_kind: str) -> str:
-    """Classifier column text: base name plus a parenthetical for
-    non-default mappings (RBF hidden nodes, non-rbf kernels)."""
+    variant, node_type = VARIANTS[vid], suffix_type or node_type
     if variant.engine == KERNEL_ENGINE:
-        return variant.base if kernel_kind == "rbf" else f"{variant.base}({kernel_kind})"
-    return variant.base if node_type == ADDITIVE_SIGMOID else f"{variant.base}(RBF)"
+        if node_type is not None:
+            raise KeyError(f"{text!r}: kernel variants take no hidden node type")
+        return replace(variant, kernel=kernel or variant.kernel)
+    if kernel is not None:
+        raise KeyError(f"{text!r}: only kernel variants take a kernel")
+    return replace(variant, node_type=node_type or variant.node_type)
 
 
 def median_pairwise(X) -> float:
     """Median nonzero pairwise distance; the no-selection kernel width."""
-    d = pdist(_rows(X))
-    d = d[d > 0]
-    if d.size == 0:
-        raise AllPointsIdentical("all rows coincide; no nonzero distance")
-    return float(np.median(d))
+    return float(np.median(modelsel.nonzero_distances(X)))
 
 
 def default_params(
-    engine: str,
-    kernel_kind: str,
+    variant: Variant,
     Xz,
     kern_par: float | None = None,
     c_reg: float | None = None,
@@ -164,17 +170,17 @@ def default_params(
     normalized training targets, C to 1, the hidden width to 100 (online:
     at most half the rows, so that the initial chunk of 2m rows fits)."""
     C = 1.0 if c_reg is None else float(c_reg)
-    if engine == KERNEL_ENGINE:
-        if kernel_kind == "linear":
+    if variant.engine == KERNEL_ENGINE:
+        if variant.kernel == "linear":
             return {"C": C}
-        if kernel_kind == "polynomial":
+        if variant.kernel == "polynomial":
             degree = DEFAULT_DEGREE if kern_par is None else int(kern_par)
             return {"degree": degree, "C": C}
         width = median_pairwise(Xz) if kern_par is None else float(kern_par)
-        key = "sigma" if kernel_kind == "rbf" else "b_w"
+        key = "sigma" if variant.kernel == "rbf" else "b_w"
         return {key: width, "C": C}
     rows = _rows(Xz)
-    if engine == ONLINE_ENGINE:
+    if variant.engine == ONLINE_ENGINE:
         m = min(100, max(1, rows.shape[0] // 2)) if hidden is None else int(hidden)
         return {"m": m}
     return {"m": 100 if hidden is None else int(hidden), "C": C}
@@ -184,22 +190,19 @@ def _capped_hidden_grid(cap: int) -> list[int]:
     return sorted({min(v, cap) for v in HIDDEN_GRID if min(v, cap) >= 1})
 
 
-def selection_grids(variant: Variant, kernel_kind: str, Xz, folds: int) -> dict:
+def selection_grids(variant: Variant, Xz, folds: int) -> dict:
     """Grid per engine: kernel widths x C, capped hidden widths x C, or
     hidden widths alone for the online engine, capped at half the smallest
     fold training set so that its default initial chunk of 2m rows fits."""
     rows = _rows(Xz)
     N = rows.shape[0]
     if variant.engine == KERNEL_ENGINE:
-        if kernel_kind == "rbf":
-            return {"sigma": [float(s) for s in sigma_grid(rows)], "C": list(C_GRID)}
-        if kernel_kind == "linear":
+        if variant.kernel == "linear":
             return {"C": list(C_GRID)}
-        if kernel_kind == "polynomial":
+        if variant.kernel == "polynomial":
             return {"degree": [2, 3], "C": list(C_GRID)}
-        if kernel_kind == "wavelet":
-            return {"b_w": [float(s) for s in sigma_grid(rows)], "C": list(C_GRID)}
-        raise ValueError(f"unknown kernel kind {kernel_kind!r}")
+        key = "sigma" if variant.kernel == "rbf" else "b_w"
+        return {key: [float(s) for s in sigma_grid(rows)], "C": list(C_GRID)}
     if variant.engine == ONLINE_ENGINE:
         smallest_train = N - (N + folds - 1) // folds
         widths = _capped_hidden_grid(smallest_train // 2)
@@ -224,8 +227,6 @@ def fit(
     rows,
     *,
     fracrej: float = 0.1,
-    kernel_kind: str = "rbf",
-    node_type: str = ADDITIVE_SIGMOID,
     layer_seed=0,
     zstats=None,
     n0: int | None = None,
@@ -244,7 +245,7 @@ def fit(
         raw = _rows(rows)
         N, n = raw.shape
         m = int(params["m"])
-        layer = hidden_init(node_type, m, n, layer_seed)
+        layer = hidden_init(variant.node_type, m, n, layer_seed)
         n0v = min(N, max(2 * m, N // 10) if n0 is None else int(n0))
         blockv = max(m, N // 10) if block is None else int(block)
         model = os_init(
@@ -256,28 +257,24 @@ def fit(
         return os_finalize(model, tspec)
     train_fn = train_boundary if variant.family == BOUNDARY else train_reconstruction
     return train_fn(
-        rows, _offline_mapping(variant, params, kernel_kind, node_type),
+        rows, _offline_mapping(variant, params),
         float(params["C"]), tspec, seed=layer_seed, zstats=zstats,
     )
 
 
-def _offline_mapping(
-    variant: Variant, params: dict, kernel_kind: str, node_type: str
-) -> KernelSpec:
+def _offline_mapping(variant: Variant, params: dict) -> KernelSpec:
     if variant.engine == RANDOM_ENGINE:
-        return KernelSpec(RANDOM_ENGINE, m=int(params["m"]), node_type=node_type)
-    if kernel_kind == "rbf":
+        return KernelSpec(RANDOM_ENGINE, m=int(params["m"]), node_type=variant.node_type)
+    if variant.kernel == "rbf":
         return rbf_kernel(float(params["sigma"]))
-    if kernel_kind == "linear":
+    if variant.kernel == "linear":
         return linear_kernel()
-    if kernel_kind == "polynomial":
+    if variant.kernel == "polynomial":
         return polynomial_kernel(int(params["degree"]))
-    if kernel_kind == "wavelet":
-        b_w = float(params["b_w"])
-        if not 0 < b_w <= MAX_WIDTH:
-            raise ValueError(f"wavelet kernel needs 0 < b_w <= {MAX_WIDTH:g}")
-        return wavelet_kernel(1.0, b_w, b_w**2)
-    raise ValueError(f"unknown kernel kind {kernel_kind!r}")
+    b_w = float(params["b_w"])
+    if not 0 < b_w <= MAX_WIDTH:
+        raise ValueError(f"wavelet kernel needs 0 < b_w <= {MAX_WIDTH:g}")
+    return wavelet_kernel(1.0, b_w, b_w**2)
 
 
 def score_model(model, rows) -> Decisions:
@@ -287,13 +284,7 @@ def score_model(model, rows) -> Decisions:
     return scorer(model, rows)
 
 
-def _fold_trainer(
-    variant: Variant,
-    kernel_kind: str,
-    node_type: str,
-    fracrej: float,
-    seed: int,
-):
+def _fold_trainer(variant: Variant, fracrej: float, seed: int):
     """Scanner for modelsel.select on already normalized fold rows: offline
     variants walk the C list with offline.scan_c, online ones fit once."""
     tspec = ThresholdSpec(kind=variant.tkind, fracrej=fracrej)
@@ -302,12 +293,9 @@ def _fold_trainer(
         train, val = fold
         layer_seed = [seed, 0, _SELECT_LAYER_STREAM, int(params.get("m", 0))]
         if variant.engine == ONLINE_ENGINE:
-            model = fit(
-                variant, params, train, fracrej=fracrej,
-                node_type=node_type, layer_seed=layer_seed,
-            )
+            model = fit(variant, params, train, fracrej=fracrej, layer_seed=layer_seed)
             return [score_model(model, val).is_target]
-        mapping = _offline_mapping(variant, params, kernel_kind, node_type)
+        mapping = _offline_mapping(variant, params)
         return scan_c(
             variant.family, train, val, mapping, params["C"], tspec, layer_seed
         )
@@ -319,8 +307,6 @@ def choose_params(
     variant: Variant,
     Xz,
     *,
-    kernel_kind: str = "rbf",
-    node_type: str = ADDITIVE_SIGMOID,
     fracrej: float = 0.1,
     folds: int = 5,
     sigma_thr: float = 2.0,
@@ -329,13 +315,13 @@ def choose_params(
     """Consistency-based selection over the variant's grid on normalized
     target rows Xz; returns the chosen parameters and the diagnostics."""
     cfg = SelectionConfig(
-        selection_grids(variant, kernel_kind, Xz, folds),
+        selection_grids(variant, Xz, folds),
         folds=folds,
         sigma_thr=sigma_thr,
         fracrej=fracrej,
         rng_seed=[seed, 0, _FOLD_STREAM],
     )
-    scan = _fold_trainer(variant, kernel_kind, node_type, fracrej, seed)
+    scan = _fold_trainer(variant, fracrej, seed)
     return modelsel.select(scan, Xz, cfg)
 
 
@@ -345,17 +331,11 @@ class BenchResult:
 
     dataset_name: str
     variant: Variant
-    node_type: str
-    kernel_kind: str
     report: EvalReport
     run_reports: list[EvalReport]
     train_seconds: list[float]
     run_params: list[dict]
     selection: SelectionDiagnostics | None = None
-
-    @property
-    def classifier(self) -> str:
-        return classifier_name(self.variant, self.node_type, self.kernel_kind)
 
 
 def run_benchmark(
@@ -366,7 +346,7 @@ def run_benchmark(
     runs: int = 20,
     seed: int = 0,
     fracrej: float = 0.1,
-    kernel_kind: str = "rbf",
+    kernel_kind: str | None = None,
     node_type: str | None = None,
     select_params: bool = False,
     folds: int = 5,
@@ -382,7 +362,7 @@ def run_benchmark(
     data must carry labels with at least one outlier; runs repeats the
     split/train/score cycle with run-indexed seed streams.
     """
-    variant, node_type = parse_variant(variant_id, node_type)
+    variant = parse_variant(variant_id, node_type, kernel_kind)
     if data.labels is None:
         raise MissingLabels("benchmarking needs labeled data")
     if bool(np.all(data.labels)):
@@ -404,22 +384,18 @@ def run_benchmark(
 
         if r == 0 and select_params:
             chosen, diagnostics = choose_params(
-                variant, Xz, kernel_kind=kernel_kind, node_type=node_type,
-                fracrej=fracrej, folds=folds, sigma_thr=sigma_thr, seed=seed,
+                variant, Xz, fracrej=fracrej, folds=folds, sigma_thr=sigma_thr, seed=seed
             )
 
         if chosen is not None:
             params = dict(chosen)
         else:
-            params = default_params(
-                variant.engine, kernel_kind, Xz, kern_par, c_reg, hidden
-            )
+            params = default_params(variant, Xz, kern_par, c_reg, hidden)
         run_params.append(dict(params))
 
         start = time.perf_counter()
         model = fit(
             variant, params, train, fracrej=fracrej,
-            kernel_kind=kernel_kind, node_type=node_type,
             layer_seed=run_seed(seed, r), zstats=zstats, n0=n0, block=block,
         )
         train_seconds.append(time.perf_counter() - start)
@@ -429,8 +405,6 @@ def run_benchmark(
     return BenchResult(
         dataset_name=dataset_name,
         variant=variant,
-        node_type=node_type,
-        kernel_kind=kernel_kind,
         report=aggregate(run_reports),
         run_reports=run_reports,
         train_seconds=train_seconds,

@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from .bench import (
-    KERNEL_ENGINE,
+    KERNELS,
     VARIANTS,
     choose_params,
     default_params,
@@ -35,7 +35,9 @@ from .modelio import load_model, save_model
 from .modelsel import write_diagnostics
 
 _NODE_FLAG = {"sig": ADDITIVE_SIGMOID, "rbf": RBF_NODE}
-_KERNEL_CHOICES = ("rbf", "linear", "polynomial", "wavelet")
+# every id with and without a node suffix; parse_variant refuses the
+# suffixed kernel ids as a usage error
+_VARIANT_CHOICES = [v + suffix for v in VARIANTS for suffix in ("", "_sig", "_rbf")]
 
 
 def _positive_int(text: str) -> int:
@@ -43,15 +45,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text}: must be >= 1")
     return value
-
-
-def _variant_choices() -> list[str]:
-    out: list[str] = []
-    for vid, variant in VARIANTS.items():
-        out.append(vid)
-        if variant.engine != KERNEL_ENGINE:
-            out.extend((f"{vid}_sig", f"{vid}_rbf"))
-    return out
 
 
 def _resolve_seed(args) -> int:
@@ -85,6 +78,23 @@ def _node_type_arg(args) -> str | None:
     return _NODE_FLAG[args.node_type] if args.node_type else None
 
 
+def _training_inputs(args):
+    """What train and select start from: the variant with its feature map,
+    the target rows of the data file, their z-score stats and the
+    normalized rows."""
+    variant = parse_variant(args.variant, _node_type_arg(args), args.kernel)
+    targets = _target_rows(load_csv(args.data, args.label_col))
+    zstats = zscore_fit(targets)
+    return variant, targets, zstats, zscore_apply(targets, zstats).samples
+
+
+def _choose_params(args, variant, Xz, seed: int):
+    return choose_params(
+        variant, Xz, fracrej=args.fracrej, folds=args.folds,
+        sigma_thr=args.sigma_thr, seed=seed,
+    )
+
+
 def _print_params(params: dict, consistent: bool | None) -> None:
     for name, value in params.items():
         text = f"{value:.17g}" if isinstance(value, float) else str(value)
@@ -107,28 +117,17 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     seed = _resolve_seed(args)
-    variant, node_type = parse_variant(args.variant, _node_type_arg(args))
-    data = load_csv(args.data, args.label_col)
-    targets = _target_rows(data)
-    zstats = zscore_fit(targets)
-    Xz = zscore_apply(targets, zstats).samples
-
+    variant, targets, zstats, Xz = _training_inputs(args)
     if args.select:
-        params, diag = choose_params(
-            variant, Xz, kernel_kind=args.kernel, node_type=node_type,
-            fracrej=args.fracrej, folds=args.folds, sigma_thr=args.sigma_thr, seed=seed,
-        )
+        params, diag = _choose_params(args, variant, Xz, seed)
         consistent = diag.consistent
     else:
-        params = default_params(
-            variant.engine, args.kernel, Xz, args.kern_par, args.c_reg, args.hidden
-        )
+        params = default_params(variant, Xz, args.kern_par, args.c_reg, args.hidden)
         consistent = None
 
     start = time.perf_counter()
     model = fit(
         variant, params, targets, fracrej=args.fracrej,
-        kernel_kind=args.kernel, node_type=node_type,
         layer_seed=run_seed(seed), zstats=zstats, n0=args.n0, block=args.block,
     )
     print(f"train {time.perf_counter() - start:.4f}s", file=sys.stderr)
@@ -196,7 +195,7 @@ def cmd_bench(args) -> int:
     for r, secs in enumerate(result.train_seconds):
         print(f"run {r}: train {secs:.4f}s", file=sys.stderr)
     cells = [
-        result.dataset_name, result.classifier, result.variant.label,
+        result.dataset_name, result.variant.classifier, result.variant.label,
         render_value(result.report.f1), render_value(result.report.accuracy),
         render_value(result.report.auc), render_value(result.report.std_auc),
     ]
@@ -212,15 +211,8 @@ def cmd_bench(args) -> int:
 
 def cmd_select(args) -> int:
     seed = _resolve_seed(args)
-    variant, node_type = parse_variant(args.variant, _node_type_arg(args))
-    data = load_csv(args.data, args.label_col)
-    targets = _target_rows(data)
-    zstats = zscore_fit(targets)
-    Xz = zscore_apply(targets, zstats).samples
-    params, diag = choose_params(
-        variant, Xz, kernel_kind=args.kernel, node_type=node_type,
-        fracrej=args.fracrej, folds=args.folds, sigma_thr=args.sigma_thr, seed=seed,
-    )
+    variant, _, _, Xz = _training_inputs(args)
+    params, diag = _choose_params(args, variant, Xz, seed)
     print(f"err_thr {diag.err_thr:.17g}")
     print(f"fold_size {diag.fold_size}")
     _print_params(params, diag.consistent)
@@ -253,7 +245,7 @@ def cmd_grid(args) -> int:
 def _add_model_flags(p: argparse.ArgumentParser, fixed_params: bool = True) -> None:
     """--kernel and --node-type, plus the parameters that selection would
     otherwise choose, for commands that can run without selection."""
-    p.add_argument("--kernel", choices=_KERNEL_CHOICES, default="rbf")
+    p.add_argument("--kernel", choices=KERNELS, default=None)
     if fixed_params:
         p.add_argument("--kern-par", type=float, default=None)
         p.add_argument("--c-reg", type=float, default=None)
@@ -285,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train one variant and save the model")
-    p.add_argument("variant", choices=_variant_choices(), metavar="variant")
+    p.add_argument("variant", choices=_VARIANT_CHOICES, metavar="variant")
     p.add_argument("data")
     p.add_argument("--label-col", type=int, default=None)
     p.add_argument("--select", action="store_true")
@@ -303,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("bench", help="full multi-run benchmark protocol")
-    p.add_argument("variant", choices=_variant_choices(), metavar="variant")
+    p.add_argument("variant", choices=_VARIANT_CHOICES, metavar="variant")
     p.add_argument("data")
     p.add_argument("--label-col", type=int, default=None)
     p.add_argument("--dataset-name", default=None)
@@ -316,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("select", help="consistency-based hyperparameter search")
-    p.add_argument("variant", choices=_variant_choices(), metavar="variant")
+    p.add_argument("variant", choices=_VARIANT_CHOICES, metavar="variant")
     p.add_argument("data")
     p.add_argument("--label-col", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)

@@ -43,6 +43,15 @@ def error_threshold(fracrej: float, sigma_thr: float, M: int) -> float:
     return fracrej + sigma_thr * math.sqrt(fracrej * (1.0 - fracrej) / M)
 
 
+def nonzero_distances(X) -> np.ndarray:
+    """The rows' nonzero pairwise distances; AllPointsIdentical if none."""
+    d = pdist(_rows(X))
+    d = d[d > 0]
+    if d.size == 0:
+        raise AllPointsIdentical("all rows coincide; no nonzero distance")
+    return d
+
+
 def sigma_grid(X, count: int = DEFAULT_SIGMA_COUNT) -> np.ndarray:
     """Geometrically spaced kernel widths between the smallest and largest
     nonzero pairwise distances of the rows."""
@@ -51,10 +60,7 @@ def sigma_grid(X, count: int = DEFAULT_SIGMA_COUNT) -> np.ndarray:
         raise ValueError("sigma_grid needs at least 2 rows")
     if count < 2:
         raise ValueError("count must be >= 2")
-    d = pdist(rows)
-    d = d[d > 0]
-    if d.size == 0:
-        raise AllPointsIdentical("all rows coincide; no nonzero distance")
+    d = nonzero_distances(rows)
     return np.geomspace(d.min(), d.max(), count)
 
 

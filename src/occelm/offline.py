@@ -176,6 +176,10 @@ def _feature_stage(
         omega = random_kernel_gram(basis)
     else:
         basis, omega = Xs, kernel_gram(mapping, Xs, Xs)
+    # LAPACK would print to stderr on an inf, once per C; min and max see
+    # inf and NAN without the N x N temporary of np.isfinite
+    if not np.isfinite([omega.min(), omega.max()]).all():
+        require_finite(omega, "the Gram matrix")
     T = targets(family, Xs, R)
 
     def fit(C) -> OfflineModel:
@@ -282,5 +286,4 @@ def score(model: OfflineModel, Y) -> Decisions:
     """Score rows given in the original (pre-normalization) feature space."""
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite judges
         Ys = normalized_rows(model, Y)
-        O = _cross(model.mapping, model.basis, Ys) @ model.beta
-    return decide(model, Ys, O)
+        return decide(model, Ys, _cross(model.mapping, model.basis, Ys) @ model.beta)

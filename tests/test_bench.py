@@ -9,7 +9,6 @@ from occelm.bench import (
     VARIANT_IDS,
     VARIANTS,
     choose_params,
-    classifier_name,
     default_params,
     fit,
     median_pairwise,
@@ -54,20 +53,19 @@ class TestVariantTable:
 
 class TestParseVariant:
     def test_plain_id(self):
-        variant, node = parse_variant("ockelm_thr1")
+        variant = parse_variant("ockelm_thr1")
         assert variant.vid == "ockelm_thr1"
-        assert node == "additive_sigmoid"
+        assert (variant.kernel, variant.node_type) == ("rbf", "additive_sigmoid")
 
     def test_case_insensitive(self):
-        variant, _ = parse_variant("OCKELM_THR1")
+        variant = parse_variant("OCKELM_THR1")
         assert variant.vid == "ockelm_thr1"
 
     def test_node_suffix(self):
-        variant, node = parse_variant("ocelm_thr1_rbf")
+        variant = parse_variant("ocelm_thr1_rbf")
         assert variant.vid == "ocelm_thr1"
-        assert node == "rbf"
-        _, node = parse_variant("os_aaelm_thr2_sig")
-        assert node == "additive_sigmoid"
+        assert variant.node_type == "rbf"
+        assert parse_variant("os_aaelm_thr2_sig").node_type == "additive_sigmoid"
 
     def test_kernel_variant_rejects_suffix(self):
         with pytest.raises(KeyError):
@@ -78,8 +76,7 @@ class TestParseVariant:
             parse_variant("ocelm_thr1_rbf", node_type="additive_sigmoid")
 
     def test_suffix_agreeing_with_flag(self):
-        _, node = parse_variant("ocelm_thr1_rbf", node_type="rbf")
-        assert node == "rbf"
+        assert parse_variant("ocelm_thr1_rbf", node_type="rbf").node_type == "rbf"
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):
@@ -91,23 +88,51 @@ class TestParseVariant:
         with pytest.raises(KeyError):
             parse_variant("ocelm_thr1", node_type="relu")
 
+    @pytest.mark.parametrize(
+        "vid, maps",
+        [
+            ("ockelm_thr1", {"kernel": "sigmoid"}),
+            ("ockelm_thr1", {"node_type": "rbf"}),
+            ("aakelm_thr3", {"node_type": "additive_sigmoid"}),
+            ("ocelm_thr1", {"kernel": "rbf"}),
+            ("os_aaelm_thr1_sig", {"kernel": "linear"}),
+        ],
+    )
+    def test_unknown_or_unused_map(self, vid, maps):
+        """An unknown kernel, and a map the variant's engine does not read,
+        are refused rather than ignored."""
+        with pytest.raises(KeyError):
+            parse_variant(vid, **maps)
+
 
 class TestNames:
-    def test_kernel_default(self):
-        v = VARIANTS["ockelm_thr1"]
-        assert classifier_name(v, "additive_sigmoid", "rbf") == "OCKELM"
-
-    def test_kernel_nondefault(self):
-        v = VARIANTS["aakelm_thr3"]
-        assert classifier_name(v, "additive_sigmoid", "linear") == "AAKELM(linear)"
-
-    def test_random_rbf_nodes(self):
-        v = VARIANTS["os_aaelm_thr1"]
-        assert classifier_name(v, "rbf", "rbf") == "OS-AAELM(RBF)"
-
-    def test_random_sigmoid_nodes(self):
-        v = VARIANTS["ocelm_thr2"]
-        assert classifier_name(v, "additive_sigmoid", "rbf") == "OCELM"
+    def test_classifier_names(self):
+        """The classifier column of every variant id under every feature
+        map it reads: the base name, plus the kernel unless it is rbf, or
+        (RBF) for RBF hidden nodes."""
+        bases = {
+            "ocelm": "OCELM", "ockelm": "OCKELM", "aaelm": "AAELM",
+            "aakelm": "AAKELM", "os_ocelm": "OS-OCELM", "os_aaelm": "OS-AAELM",
+        }
+        for vid, variant in VARIANTS.items():
+            base = bases[vid.rsplit("_", 1)[0]]
+            if variant.engine == "kernel":
+                table = [({}, base), ({"kernel": "rbf"}, base)] + [
+                    ({"kernel": k}, f"{base}({k})")
+                    for k in ("linear", "polynomial", "wavelet")
+                ]
+            else:
+                table = [
+                    ({}, base),
+                    ({"node_type": "additive_sigmoid"}, base),
+                    ({"node_type": "rbf"}, f"{base}(RBF)"),
+                ]
+            for maps, name in table:
+                assert parse_variant(vid, **maps).classifier == name, (vid, maps)
+        assert parse_variant("aakelm_thr2", kernel="wavelet").classifier == (
+            "AAKELM(wavelet)"
+        )
+        assert parse_variant("os_ocelm_thr1_rbf").classifier == "OS-OCELM(RBF)"
 
 
 class TestMedianPairwise:
@@ -124,39 +149,42 @@ class TestMedianPairwise:
 class TestDefaultParams:
     def test_kernel_rbf(self):
         X = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])
-        params = default_params("kernel", "rbf", X)
+        params = default_params(VARIANTS["ockelm_thr1"], X)
         assert params == {"sigma": 5.0, "C": 1.0}
 
     def test_explicit_values_win(self):
         X = np.zeros((5, 2))
-        params = default_params("kernel", "rbf", X, kern_par=2.5, c_reg=50.0)
+        params = default_params(VARIANTS["ockelm_thr1"], X, kern_par=2.5, c_reg=50.0)
         assert params == {"sigma": 2.5, "C": 50.0}
 
     def test_linear_has_no_width(self):
-        assert default_params("kernel", "linear", np.zeros((3, 2))) == {"C": 1.0}
+        variant = parse_variant("ockelm_thr1", kernel="linear")
+        assert default_params(variant, np.zeros((3, 2))) == {"C": 1.0}
 
     def test_polynomial_degree(self):
-        params = default_params("kernel", "polynomial", np.zeros((3, 2)))
+        variant = parse_variant("ockelm_thr1", kernel="polynomial")
+        params = default_params(variant, np.zeros((3, 2)))
         assert params == {"degree": 2, "C": 1.0}
 
     def test_wavelet_width_key(self):
         X = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])
-        assert default_params("kernel", "wavelet", X) == {"b_w": 5.0, "C": 1.0}
+        variant = parse_variant("aakelm_thr1", kernel="wavelet")
+        assert default_params(variant, X) == {"b_w": 5.0, "C": 1.0}
 
     def test_random_engine(self):
-        params = default_params("random", "rbf", np.zeros((30, 2)))
+        params = default_params(VARIANTS["ocelm_thr1"], np.zeros((30, 2)))
         assert params == {"m": 100, "C": 1.0}
-        assert default_params("random", "rbf", np.zeros((30, 2)), hidden=25) == {
+        assert default_params(VARIANTS["ocelm_thr1"], np.zeros((30, 2)), hidden=25) == {
             "m": 25, "C": 1.0,
         }
 
     def test_online_caps_m_at_row_count(self):
         """At most half the rows, so the default initial chunk of 2m rows
         fits; at least 1."""
-        assert default_params("online", "rbf", np.zeros((30, 2))) == {"m": 15}
-        assert default_params("online", "rbf", np.zeros((199, 2))) == {"m": 99}
-        assert default_params("online", "rbf", np.zeros((300, 2))) == {"m": 100}
-        assert default_params("online", "rbf", np.zeros((1, 2))) == {"m": 1}
+        assert default_params(VARIANTS["os_ocelm_thr1"], np.zeros((30, 2))) == {"m": 15}
+        assert default_params(VARIANTS["os_ocelm_thr1"], np.zeros((199, 2))) == {"m": 99}
+        assert default_params(VARIANTS["os_ocelm_thr1"], np.zeros((300, 2))) == {"m": 100}
+        assert default_params(VARIANTS["os_ocelm_thr1"], np.zeros((1, 2))) == {"m": 1}
 
 
 class TestSelectionGrids:
@@ -165,34 +193,35 @@ class TestSelectionGrids:
         return rng.normal(0.0, 1.0, (n, 2))
 
     def test_rbf_kernel_grid(self):
-        grids = selection_grids(VARIANTS["ockelm_thr1"], "rbf", self._rows(), 5)
+        grids = selection_grids(VARIANTS["ockelm_thr1"], self._rows(), 5)
         assert list(grids) == ["sigma", "C"]
         assert len(grids["sigma"]) == 20
         assert grids["C"] == list(C_GRID)
 
     def test_linear_kernel_grid(self):
-        grids = selection_grids(VARIANTS["aakelm_thr1"], "linear", self._rows(), 5)
+        variant = parse_variant("aakelm_thr1", kernel="linear")
+        grids = selection_grids(variant, self._rows(), 5)
         assert list(grids) == ["C"]
 
     def test_polynomial_degrees(self):
         grids = selection_grids(
-            VARIANTS["ockelm_thr2"], "polynomial", self._rows(), 5
+            parse_variant("ockelm_thr2", kernel="polynomial"), self._rows(), 5
         )
         assert grids["degree"] == [2, 3]
 
     def test_random_hidden_capped_at_n(self):
-        grids = selection_grids(VARIANTS["ocelm_thr1"], "rbf", self._rows(40), 5)
+        grids = selection_grids(VARIANTS["ocelm_thr1"], self._rows(40), 5)
         assert grids["m"] == [20, 40]
         assert grids["C"] == list(C_GRID)
 
     def test_random_full_grid_when_n_large(self):
-        grids = selection_grids(VARIANTS["aaelm_thr2"], "rbf", self._rows(250), 5)
+        grids = selection_grids(VARIANTS["aaelm_thr2"], self._rows(250), 5)
         assert grids["m"] == list(HIDDEN_GRID)
 
     def test_online_capped_below_training_fold(self):
         """Online m must leave the default initial chunk of 2m rows inside
         the smallest cross-validation training set."""
-        grids = selection_grids(VARIANTS["os_ocelm_thr1"], "rbf", self._rows(40), 5)
+        grids = selection_grids(VARIANTS["os_ocelm_thr1"], self._rows(40), 5)
         # largest fold is 8 rows, so a fold trains on 32 and m <= 16
         assert grids == {"m": [16]}
 
@@ -200,8 +229,8 @@ class TestSelectionGrids:
         """A grid with no width is refused as too few rows, naming N and
         the smallest fold training set."""
         with pytest.raises(TooFewSamples, match=r"^3 training rows .* has 1 rows"):
-            selection_grids(VARIANTS["os_ocelm_thr1"], "rbf", self._rows(3), 2)
-        grids = selection_grids(VARIANTS["os_ocelm_thr1"], "rbf", self._rows(4), 2)
+            selection_grids(VARIANTS["os_ocelm_thr1"], self._rows(3), 2)
+        grids = selection_grids(VARIANTS["os_ocelm_thr1"], self._rows(4), 2)
         assert grids == {"m": [1]}
 
 
@@ -213,7 +242,7 @@ class TestFitAndScore:
         targets = Dataset(data.samples[data.labels])
         zstats = zscore_fit(targets)
         Xz = zscore_apply(targets, zstats).samples
-        params = default_params(variant.engine, "rbf", Xz, hidden=10)
+        params = default_params(variant, Xz, hidden=10)
         model = fit(variant, params, targets, zstats=zstats, layer_seed=[1, 2])
         assert model.family == variant.family
         assert model.tspec.kind == variant.tkind
@@ -259,7 +288,7 @@ class TestRunBenchmark:
         assert len(result.run_reports) == 5
         assert len(result.train_seconds) == 5
         assert all(s >= 0 for s in result.train_seconds)
-        assert result.classifier == "OCKELM"
+        assert result.variant.classifier == "OCKELM"
         assert result.variant.label == "Thr1"
 
     def test_reconstruction_thr3(self):
@@ -317,7 +346,7 @@ class TestRunBenchmark:
             _separable(), "aaelm_thr1", runs=2, seed=0, hidden=10
         )
         assert result.dataset_name == "data"
-        assert result.classifier == "AAELM"
+        assert result.variant.classifier == "AAELM"
         assert result.variant.label == "Thr1"
         assert result.report.run_count == 2
 

@@ -121,13 +121,28 @@ class TestTrain:
         assert isinstance(model, OnlineModel)
         assert model.finalized
 
-    def test_suffix_conflicts_with_flag(self, tmp_path, unlabeled_csv, capsys):
-        code = main(
-            ["train", "ocelm_thr1_rbf", unlabeled_csv, "--node-type", "sig",
-             "-o", str(tmp_path / "m.occ")]
-        )
+    @pytest.mark.parametrize(
+        "command, vid, flags",
+        [
+            ("train", "ocelm_thr1_rbf", ["--node-type", "sig"]),
+            ("train", "ockelm_thr1", ["--node-type", "rbf"]),
+            ("bench", "ockelm_thr1", ["--node-type", "sig"]),
+            ("train", "ocelm_thr1", ["--kernel", "polynomial"]),
+            ("select", "os_aaelm_thr1", ["--kernel", "linear"]),
+            ("train", "ockelm_thr1_sig", []),
+        ],
+    )
+    def test_suffix_conflicts_with_flag(
+        self, command, vid, flags, tmp_path, unlabeled_csv, capsys
+    ):
+        """A node type that contradicts the suffix, or a feature map the
+        variant's engine does not read, is a usage error, not ignored."""
+        out = tmp_path / "m.occ"
+        code = main([command, vid, unlabeled_csv, *flags, "--seed", "1", "-o", str(out)])
         assert code == 2
-        assert "usage error" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error: "), lines
+        assert not out.exists()
 
     def test_unknown_variant_exits_2(self, tmp_path, unlabeled_csv):
         with pytest.raises(SystemExit) as excinfo:

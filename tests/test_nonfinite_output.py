@@ -13,7 +13,7 @@ from conftest import run_cli
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occelm.bench import VARIANTS, default_params, fit, run_seed, score_model
+from occelm.bench import VARIANTS, default_params, fit, parse_variant, run_seed, score_model
 from occelm.cli import main
 from occelm.dataset import Dataset, write_csv, zscore_apply, zscore_fit
 from occelm.errors import NonFiniteOutput, OccelmError
@@ -108,6 +108,37 @@ def test_overflow_reports_only_the_error_line(tmp_path):
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
+@pytest.mark.parametrize("vid", ["aakelm_thr1", "os_aaelm_thr1"])
+def test_overflowing_error_rejects_without_warnings(vid, tmp_path):
+    """Finite outputs whose reconstruction error overflows to inf are
+    rejected: exit 0, every decision -1, and nothing on stderr (no numpy
+    RuntimeWarning), in a fresh process with numpy's default settings."""
+    write_csv(Dataset(_training_rows()), str(tmp_path / "train.csv"))
+    write_csv(Dataset(HUGE_ROWS), str(tmp_path / "huge.csv"))
+    trained = run_cli(["train", vid, "train.csv", "--seed", "1", "-o", "m.occ"], tmp_path)
+    assert trained.returncode == 0, trained.stderr
+    proc = run_cli(["score", "m.occ", "huge.csv"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = proc.stdout.splitlines()[1:]
+    assert len(rows) == len(HUGE_ROWS)
+    assert all(row.split(",")[1] == "-1" for row in rows), proc.stdout
+
+
+def test_overflowing_gram_matrix_is_one_error_line(tmp_path):
+    """A Gram matrix holding inf is refused before LAPACK sees it, which
+    would print DLASCL complaints from the C library."""
+    write_csv(Dataset(_training_rows()), str(tmp_path / "train.csv"))
+    argv = ["train", "aakelm_thr1", "train.csv", "--kernel", "polynomial",
+            "--kern-par", "400", "--seed", "1", "-o", "m.occ"]
+    proc = run_cli(argv, tmp_path)
+    assert proc.returncode == 1
+    assert "DLASCL" not in proc.stdout + proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "Gram matrix" in lines[0]
+    assert not (tmp_path / "m.occ").exists()
+
+
 EXPLICIT_KERNELS = [kind for kind in KERNEL_KINDS if kind != "random"]
 
 
@@ -120,15 +151,13 @@ def _cases():
 
 @functools.lru_cache(maxsize=None)
 def _model(vid: str, kind: str):
-    variant = VARIANTS[vid]
+    mapping = {"kernel": kind} if VARIANTS[vid].engine == "kernel" else {"node_type": kind}
+    variant = parse_variant(vid, **mapping)
     rows = _training_rows()
     zstats = zscore_fit(Dataset(rows))
     Xz = zscore_apply(Dataset(rows), zstats).samples
-    params = default_params(variant.engine, kind, Xz, hidden=10)
-    mapping = {"kernel_kind": kind} if variant.engine == "kernel" else {"node_type": kind}
-    return fit(
-        variant, params, rows, layer_seed=run_seed(1), zstats=zstats, **mapping
-    )
+    params = default_params(variant, Xz, hidden=10)
+    return fit(variant, params, rows, layer_seed=run_seed(1), zstats=zstats)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -19,6 +19,7 @@ from occelm.bench import (
     _fold_trainer,
     choose_params,
     fit,
+    parse_variant,
     score_model,
     selection_grids,
 )
@@ -32,25 +33,25 @@ from occelm.modelsel import (
 
 _C = [1e-2, 1.0, 1e8, 1e16]
 
-# (variant id, kernel kind, node type, grid without C or None for no C axis)
+# (variant with its feature map, grid without C or None for no C axis)
 CASES = [
-    ("ockelm_thr1", "rbf", "additive_sigmoid", {"sigma": [0.5, 2.0]}),
-    ("ockelm_thr2", "linear", "additive_sigmoid", {}),
-    ("aakelm_thr3", "rbf", "additive_sigmoid", {"sigma": [0.7, 3.0]}),
-    ("aakelm_thr1", "polynomial", "additive_sigmoid", {"degree": [2, 3]}),
-    ("aakelm_thr2", "linear", "additive_sigmoid", {}),
-    ("ocelm_thr1", "rbf", "additive_sigmoid", {"m": [5, 40]}),
-    ("ocelm_thr2", "rbf", "rbf", {"m": [4, 30]}),
-    ("aaelm_thr3", "rbf", "rbf", {"m": [6, 25]}),
-    ("aaelm_thr1", "rbf", "additive_sigmoid", {"m": [3, 12]}),
-    ("os_aaelm_thr3", "rbf", "additive_sigmoid", None),
-    ("os_ocelm_thr1", "rbf", "rbf", None),
-    ("os_aaelm_thr2", "rbf", "rbf", None),
+    (parse_variant("ockelm_thr1"), {"sigma": [0.5, 2.0]}),
+    (parse_variant("ockelm_thr2", kernel="linear"), {}),
+    (parse_variant("aakelm_thr3"), {"sigma": [0.7, 3.0]}),
+    (parse_variant("aakelm_thr1", kernel="polynomial"), {"degree": [2, 3]}),
+    (parse_variant("aakelm_thr2", kernel="linear"), {}),
+    (parse_variant("ocelm_thr1"), {"m": [5, 40]}),
+    (parse_variant("ocelm_thr2_rbf"), {"m": [4, 30]}),
+    (parse_variant("aaelm_thr3_rbf"), {"m": [6, 25]}),
+    (parse_variant("aaelm_thr1"), {"m": [3, 12]}),
+    (parse_variant("os_aaelm_thr3"), None),
+    (parse_variant("os_ocelm_thr1_rbf"), None),
+    (parse_variant("os_aaelm_thr2_rbf"), None),
 ]
 
 
 def _grids(case):
-    vid, _, _, grid = case
+    _, grid = case
     if grid is None:
         return {"m": [2, 4, 8, 20]}
     return {**grid, "C": list(_C)}
@@ -59,8 +60,7 @@ def _grids(case):
 def _reference(case, X, cfg, seed, fracrej=0.1):
     """One bench.fit plus score_model per (grid point, fold); a point
     failing at any fold records NAN; then the documented preference."""
-    vid, kernel_kind, node_type, _ = case
-    variant = VARIANTS[vid]
+    variant, _ = case
     N = X.shape[0]
     M = N // cfg.folds
     err_thr = error_threshold(cfg.fracrej, cfg.sigma_thr, M)
@@ -74,7 +74,7 @@ def _reference(case, X, cfg, seed, fracrej=0.1):
             for j in range(cfg.folds):
                 model = fit(
                     variant, params, X[fold_of != j],
-                    fracrej=fracrej, kernel_kind=kernel_kind, node_type=node_type,
+                    fracrej=fracrej,
                     layer_seed=[seed, 0, _SELECT_LAYER_STREAM, int(params.get("m", 0))],
                 )
                 is_target = score_model(model, X[fold_of == j]).is_target
@@ -102,11 +102,10 @@ def _reference(case, X, cfg, seed, fracrej=0.1):
 
 
 def _compare(case, X, seed, fold_seed):
-    vid, kernel_kind, node_type, _ = case
-    variant = VARIANTS[vid]
+    variant, _ = case
     cfg = SelectionConfig(_grids(case), folds=5, rng_seed=fold_seed)
     err_thr, M, points, chosen, consistent = _reference(case, X, cfg, seed)
-    scan = _fold_trainer(variant, kernel_kind, node_type, 0.1, seed)
+    scan = _fold_trainer(variant, 0.1, seed)
     if chosen is None:
         with pytest.raises(OccelmError, match="every grid point failed"):
             select(scan, X, cfg)
@@ -181,9 +180,9 @@ def test_full_protocol_grid(vid):
     """choose_params' own grid (20 widths or 4 hidden widths x 17 C)."""
     X = _rows(9, 36, 4, 4)
     params, diag = choose_params(VARIANTS[vid], X, seed=2)
-    case = next(c for c in CASES if c[0] == vid and c[1] == "rbf")
+    case = next(c for c in CASES if c[0] == VARIANTS[vid])
     cfg = SelectionConfig(
-        selection_grids(VARIANTS[vid], "rbf", X, 5), rng_seed=[2, 0, _FOLD_STREAM]
+        selection_grids(VARIANTS[vid], X, 5), rng_seed=[2, 0, _FOLD_STREAM]
     )
     ref = _reference(case, X, cfg, 2)
     assert [p.params for p in diag.points] == [p[0] for p in ref[2]]

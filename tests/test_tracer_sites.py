@@ -9,7 +9,7 @@ import numpy as np
 from conftest import perfbench_module
 
 import occelm.offline
-from occelm.bench import VARIANTS, choose_params, fit, score_model
+from occelm.bench import VARIANTS, choose_params, fit, parse_variant, score_model
 from occelm.featuremap import TILE_CELLS
 
 
@@ -26,14 +26,20 @@ def test_every_site_resolves_to_a_function():
 def test_traced_selection_matches_untraced():
     """The tracer wraps the selection scanner as counted(params, rows):
     select must call it with exactly two positional arguments, and the
-    traced scan must choose what the untraced one chooses."""
+    traced scan must choose what the untraced one chooses, under default
+    and non-default feature maps of both kinds."""
     spans = perfbench_module("spans")
     Xz = np.random.default_rng(2).normal(0.0, 1.0, (40, 3))
-    for vid in ("ockelm_thr1", "aaelm_thr3"):
-        plain = choose_params(VARIANTS[vid], Xz, seed=1)
+    for variant in (
+        VARIANTS["ockelm_thr1"],
+        VARIANTS["aaelm_thr3"],
+        parse_variant("aaelm_thr3_rbf"),
+        parse_variant("ockelm_thr1", kernel="polynomial"),
+    ):
+        plain = choose_params(variant, Xz, seed=1)
         rec = spans.Recorder()
         with rec.cycle(), spans.traced(rec):
-            traced = choose_params(VARIANTS[vid], Xz, seed=1)
+            traced = choose_params(variant, Xz, seed=1)
         assert traced[0] == plain[0]
         assert [(p.params, p.consistent) for p in traced[1].points] == [
             (p.params, p.consistent) for p in plain[1].points
