@@ -106,6 +106,21 @@ class TestParseVariant:
 
 
 class TestNames:
+    def test_kernel_default(self):
+        assert parse_variant("ockelm_thr1").classifier == "OCKELM"
+
+    def test_kernel_nondefault(self):
+        v = parse_variant("aakelm_thr3", kernel="linear")
+        assert v.classifier == "AAKELM(linear)"
+
+    def test_random_rbf_nodes(self):
+        v = parse_variant("os_aaelm_thr1", node_type="rbf")
+        assert v.classifier == "OS-AAELM(RBF)"
+
+    def test_random_sigmoid_nodes(self):
+        v = parse_variant("ocelm_thr2", node_type="additive_sigmoid")
+        assert v.classifier == "OCELM"
+
     def test_classifier_names(self):
         """The classifier column of every variant id under every feature
         map it reads: the base name, plus the kernel unless it is rbf, or
