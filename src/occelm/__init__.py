@@ -13,6 +13,7 @@ from .bench import (
     Variant,
     choose_params,
     fit,
+    fixed_params,
     parse_variant,
     run_benchmark,
     score_model,

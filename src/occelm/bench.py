@@ -18,12 +18,14 @@ offline random/offline kernel/online x applicable threshold rules);
 thr3 exists only for reconstruction families. parse_variant resolves an
 id together with its feature map, once: a kernel for kernel variants, a
 hidden node type (flag or _sig/_rbf suffix) for random and online ones.
-Every later step reads the map from the Variant it returns.
+Every later step reads the map from the Variant it returns, and
+fixed_params refuses a fixed parameter the run does not read.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,6 +65,7 @@ RANDOM_ENGINE = "random"
 ONLINE_ENGINE = "online"
 
 KERNELS = ("rbf", "linear", "polynomial", "wavelet")
+FIXED_PARAMS = ("kern_par", "c_reg", "hidden", "n0", "block")
 HIDDEN_GRID = (20, 50, 100, 200)
 DEFAULT_DEGREE = 2
 
@@ -158,24 +161,42 @@ def median_pairwise(X) -> float:
     return float(np.median(modelsel.nonzero_distances(X)))
 
 
-def default_params(
-    variant: Variant,
-    Xz,
-    kern_par: float | None = None,
-    c_reg: float | None = None,
-    hidden: int | None = None,
-) -> dict:
-    """Parameters used when selection is off: explicit values win, the
+def fixed_params(variant: Variant, select: bool, given: Mapping) -> dict:
+    """The values in given (named as in FIXED_PARAMS) that are not None.
+    Raises KeyError for one the run does not read: kernel variants read
+    kern_par (not under the linear kernel) and c_reg, random ones c_reg and
+    hidden, online ones hidden, n0 and block. Selection chooses all but the
+    online n0 and block, the chunks its final fit streams."""
+    if variant.engine == ONLINE_ENGINE:
+        reads = {"n0", "block"} if select else {"hidden", "n0", "block"}
+    elif select:
+        reads = set()
+    elif variant.engine == RANDOM_ENGINE:
+        reads = {"c_reg", "hidden"}
+    else:
+        reads = {"c_reg"} if variant.kernel == "linear" else {"kern_par", "c_reg"}
+    fixed = {name: value for name, value in given.items() if value is not None}
+    for name in fixed:
+        if name not in reads:
+            raise KeyError(
+                f"{variant.classifier} {'with' if select else 'without'} --select "
+                f"does not read --{name.replace('_', '-')}"
+            )
+    return fixed
+
+
+def default_params(variant: Variant, Xz, fixed: Mapping) -> dict:
+    """Parameters used when selection is off: the fixed values win, the
     kernel width falls back to the median pairwise distance of the run's
     normalized training targets, C to 1, the hidden width to 100 (online:
     at most half the rows, so that the initial chunk of 2m rows fits)."""
-    C = 1.0 if c_reg is None else float(c_reg)
+    C = float(fixed.get("c_reg", 1.0))
+    kern_par, hidden = fixed.get("kern_par"), fixed.get("hidden")
     if variant.engine == KERNEL_ENGINE:
         if variant.kernel == "linear":
             return {"C": C}
         if variant.kernel == "polynomial":
-            degree = DEFAULT_DEGREE if kern_par is None else int(kern_par)
-            return {"degree": degree, "C": C}
+            return {"degree": DEFAULT_DEGREE if kern_par is None else kern_par, "C": C}
         width = median_pairwise(Xz) if kern_par is None else float(kern_par)
         key = "sigma" if variant.kernel == "rbf" else "b_w"
         return {key: width, "C": C}
@@ -270,7 +291,7 @@ def _offline_mapping(variant: Variant, params: dict) -> KernelSpec:
     if variant.kernel == "linear":
         return linear_kernel()
     if variant.kernel == "polynomial":
-        return polynomial_kernel(int(params["degree"]))
+        return polynomial_kernel(params["degree"])
     b_w = float(params["b_w"])
     if not 0 < b_w <= MAX_WIDTH:
         raise ValueError(f"wavelet kernel needs 0 < b_w <= {MAX_WIDTH:g}")
@@ -340,29 +361,27 @@ class BenchResult:
 
 def run_benchmark(
     data: Dataset,
-    variant_id: str,
+    variant: Variant | str,
     *,
     dataset_name: str = "data",
     runs: int = 20,
     seed: int = 0,
     fracrej: float = 0.1,
-    kernel_kind: str | None = None,
-    node_type: str | None = None,
     select_params: bool = False,
     folds: int = 5,
     sigma_thr: float = 2.0,
-    kern_par: float | None = None,
-    c_reg: float | None = None,
-    hidden: int | None = None,
-    n0: int | None = None,
-    block: int | None = None,
+    fixed: Mapping | None = None,
 ) -> BenchResult:
     """Run the full protocol for one variant and return the aggregate.
 
+    variant is a Variant from parse_variant, or an id resolved with the
+    default feature map; fixed holds the fixed parameters (fixed_params).
     data must carry labels with at least one outlier; runs repeats the
     split/train/score cycle with run-indexed seed streams.
     """
-    variant = parse_variant(variant_id, node_type, kernel_kind)
+    if isinstance(variant, str):
+        variant = parse_variant(variant)
+    fixed = fixed_params(variant, select_params, fixed or {})
     if data.labels is None:
         raise MissingLabels("benchmarking needs labeled data")
     if bool(np.all(data.labels)):
@@ -390,13 +409,14 @@ def run_benchmark(
         if chosen is not None:
             params = dict(chosen)
         else:
-            params = default_params(variant, Xz, kern_par, c_reg, hidden)
+            params = default_params(variant, Xz, fixed)
         run_params.append(dict(params))
 
         start = time.perf_counter()
         model = fit(
             variant, params, train, fracrej=fracrej,
-            layer_seed=run_seed(seed, r), zstats=zstats, n0=n0, block=block,
+            layer_seed=run_seed(seed, r), zstats=zstats,
+            n0=fixed.get("n0"), block=fixed.get("block"),
         )
         train_seconds.append(time.perf_counter() - start)
         decisions = score_model(model, test.samples)

@@ -17,11 +17,13 @@ import time
 import numpy as np
 
 from .bench import (
+    FIXED_PARAMS,
     KERNELS,
     VARIANTS,
     choose_params,
     default_params,
     fit,
+    fixed_params,
     parse_variant,
     run_benchmark,
     run_seed,
@@ -74,25 +76,26 @@ def _target_rows(data: Dataset) -> Dataset:
     return Dataset(data.samples[data.labels], feature_names=data.feature_names)
 
 
-def _node_type_arg(args) -> str | None:
-    return _NODE_FLAG[args.node_type] if args.node_type else None
+def _resolve_run(args):
+    """The variant with its feature map, its fixed parameters and the
+    selection flags given (--folds, --sigma-thr), before any file is read.
+    A flag the run does not read raises KeyError, a usage error."""
+    select = getattr(args, "select", True)  # the select command always selects
+    variant = parse_variant(args.variant, _NODE_FLAG.get(args.node_type), args.kernel)
+    fixed = fixed_params(variant, select, {k: getattr(args, k, None) for k in FIXED_PARAMS})
+    scan = {"folds": args.folds, "sigma_thr": args.sigma_thr}
+    scan = {name: value for name, value in scan.items() if value is not None}
+    if scan and not select:
+        raise KeyError(f"--{next(iter(scan)).replace('_', '-')} needs --select")
+    return variant, fixed, scan
 
 
-def _training_inputs(args):
-    """What train and select start from: the variant with its feature map,
-    the target rows of the data file, their z-score stats and the
+def _training_rows(args):
+    """The target rows of the data file, their z-score stats and the
     normalized rows."""
-    variant = parse_variant(args.variant, _node_type_arg(args), args.kernel)
     targets = _target_rows(load_csv(args.data, args.label_col))
     zstats = zscore_fit(targets)
-    return variant, targets, zstats, zscore_apply(targets, zstats).samples
-
-
-def _choose_params(args, variant, Xz, seed: int):
-    return choose_params(
-        variant, Xz, fracrej=args.fracrej, folds=args.folds,
-        sigma_thr=args.sigma_thr, seed=seed,
-    )
+    return targets, zstats, zscore_apply(targets, zstats).samples
 
 
 def _print_params(params: dict, consistent: bool | None) -> None:
@@ -116,19 +119,20 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
+    variant, fixed, scan = _resolve_run(args)
     seed = _resolve_seed(args)
-    variant, targets, zstats, Xz = _training_inputs(args)
+    targets, zstats, Xz = _training_rows(args)
     if args.select:
-        params, diag = _choose_params(args, variant, Xz, seed)
+        params, diag = choose_params(variant, Xz, fracrej=args.fracrej, seed=seed, **scan)
         consistent = diag.consistent
     else:
-        params = default_params(variant, Xz, args.kern_par, args.c_reg, args.hidden)
+        params = default_params(variant, Xz, fixed)
         consistent = None
 
     start = time.perf_counter()
     model = fit(
-        variant, params, targets, fracrej=args.fracrej,
-        layer_seed=run_seed(seed), zstats=zstats, n0=args.n0, block=args.block,
+        variant, params, targets, fracrej=args.fracrej, layer_seed=run_seed(seed),
+        zstats=zstats, n0=fixed.get("n0"), block=fixed.get("block"),
     )
     print(f"train {time.perf_counter() - start:.4f}s", file=sys.stderr)
     save_model(model, args.out)
@@ -143,9 +147,12 @@ def cmd_score(args) -> int:
 
     with _csv_out(args.out) as writer:
         writer.writerow(["row", "decision", "score", "thresh"])
-        for i, d in enumerate(decisions):
+        columns = zip(
+            decisions.is_target.tolist(), decisions.score.tolist(), decisions.thresh.tolist()
+        )
+        for i, (is_target, score, thresh) in enumerate(columns):
             writer.writerow(
-                [i, "+1" if d.is_target else "-1", f"{d.score:.17g}", f"{d.thresh:.17g}"]
+                [i, "+1" if is_target else "-1", f"{score:.17g}", f"{thresh:.17g}"]
             )
 
     if data.labels is not None:
@@ -171,26 +178,13 @@ def _write_runs_csv(path: str, result) -> None:
 
 
 def cmd_bench(args) -> int:
+    variant, fixed, scan = _resolve_run(args)
     seed = _resolve_seed(args)
     data = load_csv(args.data, args.label_col)
     name = args.dataset_name or args.data.rsplit("/", 1)[-1].rsplit(".", 1)[0]
     result = run_benchmark(
-        data,
-        args.variant,
-        dataset_name=name,
-        runs=args.runs,
-        seed=seed,
-        fracrej=args.fracrej,
-        kernel_kind=args.kernel,
-        node_type=_node_type_arg(args),
-        select_params=args.select,
-        folds=args.folds,
-        sigma_thr=args.sigma_thr,
-        kern_par=args.kern_par,
-        c_reg=args.c_reg,
-        hidden=args.hidden,
-        n0=args.n0,
-        block=args.block,
+        data, variant, dataset_name=name, runs=args.runs, seed=seed,
+        fracrej=args.fracrej, select_params=args.select, fixed=fixed, **scan,
     )
     for r, secs in enumerate(result.train_seconds):
         print(f"run {r}: train {secs:.4f}s", file=sys.stderr)
@@ -210,9 +204,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_select(args) -> int:
+    variant, _, scan = _resolve_run(args)
     seed = _resolve_seed(args)
-    variant, _, _, Xz = _training_inputs(args)
-    params, diag = _choose_params(args, variant, Xz, seed)
+    _, _, Xz = _training_rows(args)
+    params, diag = choose_params(variant, Xz, fracrej=args.fracrej, seed=seed, **scan)
     print(f"err_thr {diag.err_thr:.17g}")
     print(f"fold_size {diag.fold_size}")
     _print_params(params, diag.consistent)
@@ -235,10 +230,10 @@ def cmd_grid(args) -> int:
 
     with _csv_out(args.out) as writer:
         writer.writerow(["x", "y", "score", "is_target"])
-        for (x, y), d in zip(points, decisions):
-            writer.writerow(
-                [f"{x:.17g}", f"{y:.17g}", f"{d.score:.17g}", int(d.is_target)]
-            )
+        for (x, y), score, is_target in zip(
+            points, decisions.score.tolist(), decisions.is_target.tolist()
+        ):
+            writer.writerow([f"{x:.17g}", f"{y:.17g}", f"{score:.17g}", int(is_target)])
     return 0
 
 
@@ -257,8 +252,8 @@ def _add_model_flags(p: argparse.ArgumentParser, fixed_params: bool = True) -> N
 
 def _add_select_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fracrej", type=float, default=0.1)
-    p.add_argument("--folds", type=_positive_int, default=5)
-    p.add_argument("--sigma-thr", type=float, default=2.0)
+    p.add_argument("--folds", type=_positive_int, default=None)
+    p.add_argument("--sigma-thr", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

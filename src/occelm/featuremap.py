@@ -126,8 +126,11 @@ class KernelSpec:
         if self.kind == "rbf" and not 0 < (self.sigma or 0) <= MAX_WIDTH:
             raise ValueError(f"rbf kernel needs 0 < sigma <= {MAX_WIDTH:g}")
         if self.kind == "polynomial":
-            if self.degree is None or self.degree < 1:
-                raise ValueError("polynomial kernel needs degree >= 1")
+            # a fractional power of a negative 1 + x.y is nan
+            degree = self.degree
+            if degree is None or not float(degree).is_integer() or degree < 1:
+                raise ValueError("polynomial kernel needs an integer degree >= 1")
+            object.__setattr__(self, "degree", int(degree))
             if self.offset is None or not 0 <= self.offset < np.inf:
                 raise ValueError("polynomial kernel needs a finite offset >= 0")
         if self.kind == "wavelet":
@@ -148,7 +151,7 @@ def linear_kernel() -> KernelSpec:
 
 
 def polynomial_kernel(degree: int, offset: float = 1.0) -> KernelSpec:
-    return KernelSpec("polynomial", degree=int(degree), offset=float(offset))
+    return KernelSpec("polynomial", degree=degree, offset=float(offset))
 
 
 def wavelet_kernel(a: float, b_w: float, c_w: float) -> KernelSpec:

@@ -164,42 +164,42 @@ class TestMedianPairwise:
 class TestDefaultParams:
     def test_kernel_rbf(self):
         X = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])
-        params = default_params(VARIANTS["ockelm_thr1"], X)
+        params = default_params(VARIANTS["ockelm_thr1"], X, {})
         assert params == {"sigma": 5.0, "C": 1.0}
 
     def test_explicit_values_win(self):
         X = np.zeros((5, 2))
-        params = default_params(VARIANTS["ockelm_thr1"], X, kern_par=2.5, c_reg=50.0)
+        params = default_params(VARIANTS["ockelm_thr1"], X, {"kern_par": 2.5, "c_reg": 50.0})
         assert params == {"sigma": 2.5, "C": 50.0}
 
     def test_linear_has_no_width(self):
         variant = parse_variant("ockelm_thr1", kernel="linear")
-        assert default_params(variant, np.zeros((3, 2))) == {"C": 1.0}
+        assert default_params(variant, np.zeros((3, 2)), {}) == {"C": 1.0}
 
     def test_polynomial_degree(self):
         variant = parse_variant("ockelm_thr1", kernel="polynomial")
-        params = default_params(variant, np.zeros((3, 2)))
+        params = default_params(variant, np.zeros((3, 2)), {})
         assert params == {"degree": 2, "C": 1.0}
 
     def test_wavelet_width_key(self):
         X = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])
         variant = parse_variant("aakelm_thr1", kernel="wavelet")
-        assert default_params(variant, X) == {"b_w": 5.0, "C": 1.0}
+        assert default_params(variant, X, {}) == {"b_w": 5.0, "C": 1.0}
 
     def test_random_engine(self):
-        params = default_params(VARIANTS["ocelm_thr1"], np.zeros((30, 2)))
+        params = default_params(VARIANTS["ocelm_thr1"], np.zeros((30, 2)), {})
         assert params == {"m": 100, "C": 1.0}
-        assert default_params(VARIANTS["ocelm_thr1"], np.zeros((30, 2)), hidden=25) == {
-            "m": 25, "C": 1.0,
-        }
+        assert default_params(
+            VARIANTS["ocelm_thr1"], np.zeros((30, 2)), {"hidden": 25}
+        ) == {"m": 25, "C": 1.0}
 
     def test_online_caps_m_at_row_count(self):
         """At most half the rows, so the default initial chunk of 2m rows
         fits; at least 1."""
-        assert default_params(VARIANTS["os_ocelm_thr1"], np.zeros((30, 2))) == {"m": 15}
-        assert default_params(VARIANTS["os_ocelm_thr1"], np.zeros((199, 2))) == {"m": 99}
-        assert default_params(VARIANTS["os_ocelm_thr1"], np.zeros((300, 2))) == {"m": 100}
-        assert default_params(VARIANTS["os_ocelm_thr1"], np.zeros((1, 2))) == {"m": 1}
+        assert default_params(VARIANTS["os_ocelm_thr1"], np.zeros((30, 2)), {}) == {"m": 15}
+        assert default_params(VARIANTS["os_ocelm_thr1"], np.zeros((199, 2)), {}) == {"m": 99}
+        assert default_params(VARIANTS["os_ocelm_thr1"], np.zeros((300, 2)), {}) == {"m": 100}
+        assert default_params(VARIANTS["os_ocelm_thr1"], np.zeros((1, 2)), {}) == {"m": 1}
 
 
 class TestSelectionGrids:
@@ -257,7 +257,7 @@ class TestFitAndScore:
         targets = Dataset(data.samples[data.labels])
         zstats = zscore_fit(targets)
         Xz = zscore_apply(targets, zstats).samples
-        params = default_params(variant, Xz, hidden=10)
+        params = default_params(variant, Xz, {"hidden": 10})
         model = fit(variant, params, targets, zstats=zstats, layer_seed=[1, 2])
         assert model.family == variant.family
         assert model.tspec.kind == variant.tkind
@@ -315,7 +315,7 @@ class TestRunBenchmark:
 
     def test_online_variant(self):
         result = run_benchmark(
-            _separable(seed=5), "os_ocelm_thr1", runs=3, seed=2, hidden=8
+            _separable(seed=5), "os_ocelm_thr1", runs=3, seed=2, fixed={"hidden": 8}
         )
         assert result.report.auc > 85.0
         assert all(p == {"m": 8} for p in result.run_params)
@@ -358,7 +358,7 @@ class TestRunBenchmark:
         """The fields `occelm bench` writes as the report row's first
         three cells, ahead of the aggregate measures."""
         result = run_benchmark(
-            _separable(), "aaelm_thr1", runs=2, seed=0, hidden=10
+            _separable(), "aaelm_thr1", runs=2, seed=0, fixed={"hidden": 10}
         )
         assert result.dataset_name == "data"
         assert result.variant.classifier == "AAELM"
@@ -399,8 +399,8 @@ class TestHigherDimensional:
             ("aakelm_thr2", {}, 70.0),
             ("os_aaelm_thr1", {"hidden": 20}, 70.0),
         ]
-        for vid, kwargs, bar in cases:
-            result = run_benchmark(data, vid, runs=3, seed=0, **kwargs)
+        for vid, fixed, bar in cases:
+            result = run_benchmark(data, vid, runs=3, seed=0, fixed=fixed)
             assert result.report.specificity == 100.0, vid
             assert result.report.auc > bar, vid
 

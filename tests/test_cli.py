@@ -12,6 +12,7 @@ import pytest
 
 from conftest import perfbench_module, run_cli
 
+from occelm.bench import VARIANTS
 from occelm.cli import main
 from occelm.dataset import Dataset, gen_ring, load_csv, write_csv
 from occelm.modelio import load_model
@@ -275,6 +276,103 @@ class TestSelect:
                   "--seed", "1", flag, "3"])
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+
+# a value for each flag that only some runs read
+_RULE_FLAGS = {
+    "--kern-par": "3", "--c-reg": "10", "--hidden": "5", "--n0": "40",
+    "--block": "4", "--folds": "3", "--sigma-thr": "2.5",
+}
+# every variant id; kernel ids also under the linear and polynomial kernels
+_RULE_RUNS = [(vid, None) for vid in VARIANTS] + [
+    (vid, kernel) for vid in VARIANTS if VARIANTS[vid].engine == "kernel"
+    for kernel in ("linear", "polynomial")
+]
+
+
+def _flags_read(vid: str, kernel: str | None, select: bool) -> set[str]:
+    engine = VARIANTS[vid].engine
+    if select:
+        fixed = {"--n0", "--block"} if engine == "online" else set()
+        return fixed | {"--folds", "--sigma-thr"}
+    if engine == "online":
+        return {"--hidden", "--n0", "--block"}
+    if engine == "random":
+        return {"--c-reg", "--hidden"}
+    return {"--c-reg"} if kernel == "linear" else {"--kern-par", "--c-reg"}
+
+
+@pytest.fixture(scope="module")
+def rule_csv(tmp_path_factory):
+    """60 six-feature targets and 10 outliers: enough rows and inputs for
+    the default online width of 30 nodes."""
+    rng = np.random.default_rng(8)
+    samples = np.vstack([rng.normal(0, 1, (60, 6)), rng.normal(5, 1, (10, 6))])
+    labels = np.array([True] * 60 + [False] * 10)
+    path = tmp_path_factory.mktemp("rule") / "rule.csv"
+    write_csv(Dataset(samples, labels), str(path))
+    return str(path)
+
+
+class TestReadRule:
+    """train and bench take a fixed-parameter or selection flag only when
+    the run reads it; any other is a usage error, raised before the data
+    file is read."""
+
+    @pytest.mark.parametrize(
+        "vid, kernel", _RULE_RUNS, ids=[f"{v}-{k or 'default'}" for v, k in _RULE_RUNS]
+    )
+    def test_flag_read_or_refused(self, tmp_path, rule_csv, capsys, vid, kernel):
+        base = [rule_csv, "--label-col", "-1", "--seed", "1"]
+        if kernel is not None:
+            base += ["--kernel", kernel]
+        for select in (False, True):
+            reads = _flags_read(vid, kernel, select)
+            mode = ["--select"] if select else []
+            for flag, value in _RULE_FLAGS.items():
+                case = (vid, kernel, select, flag)
+                model = tmp_path / "m.occ"
+                if flag in reads:
+                    argv = ["train", vid, *base, *mode, flag, value, "-o", str(model)]
+                    assert main(argv) == 0, (case, capsys.readouterr().err)
+                    assert model.exists(), case
+                    model.unlink()
+                    capsys.readouterr()
+                    continue
+                report = tmp_path / "report.csv"
+                for argv in (
+                    ["train", vid, *base, *mode, flag, value, "-o", str(model)],
+                    ["bench", vid, *base, *mode, "--runs", "1", flag, value,
+                     "-o", str(report)],
+                ):
+                    assert main(argv) == 2, case
+                    captured = capsys.readouterr()
+                    lines = captured.err.splitlines()
+                    assert len(lines) == 1, (case, lines)
+                    assert lines[0].startswith("usage error: ") and flag in lines[0], case
+                    assert captured.out == ""
+                    assert not model.exists() and not report.exists(), case
+
+    @pytest.mark.parametrize(
+        "vid, base, extra",
+        [
+            ("ocelm_thr1", [], ["--hidden", "100"]),
+            ("ockelm_thr1", [], ["--c-reg", "1"]),
+            # 60 rows at m = 8: n0 = max(2m, N // 10), block = max(m, N // 10)
+            ("os_aaelm_thr2", ["--hidden", "8"], ["--n0", "16", "--block", "8"]),
+        ],
+        ids=["hidden-100", "c-reg-1", "n0-block"],
+    )
+    def test_default_value_changes_nothing(self, tmp_path, rule_csv, capsys, vid, base, extra):
+        """A flag set to the value its default resolves to writes the same
+        model and stdout as the run without it."""
+        outputs = []
+        for name, flags in (("plain", base), ("given", base + extra)):
+            model = tmp_path / f"{name}.occ"
+            argv = ["train", vid, rule_csv, "--label-col", "-1", "--seed", "3", *flags]
+            assert main([*argv, "-o", str(model)]) == 0
+            outputs.append((capsys.readouterr().out, model.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestGrid:
@@ -549,7 +647,8 @@ class TestBadFlagValues:
     """A flag value the library refuses is reported like any toolbox
     error: one "error:" line on stderr and exit 1, never a traceback. An
     infinite C or kernel width is refused at training, since a model file
-    holding it would not load; so is a width whose square overflows."""
+    holding it would not load; so is a width whose square overflows, and
+    a polynomial degree that is not an integer (it was truncated)."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -565,13 +664,16 @@ class TestBadFlagValues:
             _TRAIN + ["--kernel", "wavelet", "--kern-par", "1e308"],
             _SELECT + ["--folds", "1"],
             _SELECT + ["--sigma-thr", "-1"],
+            _TRAIN + ["--kernel", "polynomial", "--kern-par", "2.5"],
+            _TRAIN + ["--kernel", "polynomial", "--kern-par", "inf"],
             ["gen", "ring", "--radius", "0", "--seed", "1", "-o", "r.csv"],
             ["gen", "banana", "--noise-std", "-1", "--seed", "1", "-o", "b.csv"],
         ],
         ids=[
             "fracrej-1.5", "fracrej-nan", "c-reg-0", "c-reg-nan", "kern-par--1",
             "c-reg-inf", "kern-par-inf", "kern-par-1e308", "wavelet-kern-par-1e308",
-            "folds-1", "sigma-thr--1", "radius-0", "noise-std--1",
+            "folds-1", "sigma-thr--1", "poly-kern-par-2.5",
+            "poly-kern-par-inf", "radius-0", "noise-std--1",
         ],
     )
     def test_exits_1_without_traceback(self, tmp_path, labeled_csv, argv):

@@ -286,6 +286,24 @@ class TestKernelSpec:
             KernelSpec("polynomial", degree=2, offset=-0.5)
         assert polynomial_kernel(2).offset == 1.0
 
+    @pytest.mark.parametrize("degree", [2.5, math.nan, math.inf])
+    def test_polynomial_degree_must_be_integral(self, degree):
+        """A fractional power of a negative 1 + x.y is nan, so a
+        non-integral degree is refused rather than truncated."""
+        with pytest.raises(ValueError, match="integer degree"):
+            KernelSpec("polynomial", degree=degree, offset=1.0)
+
+    def test_polynomial_degree_kept_as_int(self):
+        """An integral float degree becomes an int, so kernel bits and the
+        saved kparam line match those of the int degree."""
+        spec = KernelSpec("polynomial", degree=3.0, offset=1.0)
+        assert type(spec.degree) is int and spec.degree == 3
+        A = np.array([[2.0, 0.0], [0.5, -1.0]])
+        B = np.array([[-1.0, 0.0], [0.3, 0.7]])
+        np.testing.assert_array_equal(
+            kernel_gram(spec, A, B), kernel_gram(polynomial_kernel(3), A, B)
+        )
+
     def test_wavelet_needs_all_three_params(self):
         with pytest.raises(ValueError):
             KernelSpec("wavelet", a=1.0, b_w=1.0)

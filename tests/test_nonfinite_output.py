@@ -156,7 +156,7 @@ def _model(vid: str, kind: str):
     rows = _training_rows()
     zstats = zscore_fit(Dataset(rows))
     Xz = zscore_apply(Dataset(rows), zstats).samples
-    params = default_params(variant, Xz, hidden=10)
+    params = default_params(variant, Xz, {"hidden": 10})
     return fit(variant, params, rows, layer_seed=run_seed(1), zstats=zstats)
 
 
