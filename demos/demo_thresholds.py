@@ -42,8 +42,8 @@ def main() -> None:
         )
         verdicts = ", ".join(
             f"({p[0]:.2f}, {p[1]:.2f})="
-            f"{'target' if d.is_target else 'OUTLIER'}"
-            for p, d in zip(probes, score(model, probes))
+            f"{'target' if is_target else 'OUTLIER'}"
+            for p, is_target in zip(probes, score(model, probes).is_target)
         )
         print(f"{kind}: {verdicts}")
 
@@ -62,11 +62,11 @@ def main() -> None:
         zstats=stats,
     )
     centre = np.array([[0.0, 0.0]])
-    d = score(model3, centre)[0]
+    d = score(model3, centre)
     print(
-        f"  fraction of badly reconstructed features = {d.score:.2f} "
-        f"(budget {d.thresh:.2f}) -> "
-        f"{'target' if d.is_target else 'outlier'}"
+        f"  fraction of badly reconstructed features = {d.score[0]:.2f} "
+        f"(budget {d.thresh[0]:.2f}) -> "
+        f"{'target' if d.is_target[0] else 'outlier'}"
     )
     print(
         "  relative_errors([1, 2], [1.1, 1.9]) = "

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import modelsel
 from .dataset import Dataset, SplitPlan, occ_split, zscore_apply, zscore_fit
-from .errors import MissingLabels, NoOutliers, TooFewSamples
+from .errors import MissingLabels, NoOutliers, NoTargets, TooFewSamples
 from .featuremap import (
     ADDITIVE_SIGMOID,
     MAX_WIDTH,
@@ -217,6 +217,7 @@ def selection_grids(variant: Variant, Xz, folds: int) -> dict:
     fold training set so that its default initial chunk of 2m rows fits."""
     rows = _rows(Xz)
     N = rows.shape[0]
+    modelsel.check_folds(folds)
     if variant.engine == KERNEL_ENGINE:
         if variant.kernel == "linear":
             return {"C": list(C_GRID)}
@@ -376,8 +377,8 @@ def run_benchmark(
 
     variant is a Variant from parse_variant, or an id resolved with the
     default feature map; fixed holds the fixed parameters (fixed_params).
-    data must carry labels with at least one outlier; runs repeats the
-    split/train/score cycle with run-indexed seed streams.
+    data must carry labels with at least 3 targets and one outlier; runs
+    repeats the split/train/score cycle with run-indexed seed streams.
     """
     if isinstance(variant, str):
         variant = parse_variant(variant)
@@ -386,6 +387,11 @@ def run_benchmark(
         raise MissingLabels("benchmarking needs labeled data")
     if bool(np.all(data.labels)):
         raise NoOutliers("benchmarking needs at least one outlier row")
+    if np.count_nonzero(data.labels) < 3:
+        raise NoTargets(
+            "benchmarking needs at least 3 target rows: each run trains on "
+            "half of them, and z-scoring needs 2"
+        )
     if runs < 1:
         raise ValueError("runs must be >= 1")
 

@@ -124,12 +124,14 @@ def load_csv(path: str, label_column: int | None = None) -> Dataset:
     parsing, the line is treated as column names.
     """
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+        reader = csv.reader(fh)
+        # each non-blank row with the number of the file line it ends on
+        rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
     if not rows:
         raise EmptyFile(f"{path}: no rows")
 
-    width = len(rows[0])
-    for lineno, row in enumerate(rows, start=1):
+    width = len(rows[0][1])
+    for lineno, row in rows:
         if len(row) != width:
             raise RaggedRows(
                 f"{path}: line {lineno} has {len(row)} cells, expected {width}"
@@ -155,18 +157,15 @@ def load_csv(path: str, label_column: int | None = None) -> Dataset:
         return True
 
     names = None
-    start = 0
-    if not numeric(rows[0]):
-        names = [rows[0][j].strip() for j in feature_cols]
-        start = 1
-    body = rows[start:]
-    if not body:
+    if not numeric(rows[0][1]):
+        names = [rows[0][1][j].strip() for j in feature_cols]
+        rows = rows[1:]
+    if not rows:
         raise EmptyFile(f"{path}: header only, no data rows")
 
-    samples = np.empty((len(body), len(feature_cols)))
-    labels = np.empty(len(body), dtype=bool) if label_idx is not None else None
-    for i, row in enumerate(body):
-        lineno = start + i + 1
+    samples = np.empty((len(rows), len(feature_cols)))
+    labels = np.empty(len(rows), dtype=bool) if label_idx is not None else None
+    for i, (lineno, row) in enumerate(rows):
         for out_j, j in enumerate(feature_cols):
             try:
                 value = float(row[j])

@@ -28,15 +28,9 @@ _COND_LIMIT = 1e12
 _REFINE_PASSES = 4
 
 
-def _as_rhs(T: np.ndarray) -> tuple[np.ndarray, bool]:
-    T = np.asarray(T, dtype=float)
-    if T.ndim == 1:
-        return T.reshape(-1, 1), True
-    return T, False
-
-
 def solve_regularized(omega: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:
-    """Solve (Omega + I/C) beta = T for bitwise symmetric Omega.
+    """Solve (Omega + I/C) beta = T for bitwise symmetric N x N Omega and
+    N x k T.
 
     The residual is driven below 1e-8 * (1 + ||T||_F) by iterative
     refinement; SingularSystem (with a condition estimate) is raised only
@@ -65,15 +59,14 @@ def solve_regularized(omega: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
     if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
         raise DimensionMismatch("omega must be square")
-    T, was_1d = _as_rhs(T)
-    if T.shape[0] != omega.shape[0]:
+    T = np.asarray(T, dtype=float)
+    if T.ndim != 2 or T.shape[0] != omega.shape[0]:
         raise DimensionMismatch(
-            f"T has {T.shape[0]} rows, omega is {omega.shape[0]} square"
+            f"T is {T.shape}, not N x k for omega {omega.shape[0]} square"
         )
     n = omega.shape[0]
     if n == 0:  # potrs refuses an empty system
-        beta = T.copy()
-        return beta.ravel() if was_1d else beta
+        return T.copy()
     flags = omega.flags
     if (
         not flags.behaved
@@ -84,10 +77,9 @@ def solve_regularized(omega: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:
     diagonal = omega.flat[:: n + 1]  # a copy
     omega.flat[:: n + 1] += 1.0 / C
     try:
-        beta = _solve_shifted(omega, T)
+        return _solve_shifted(omega, T)
     finally:
         omega.flat[:: n + 1] = diagonal
-    return beta.ravel() if was_1d else beta
 
 
 def _cond(A: np.ndarray) -> float:
@@ -167,11 +159,10 @@ class RlsState:
     def __post_init__(self) -> None:
         self.P = np.asarray(self.P, dtype=float)
         self.beta = np.asarray(self.beta, dtype=float)
-        if self.beta.ndim == 1:
-            self.beta = self.beta.reshape(-1, 1)
         if (
             self.P.ndim != 2
             or self.P.shape[0] != self.P.shape[1]
+            or self.beta.ndim != 2
             or self.beta.shape[0] != self.P.shape[0]
         ):
             raise DimensionMismatch("P must be m x m with beta m x k")
@@ -186,14 +177,14 @@ class RlsState:
 
 
 def rls_init(H0: np.ndarray, T0: np.ndarray) -> RlsState:
-    """Initial state P0 = (H0' H0)^-1, beta0 = P0 H0' T0.
+    """Initial state P0 = (H0' H0)^-1, beta0 = P0 H0' T0 for N0 x k T0.
 
     Needs N0 >= m and a well-conditioned normal matrix (cond <= 1e12).
     """
     H0 = np.atleast_2d(np.asarray(H0, dtype=float))
-    T0, _ = _as_rhs(T0)
-    if T0.shape[0] != H0.shape[0]:
-        raise DimensionMismatch("H0 and T0 row counts differ")
+    T0 = np.asarray(T0, dtype=float)
+    if T0.ndim != 2 or T0.shape[0] != H0.shape[0]:
+        raise DimensionMismatch(f"T0 is {T0.shape}, not N0 x k for H0 {H0.shape}")
     n0, m = H0.shape
     if n0 < m:
         raise TooFewInitialSamples(f"N0={n0} < m={m}; grow the initial chunk")
@@ -209,14 +200,15 @@ def rls_init(H0: np.ndarray, T0: np.ndarray) -> RlsState:
 
 
 def rls_update(state: RlsState, H1: np.ndarray, T1: np.ndarray) -> RlsState:
-    """One chunk of the sequential update (chunk size >= 1)."""
+    """One chunk of the sequential update (chunk size >= 1, T1 of shape
+    chunk x k)."""
     H1 = np.atleast_2d(np.asarray(H1, dtype=float))
-    T1, _ = _as_rhs(T1)
+    T1 = np.asarray(T1, dtype=float)
     if H1.shape[1] != state.m:
         raise DimensionMismatch(
             f"chunk has {H1.shape[1]} columns, state expects {state.m}"
         )
-    if T1.shape[0] != H1.shape[0] or T1.shape[1] != state.k:
+    if T1.shape != (H1.shape[0], state.k):
         raise DimensionMismatch("T1 shape does not match chunk and state")
     P = state.P
     PH = P @ H1.T

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRuns, LengthMismatch
-from .threshold import Decision, Decisions
+from .threshold import Decisions
 
 
 @dataclass(frozen=True)
@@ -46,21 +46,10 @@ class EvalReport:
     run_count: int = 1
 
 
-def _is_target_vector(decisions) -> np.ndarray:
-    if isinstance(decisions, Decisions):
-        return decisions.is_target
-    if isinstance(decisions, np.ndarray) and decisions.dtype == bool:
-        return decisions
-    return np.array(
-        [d.is_target if isinstance(d, Decision) else bool(d) for d in decisions],
-        dtype=bool,
-    )
-
-
-def confuse(decisions, labels) -> ConfusionCounts:
-    """Tally decisions (Decisions, Decision objects or booleans) against boolean
-    labels (True = target)."""
-    predicted = _is_target_vector(decisions)
+def confuse(decisions: Decisions, labels) -> ConfusionCounts:
+    """Tally the verdicts of decisions against boolean labels
+    (True = target)."""
+    predicted = decisions.is_target
     actual = np.asarray(labels, dtype=bool)
     if predicted.shape != actual.shape:
         raise LengthMismatch(

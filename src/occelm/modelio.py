@@ -6,7 +6,7 @@ Both model kinds share one layout, written and read in this order:
 2. the feature map. Offline: `mapping`, then the hidden layer or the
    kernel's `kparam` lines (KERNEL_PARAMS), then `C`. Online: the hidden
    layer, then `n0`, `block` and `seen`;
-3. `R`, `tspec`, `thresh`, `zmean`, `zstd` and `trainerr`;
+3. `R` (always 1), `tspec`, `thresh`, `zmean`, `zstd` and `trainerr`;
 4. `basis` (offline: the normalized training rows) or `P` (online);
 5. `beta`, then `end`.
 
@@ -19,10 +19,11 @@ offline models rebuild H at load, in one hidden_apply call on all rows as
 at training, so H keeps its trained bits.
 
 load_model raises ModelFormatError for another header (v1 stored H as the
-random basis), a missing, misplaced or extra line, an unparseable or
-non-finite number (except trainerr, which scoring never reads, and thr3's
-nan thresh), and shapes that disagree with each other or with the feature
-count: `basis` has one column per feature, `layerW` one row per `P` row.
+random basis), an `R` other than 1, a missing, misplaced or extra line, an
+unparseable or non-finite number (except trainerr, which scoring never
+reads, and thr3's nan thresh), and shapes that disagree with each other or
+with the feature count: `basis` has one column per feature, `layerW` one
+row per `P` row.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ from .online import OnlineModel
 from .threshold import THR3, ThresholdSpec
 
 HEADER = "OCCELM v2"
-
-# most tokens a matrix holds as strings at once while parsing; blocks of
-# 2**16 raised the peak memory of the train/save/load/score benchmark by 2 MB
-_BLOCK_TOKENS = 2**12
 
 # kparam lines of each explicit kernel kind, in file order, with the type
 # each value reads back as
@@ -110,7 +107,7 @@ def save_model(model: OfflineModel | OnlineModel, path: str) -> None:
         out.fields("block", model.block)
         out.fields("seen", model.seen_count)
         matrix, beta = ("P", model.rls.P), model.rls.beta
-    out.fields("R", model.R)
+    out.fields("R", 1)
     t = model.tspec
     out.fields("tspec", t.kind, t.fracrej, t.std_mult, t.condn1, t.condn2_frac)
     out.fields("thresh", model.thresh)
@@ -167,31 +164,21 @@ class _Reader:
             raise ModelFormatError(f"{name}: {v.size} values, not {size}")
         return _finite(name, v) if finite else v
 
+    def row_tokens(self, name: str, rows: int, cols: int):
+        for i in range(rows):
+            tokens = self.next().split()
+            if len(tokens) != cols:
+                raise ModelFormatError(f"{name} row {i}: {len(tokens)} values, not {cols}")
+            yield tokens
+
     def matrix(self, name: str) -> np.ndarray:
         rows, cols = (int(token) for token in self.keyword(name))
         if min(rows, cols) < 0 or rows * cols > self.size:
             raise ModelFormatError(f"{name}: {rows} x {cols} does not fit the file")
-        M = np.empty((rows, cols))
-        step = max(1, _BLOCK_TOKENS // max(1, cols))
-        for start in range(0, rows, step):
-            block = []
-            try:
-                for i in range(start, min(start + step, rows)):
-                    row = self.next().split()
-                    if len(row) != cols:
-                        raise ModelFormatError(
-                            f"{name} row {i}: {len(row)} values, not {cols}"
-                        )
-                    block.append(row)
-            finally:
-                # the rows before a short or missing one are parsed even
-                # then, so a bad number in them is the error reported, as
-                # when each row was parsed as soon as it was read
-                tokens = chain.from_iterable(block)
-                M[start : start + len(block)] = np.fromiter(
-                    map(float, tokens), float, len(block) * cols
-                ).reshape(len(block), cols)
-        return _finite(name, M)
+        # rows are read as the parse reaches them, so a bad number is
+        # reported before a later short row; no list of floats is built
+        values = map(float, chain.from_iterable(self.row_tokens(name, rows, cols)))
+        return _finite(name, np.fromiter(values, float, rows * cols).reshape(rows, cols))
 
     def layer(self) -> HiddenLayer:
         (node_type,) = self.fields("nodetype", str)
@@ -234,7 +221,8 @@ def _parse_model(reader: _Reader) -> OfflineModel | OnlineModel:
         (seen,) = reader.fields("seen", int)
     else:
         raise ModelFormatError(f"unknown model kind {kind!r}")
-    (R,) = reader.fields("R", float)
+    if reader.fields("R", float) != [1.0]:
+        raise ModelFormatError("R: the boundary target is 1")
     tspec = ThresholdSpec(*reader.fields("tspec", str, float, float, float, float))
     (thresh,) = reader.fields("thresh", float, finite=False)
     if not (tspec.kind == THR3 and np.isnan(thresh)):
@@ -258,7 +246,7 @@ def _parse_model(reader: _Reader) -> OfflineModel | OnlineModel:
         if shape != want:
             raise ModelFormatError(f"{name} is {shape}, expected {want}")
 
-    common = dict(family=family, R=R, zstats=zstats, tspec=tspec, thresh=thresh)
+    common = dict(family=family, zstats=zstats, tspec=tspec, thresh=thresh)
     if kind == "offline":
         basis = matrix if layer is None else hidden_apply(layer, matrix)
         return OfflineModel(

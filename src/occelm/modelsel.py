@@ -4,10 +4,10 @@ A parameter combination is consistent when its cross-validated
 target-rejection rate stays at or below the sigma_thr bound
     err_thr = fracrej + sigma_thr * sqrt(fracrej * (1 - fracrej) / M),
 M being the validation-fold size. The full grid is scanned and the most
-complex consistent combination wins: smallest sigma first (tighter
-boundary), tie-broken by smallest C; grids without sigma prefer the widest
-hidden layer. When nothing is consistent the minimum-rejection combination
-is returned, flagged.
+complex consistent combination wins: every parameter but C first, in grid
+order, the widest hidden layer m and the smallest of any other (sigma,
+degree, b_w: the tighter boundary), then the smallest C. When nothing is
+consistent the minimum-rejection combination is returned, flagged.
 
 The scanner that select drives gets a whole list of C per call, so the
 C-independent work (features, Gram and cross matrices) is done once per
@@ -64,6 +64,12 @@ def sigma_grid(X, count: int = DEFAULT_SIGMA_COUNT) -> np.ndarray:
     return np.geomspace(d.min(), d.max(), count)
 
 
+def check_folds(folds: int) -> None:
+    """ValueError unless there are at least 2 folds."""
+    if folds < 2:
+        raise ValueError("folds must be >= 2")
+
+
 @dataclass
 class SelectionConfig:
     """Grid-search settings; grids map parameter name to an ascending
@@ -76,8 +82,7 @@ class SelectionConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
+        check_folds(self.folds)
         if not self.grids or any(len(v) == 0 for v in self.grids.values()):
             raise ValueError("every grid must be nonempty")
         if not 0.0 < self.fracrej < 1.0:
@@ -101,17 +106,9 @@ class SelectionDiagnostics:
 
 
 def _default_preference(grids: dict[str, list]) -> list[tuple[str, str]]:
-    prefs: list[tuple[str, str]] = []
-    if "sigma" in grids:
-        prefs.append(("sigma", "min"))
-    if "m" in grids:
-        prefs.append(("m", "max"))
-    if "C" in grids:
-        prefs.append(("C", "min"))
-    for name in grids:
-        if name not in [p for p, _ in prefs]:
-            prefs.append((name, "min"))
-    return prefs
+    # C last, the rest in grid order (a stable sort)
+    names = sorted(grids, key=lambda name: name == "C")
+    return [(name, "max" if name == "m" else "min") for name in names]
 
 
 def _complexity_key(params: dict, prefs: list[tuple[str, str]]):

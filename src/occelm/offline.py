@@ -2,9 +2,9 @@
 reconstruction (autoassociative) training plus scoring.
 
 Training solves (Omega + I/C) beta = T on the Gram matrix of the training
-rows; boundary models set T to a constant column R (default 1) and score
-deviation from R, reconstruction models set T to the input itself and score
-squared reconstruction error. Scoring unseen rows uses the cross matrix
+rows; boundary models set T to a column of ones and score the deviation
+from 1, reconstruction models set T to the input itself and score squared
+reconstruction error. Scoring unseen rows uses the cross matrix
 K(test, train) @ beta with the training basis: the normalized training
 rows, or their hidden activations H for the random mapping.
 
@@ -70,7 +70,6 @@ class OfflineModel:
     C: float
     tspec: ThresholdSpec
     thresh: float
-    R: float
     zstats: ZScoreStats
     train_errors: np.ndarray
 
@@ -79,11 +78,11 @@ class OfflineModel:
         return self.zstats.feature_count
 
 
-def targets(family: str, Xs: np.ndarray, R: float) -> np.ndarray:
-    """Training outputs: a constant R column for boundary models, the
+def targets(family: str, Xs: np.ndarray) -> np.ndarray:
+    """Training outputs: a column of ones for boundary models, the
     normalized rows themselves for reconstruction models."""
     if family == BOUNDARY:
-        return np.full((Xs.shape[0], 1), float(R))
+        return np.ones((Xs.shape[0], 1))
     return Xs
 
 
@@ -94,11 +93,11 @@ def _cross(mapping: KernelSpec, basis: np.ndarray, Ys: np.ndarray) -> np.ndarray
     return kernel_gram(mapping, Ys, basis)
 
 
-def row_errors(family: str, Xs: np.ndarray, O: np.ndarray, R: float) -> np.ndarray:
-    """Per-row base error of normalized rows Xs with outputs O: |o - R| for
+def row_errors(family: str, Xs: np.ndarray, O: np.ndarray) -> np.ndarray:
+    """Per-row base error of normalized rows Xs with outputs O: |o - 1| for
     boundary models, sum((x - o)^2) for reconstruction models."""
     if family == BOUNDARY:
-        return np.abs(O.ravel() - R)
+        return np.abs(O.ravel() - 1.0)
     return ((Xs - O) ** 2).sum(axis=1)
 
 
@@ -133,7 +132,7 @@ def decide(model, Xs: np.ndarray, O: np.ndarray) -> Decisions:
     tspec = model.tspec
     if tspec.kind == THR3:
         return thr3_decide(Xs, O, tspec.condn1, tspec.condn2_frac)
-    base = row_errors(model.family, Xs, O, model.R)
+    base = row_errors(model.family, Xs, O)
     return apply_threshold(_compared(model.family, tspec.kind, base), model.thresh)
 
 
@@ -155,7 +154,6 @@ def _feature_stage(
     mapping: KernelSpec,
     tspec: ThresholdSpec,
     seed,
-    R: float,
     zstats: ZScoreStats,
 ):
     """The one offline training path on normalized rows Xs. Builds the
@@ -180,13 +178,13 @@ def _feature_stage(
     # inf and NAN without the N x N temporary of np.isfinite
     if not np.isfinite([omega.min(), omega.max()]).all():
         require_finite(omega, "the Gram matrix")
-    T = targets(family, Xs, R)
+    T = targets(family, Xs)
 
     def fit(C) -> OfflineModel:
         # C-order so scoring is bitwise identical before and after save/load
         beta = np.ascontiguousarray(solve_regularized(omega, T, C))
         errors, thresh = fit_threshold(
-            family, tspec, row_errors(family, Xs, omega @ beta, R)
+            family, tspec, row_errors(family, Xs, omega @ beta)
         )
         return OfflineModel(
             family=family,
@@ -197,7 +195,6 @@ def _feature_stage(
             C=float(C),
             tspec=tspec,
             thresh=thresh,
-            R=float(R),
             zstats=zstats,
             train_errors=errors,
         )
@@ -212,7 +209,6 @@ def _train(
     C: float,
     tspec: ThresholdSpec,
     seed,
-    R: float,
     zstats: ZScoreStats | None,
 ) -> OfflineModel:
     raw = _rows(X)
@@ -220,7 +216,7 @@ def _train(
         zstats = identity_stats(raw.shape[1])
     Xs = zscore_apply(Dataset(raw), zstats).samples
     with np.errstate(over="ignore", invalid="ignore"):  # the solver judges
-        _, _, fit = _feature_stage(family, Xs, mapping, tspec, seed, R, zstats)
+        _, _, fit = _feature_stage(family, Xs, mapping, tspec, seed, zstats)
         return fit(C)
 
 
@@ -234,11 +230,11 @@ def scan_c(
     seed,
 ) -> list[np.ndarray | None]:
     """The selection scan at one fold: per C, the is-target verdicts on rows
-    Ys of a model (boundary R = 1) trained on rows Xs, both normalized, or
-    None if its fit raised a toolbox error (not kept: it would pin its
-    traceback's frames). Bit-identical to _train and score per C."""
+    Ys of a model trained on rows Xs, both normalized, or None if its fit
+    raised a toolbox error (not kept: it would pin its traceback's frames).
+    Bit-identical to _train and score per C."""
     zstats = identity_stats(Xs.shape[1])
-    mapping, basis, fit = _feature_stage(family, Xs, mapping, tspec, seed, 1.0, zstats)
+    mapping, basis, fit = _feature_stage(family, Xs, mapping, tspec, seed, zstats)
     cross = _cross(mapping, basis, Ys)
     verdicts: list[np.ndarray | None] = []
     for C in Cs:
@@ -257,15 +253,14 @@ def train_boundary(
     tspec: ThresholdSpec,
     *,
     seed=0,
-    R: float = 1.0,
     zstats: ZScoreStats | None = None,
 ) -> OfflineModel:
-    """Train a boundary model on target rows (constant output R).
+    """Train a boundary model on target rows (constant output 1).
 
-    Thr1 scores |o - R|, Thr2 scores (o - R)^2, both exactly as fitted at
+    Thr1 scores |o - 1|, Thr2 scores (o - 1)^2, both exactly as fitted at
     training time; thr3 is rejected for this family.
     """
-    return _train(BOUNDARY, X, mapping, C, tspec, seed, R, zstats)
+    return _train(BOUNDARY, X, mapping, C, tspec, seed, zstats)
 
 
 def train_reconstruction(
@@ -279,7 +274,7 @@ def train_reconstruction(
 ) -> OfflineModel:
     """Train an autoassociative model on target rows (outputs reconstruct
     the normalized inputs); accepts any threshold kind."""
-    return _train(RECONSTRUCTION, X, mapping, C, tspec, seed, 1.0, zstats)
+    return _train(RECONSTRUCTION, X, mapping, C, tspec, seed, zstats)
 
 
 def score(model: OfflineModel, Y) -> Decisions:

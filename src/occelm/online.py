@@ -49,7 +49,6 @@ class OnlineModel:
     family: str
     layer: HiddenLayer
     rls: RlsState
-    R: float
     zstats: ZScoreStats
     seen_count: int
     n0: int
@@ -72,7 +71,6 @@ def os_init(
     family: str,
     layer: HiddenLayer,
     X0,
-    R: float = 1.0,
     zstats: ZScoreStats | None = None,
     block: int | None = None,
 ) -> OnlineModel:
@@ -86,12 +84,11 @@ def os_init(
         raise DimensionMismatch("X0 feature count does not match zstats")
     Xs = zscore_apply(Dataset(raw), zstats).samples
     H0 = hidden_apply(layer, Xs)
-    rls = rls_init(H0, targets(family, Xs, R))
+    rls = rls_init(H0, targets(family, Xs))
     return OnlineModel(
         family=family,
         layer=layer,
         rls=rls,
-        R=float(R),
         zstats=zstats,
         seen_count=Xs.shape[0],
         n0=Xs.shape[0],
@@ -106,7 +103,7 @@ def os_update(model: OnlineModel, Xc) -> OnlineModel:
         raise AlreadyFinalized("no updates after finalize")
     Xs = normalized_rows(model, Xc)
     Hc = hidden_apply(model.layer, Xs)
-    model.rls = rls_update(model.rls, Hc, targets(model.family, Xs, model.R))
+    model.rls = rls_update(model.rls, Hc, targets(model.family, Xs))
     model.seen_count += Xs.shape[0]
     model.retained_rows.append(Xs)
     return model
@@ -122,7 +119,7 @@ def os_finalize(model: OnlineModel, tspec: ThresholdSpec) -> OnlineModel:
     Xs = np.vstack(model.retained_rows)
     O = hidden_apply(model.layer, Xs) @ model.rls.beta
     errors, model.thresh = fit_threshold(
-        model.family, tspec, row_errors(model.family, Xs, O, model.R)
+        model.family, tspec, row_errors(model.family, Xs, O)
     )
     model.train_errors = errors.tolist()
     model.tspec = tspec

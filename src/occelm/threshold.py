@@ -49,7 +49,9 @@ class ThresholdSpec:
 
 @dataclass(frozen=True)
 class Decision:
-    """Per-sample outcome: anomaly score, the cut applied, and the verdict."""
+    """One sample's outcome: anomaly score, the cut applied, and the
+    verdict. Only Decisions.__iter__ builds them, for perfbench, whose
+    batch scoring extends a list with each batch and reads d.score."""
 
     is_target: bool
     score: float
@@ -58,8 +60,8 @@ class Decision:
 
 @dataclass(frozen=True, eq=False)
 class Decisions:
-    """Outcomes of a batch of samples as three equal-length arrays;
-    indexing and iteration give one Decision per sample."""
+    """Outcomes of a batch of samples as three equal-length arrays, read
+    by column; iteration gives one Decision per sample."""
 
     is_target: np.ndarray
     score: np.ndarray
@@ -67,11 +69,6 @@ class Decisions:
 
     def __len__(self) -> int:
         return self.score.shape[0]
-
-    def __getitem__(self, i: int) -> Decision:
-        return Decision(
-            bool(self.is_target[i]), float(self.score[i]), float(self.thresh[i])
-        )
 
     def __iter__(self):
         return map(

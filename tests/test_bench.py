@@ -18,7 +18,7 @@ from occelm.bench import (
     selection_grids,
 )
 from occelm.dataset import Dataset, gen_ring, zscore_apply, zscore_fit
-from occelm.errors import MissingLabels, NoOutliers, TooFewSamples
+from occelm.errors import MissingLabels, NoOutliers, NoTargets, TooFewSamples
 from occelm.modelsel import C_GRID
 from occelm.online import OnlineModel
 
@@ -379,6 +379,18 @@ class TestRunBenchmark:
     def test_unknown_variant(self):
         with pytest.raises(KeyError):
             run_benchmark(_separable(), "ockelm_thr9", runs=1)
+
+    @pytest.mark.parametrize("targets", [1, 2])
+    def test_fewer_than_three_targets_rejected(self, targets):
+        """Each run trains on half of the targets, rounded half up, and
+        z-scoring needs 2 rows: 2 targets left 1 and ended in zscore_fit's
+        error instead."""
+        with pytest.raises(NoTargets, match="at least 3 target rows"):
+            run_benchmark(_separable(targets=targets, outliers=4), "ockelm_thr1", runs=2)
+
+    def test_three_targets_run(self):
+        result = run_benchmark(_separable(targets=3, outliers=4), "ockelm_thr1", runs=2)
+        assert result.report.run_count == 2
 
 
 class TestHigherDimensional:

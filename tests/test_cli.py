@@ -643,6 +643,20 @@ _TRAIN = ["train", "aakelm_thr1", "{data}", "--label-col", "-1", "--seed", "1",
 _SELECT = ["select", "aakelm_thr1", "{data}", "--label-col", "-1", "--seed", "1"]
 
 
+class TestFoldsBelowTwo:
+    """--folds 1 gets one message from every engine: the check runs before
+    the grid is built (the online grid once failed first, on the size of
+    the fold training sets)."""
+
+    @pytest.mark.parametrize("vid", ["ockelm_thr1", "ocelm_thr1", "os_ocelm_thr1"])
+    def test_select_exits_1(self, labeled_csv, capsys, vid):
+        argv = ["select", vid, labeled_csv, "--label-col", "-1", "--seed", "1", "--folds", "1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: folds must be >= 2\n"
+        assert captured.out == ""
+
+
 class TestBadFlagValues:
     """A flag value the library refuses is reported like any toolbox
     error: one "error:" line on stderr and exit 1, never a traceback. An

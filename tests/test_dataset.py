@@ -142,6 +142,20 @@ class TestLoadCsv:
         with pytest.raises(UnknownLabelToken):
             load_csv(str(p), label_column=1)
 
+    def test_bad_cell_after_blank_line_names_file_line(self, tmp_path):
+        """Blank lines count: the line number is the file's, not the
+        number of rows kept."""
+        p = tmp_path / "d.csv"
+        p.write_text("a,b,label\n1,2,+1\n\n3,4,+1\n5,x,-1\n")
+        with pytest.raises(ParseError, match=r"line 5, column 2: cannot parse 'x'"):
+            load_csv(str(p), label_column=-1)
+
+    def test_ragged_after_blank_lines_names_file_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("a,b\n1,2\n\n\n3,4,5\n")
+        with pytest.raises(RaggedRows, match="line 5 has 3 cells, expected 2"):
+            load_csv(str(p))
+
 
 class TestWriteCsv:
     def test_round_trip_bits(self, tmp_path):

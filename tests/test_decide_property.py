@@ -5,6 +5,7 @@ sample), including the singular and tie edges of each rule."""
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,18 +29,19 @@ def _ref_thr3(a, p, condn1, condn2_frac):
     err = _ref_relative_errors(a, p)
     n = err.size
     not_well = int(np.count_nonzero(err >= condn1))
-    return Decision(not_well <= condn2_frac * n, not_well / n, condn2_frac)
+    return (not_well <= condn2_frac * n, not_well / n, condn2_frac)
 
 
 def _ref_apply(score, thresh):
-    return Decision(bool(score < thresh), float(score), float(thresh))
+    return (bool(score < thresh), float(score), float(thresh))
 
 
 def _ref_decide(model, Xs, O):
-    """The per-row decision loop, one Python Decision per sample."""
+    """The per-row decision loop, one (is_target, score, thresh) tuple per
+    sample."""
     kind = model.tspec.kind
     if model.family == BOUNDARY:
-        dev = O.ravel() - model.R
+        dev = O.ravel() - 1.0
         errors = np.abs(dev) if kind == "thr1" else dev**2
         return [_ref_apply(e, model.thresh) for e in errors]
     if kind == "thr3":
@@ -55,15 +57,17 @@ def _bits(values) -> bytes:
     return np.array(values, dtype=float).tobytes()
 
 
-def _assert_same(got: Decisions, ref: list[Decision]) -> None:
+def _assert_same(got: Decisions, ref: list[tuple]) -> None:
     assert isinstance(got, Decisions)
     assert len(got) == len(ref)
-    assert got.is_target.tolist() == [d.is_target for d in ref]
-    assert got.score.tobytes() == _bits([d.score for d in ref])
-    assert got.thresh.tobytes() == _bits([d.thresh for d in ref])
+    is_target, score, thresh = zip(*ref)
+    assert got.is_target.tolist() == list(is_target)
+    assert got.score.tobytes() == _bits(score)
+    assert got.thresh.tobytes() == _bits(thresh)
     for d, r in zip(got, ref):
-        assert type(d.is_target) is bool and d.is_target == r.is_target
-        assert _bits([d.score, d.thresh]) == _bits([r.score, r.thresh])
+        assert type(d) is Decision
+        assert type(d.is_target) is bool and d.is_target == r[0]
+        assert _bits([d.score, d.thresh]) == _bits(r[1:])
 
 
 # Each cell of a predicted matrix is built from its actual value by one of
@@ -112,7 +116,6 @@ def test_thr3_matches_per_row_rule(pair, condn1, budget):
         family=RECONSTRUCTION,
         tspec=ThresholdSpec("thr3", condn1=condn1, condn2_frac=condn2_frac),
         thresh=float("nan"),
-        R=1.0,
     )
     _assert_same(decide(model, Xs, O), _ref_decide(model, Xs, O))
 
@@ -137,32 +140,34 @@ def test_relative_errors_match_masked_form(pair, poison):
     pair=_pairs(),
     family=st.sampled_from([BOUNDARY, RECONSTRUCTION]),
     kind=st.sampled_from(["thr1", "thr2"]),
-    R=st.sampled_from([1.0, -2.5, 0.0]),
     tie=st.integers(0, 11),
     offset=st.sampled_from([0.0, 0.0, -1e-9, 1e-9, 5.0]),
 )
-def test_thr1_thr2_match_per_row_rule(pair, family, kind, R, tie, offset):
+def test_thr1_thr2_match_per_row_rule(pair, family, kind, tie, offset):
     """Strict rule: a score equal to the threshold rejects."""
     Xs, A = pair
     O = A[:, :1] if family == BOUNDARY else A
-    probe = SimpleNamespace(family=family, tspec=ThresholdSpec(kind), thresh=0.0, R=R)
-    scores = [d.score for d in _ref_decide(probe, Xs, O)]
+    probe = SimpleNamespace(family=family, tspec=ThresholdSpec(kind), thresh=0.0)
+    scores = [score for _, score, _ in _ref_decide(probe, Xs, O)]
     # the cut is one of the scores itself (a tie) or just beside it
     thresh = scores[tie % len(scores)] + offset
-    model = SimpleNamespace(family=family, tspec=ThresholdSpec(kind), thresh=thresh, R=R)
+    model = SimpleNamespace(family=family, tspec=ThresholdSpec(kind), thresh=thresh)
     ref = _ref_decide(model, Xs, O)
     if offset == 0.0:
-        assert not ref[tie % len(scores)].is_target
+        assert not ref[tie % len(scores)][0]
     _assert_same(decide(model, Xs, O), ref)
 
 
 def test_indexing_and_iteration_give_decision():
+    """Iteration gives one Decision per sample (perfbench extends a list
+    with each batch); indexing is by column, not by sample."""
     got = Decisions(
         is_target=np.array([True, False]),
         score=np.array([0.25, 2.0]),
         thresh=np.array([1.0, 1.0]),
     )
-    assert got[0] == Decision(True, 0.25, 1.0)
-    assert got[-1] == Decision(False, 2.0, 1.0)
-    assert list(got) == [got[0], got[1]]
+    assert list(got) == [Decision(True, 0.25, 1.0), Decision(False, 2.0, 1.0)]
+    assert (bool(got.is_target[-1]), float(got.score[-1])) == (False, 2.0)
     assert len(got) == 2
+    with pytest.raises(TypeError):
+        got[0]

@@ -28,7 +28,7 @@ from occelm.errors import (
 class TestSolveRegularized:
     def test_identity_omega_scales_rhs(self):
         """With Omega = I and C = 1 the system is 2 beta = T."""
-        T = np.array([2.0, 4.0, -6.0])
+        T = np.array([[2.0], [4.0], [-6.0]])
         beta = solve_regularized(np.eye(3), T, 1.0)
         np.testing.assert_allclose(beta, T / 2.0, atol=1e-12)
 
@@ -78,34 +78,28 @@ class TestSolveRegularized:
         rng = np.random.default_rng(55)
         G = rng.normal(0.0, 1.0, (12, 12))
         omega = G @ G.T
-        T = rng.normal(0.0, 1.0, 12)
+        T = rng.normal(0.0, 1.0, (12, 1))
         beta = solve_regularized(omega, T, 100.0)
         expected = np.linalg.solve(omega + np.eye(12) / 100.0, T)
         np.testing.assert_allclose(beta, expected, atol=1e-9)
 
-    def test_vector_rhs_keeps_shape(self):
-        beta = solve_regularized(np.eye(2), np.array([1.0, 2.0]), 1.0)
-        assert beta.shape == (2,)
-        beta2 = solve_regularized(np.eye(2), np.array([[1.0], [2.0]]), 1.0)
-        assert beta2.shape == (2, 1)
-
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            solve_regularized(np.eye(2), np.zeros(2), 0.0)
+            solve_regularized(np.eye(2), np.zeros((2, 1)), 0.0)
         with pytest.raises(DimensionMismatch):
-            solve_regularized(np.zeros((2, 3)), np.zeros(2), 1.0)
+            solve_regularized(np.zeros((2, 3)), np.zeros((2, 1)), 1.0)
         with pytest.raises(DimensionMismatch):
-            solve_regularized(np.eye(2), np.zeros(3), 1.0)
+            solve_regularized(np.eye(2), np.zeros((3, 1)), 1.0)
 
     def test_empty_system_gives_empty_beta(self):
-        assert solve_regularized(np.zeros((0, 0)), np.zeros(0), 1.0).shape == (0,)
+        assert solve_regularized(np.zeros((0, 0)), np.zeros((0, 1)), 1.0).shape == (0, 1)
         assert solve_regularized(np.zeros((0, 0)), np.zeros((0, 2)), 1.0).shape == (0, 2)
 
     def test_exactly_singular_system_raises(self):
         """Omega with eigenvalue -1/C makes the shifted matrix singular."""
         omega = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(SingularSystem):
-            solve_regularized(omega, np.array([1.0, 0.0]), 1.0)
+            solve_regularized(omega, np.array([[1.0], [0.0]]), 1.0)
 
 
 def _dense_reference(omega, T, C):
@@ -113,10 +107,9 @@ def _dense_reference(omega, T, C):
     "omega + 0.0" copy with 1/C added to the diagonal, cho_factor, or
     lu_factor when Cholesky fails, refined against that copy. Returns
     None where the residual bound is not met."""
-    T2 = T.reshape(-1, 1) if T.ndim == 1 else T
     A = omega + 0.0
     A.flat[:: A.shape[0] + 1] += 1.0 / C
-    tol = 1e-8 * (1.0 + np.linalg.norm(T2))
+    tol = 1e-8 * (1.0 + np.linalg.norm(T))
     try:
         factor = scipy.linalg.cho_factor(A, check_finite=False)
 
@@ -132,18 +125,18 @@ def _dense_reference(omega, T, C):
             return scipy.linalg.lu_solve(lu, rhs, check_finite=False)
 
     with np.errstate(all="ignore"):
-        beta = solve(T2)
+        beta = solve(T)
         for _ in range(4):
-            residual = T2 - A @ beta
+            residual = T - A @ beta
             final = np.linalg.norm(residual)
             if final <= tol:
                 break
             beta = beta + solve(residual)
         else:
-            final = np.linalg.norm(T2 - A @ beta)
+            final = np.linalg.norm(T - A @ beta)
     if not final <= tol:
         return None
-    return beta.ravel() if T.ndim == 1 else beta
+    return beta
 
 
 @st.composite
@@ -151,7 +144,7 @@ def _borrowed_systems(draw):
     """Omega of one of five kinds (PSD, PSD with -0.0 off-diagonal blocks,
     indefinite so Cholesky fails, exactly singular once shifted, or with a
     NaN), in one of four layouts (C order, Fortran order, a strided view,
-    read-only), with C from 1e-8 to 1e8 and a 1-D or 2-D T."""
+    read-only), with C from 1e-8 to 1e8 and an N x k T, k from 1 to 4."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 40))
     kind = draw(st.sampled_from(["psd", "signed_zero", "indefinite", "singular", "nan"]))
@@ -183,8 +176,7 @@ def _borrowed_systems(draw):
         omega = wide[:, ::2]
     elif layout == "readonly":
         omega.flags.writeable = False
-    k = draw(st.integers(0, 4))
-    T = rng.normal(0.0, 1.0, n if k == 0 else (n, k))
+    T = rng.normal(0.0, 1.0, (n, draw(st.integers(1, 4))))
     return omega, T, C
 
 
@@ -215,7 +207,7 @@ class TestBorrowedOmega:
         omega = G + G.T - 13.0 * np.eye(6)
         with pytest.raises(scipy.linalg.LinAlgError):
             scipy.linalg.cho_factor(omega + np.eye(6))
-        T = np.arange(6.0)
+        T = np.arange(6.0).reshape(-1, 1)
         assert solve_regularized(omega, T, 1.0).tobytes() == (
             _dense_reference(omega, T, 1.0).tobytes()
         )
@@ -326,21 +318,21 @@ class TestRlsInit:
     def test_p_is_symmetric(self):
         rng = np.random.default_rng(13)
         H0 = rng.normal(0.0, 1.0, (20, 8))
-        state = rls_init(H0, rng.normal(0.0, 1.0, 20))
+        state = rls_init(H0, rng.normal(0.0, 1.0, (20, 1)))
         np.testing.assert_array_equal(state.P, state.P.T)
 
     def test_needs_enough_rows(self):
         with pytest.raises(TooFewInitialSamples):
-            rls_init(np.zeros((3, 5)), np.zeros(3))
+            rls_init(np.zeros((3, 5)), np.zeros((3, 1)))
 
     def test_rank_deficient_chunk_refused(self):
         H0 = np.ones((6, 3))
         with pytest.raises(RankDeficient):
-            rls_init(H0, np.zeros(6))
+            rls_init(H0, np.zeros((6, 1)))
 
     def test_row_count_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            rls_init(np.zeros((4, 2)), np.zeros(5))
+            rls_init(np.zeros((4, 2)), np.zeros((5, 1)))
 
 
 class TestRlsUpdate:
@@ -383,40 +375,54 @@ class TestRlsUpdate:
     def test_update_returns_fresh_state(self):
         rng = np.random.default_rng(2)
         H0 = rng.normal(0.0, 1.0, (6, 3))
-        state = rls_init(H0, rng.normal(0.0, 1.0, 6))
+        state = rls_init(H0, rng.normal(0.0, 1.0, (6, 1)))
         P_before = state.P.copy()
-        new = rls_update(state, rng.normal(0.0, 1.0, (1, 3)), [0.5])
+        new = rls_update(state, rng.normal(0.0, 1.0, (1, 3)), [[0.5]])
         assert new is not state
         np.testing.assert_array_equal(state.P, P_before)
 
     def test_p_stays_symmetric(self):
         rng = np.random.default_rng(47)
         state = rls_init(
-            rng.normal(0.0, 1.0, (10, 4)), rng.normal(0.0, 1.0, 10)
+            rng.normal(0.0, 1.0, (10, 4)), rng.normal(0.0, 1.0, (10, 1))
         )
         for _ in range(25):
             state = rls_update(
-                state, rng.normal(0.0, 1.0, (2, 4)), rng.normal(0.0, 1.0, 2)
+                state, rng.normal(0.0, 1.0, (2, 4)), rng.normal(0.0, 1.0, (2, 1))
             )
             np.testing.assert_array_equal(state.P, state.P.T)
 
     def test_chunk_shape_checked(self):
-        state = rls_init(np.eye(3), np.zeros(3))
+        state = rls_init(np.eye(3), np.zeros((3, 1)))
         with pytest.raises(DimensionMismatch):
-            rls_update(state, np.zeros((2, 4)), np.zeros(2))
+            rls_update(state, np.zeros((2, 4)), np.zeros((2, 1)))
         with pytest.raises(DimensionMismatch):
-            rls_update(state, np.zeros((2, 3)), np.zeros(3))
+            rls_update(state, np.zeros((2, 3)), np.zeros((3, 1)))
 
 
 class TestRlsState:
-    def test_vector_beta_reshaped(self):
-        state = RlsState(np.eye(2), np.array([1.0, 2.0]))
-        assert state.beta.shape == (2, 1)
-        assert state.m == 2
-        assert state.k == 1
-
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatch):
-            RlsState(np.zeros((2, 3)), np.zeros(2))
+            RlsState(np.zeros((2, 3)), np.zeros((2, 1)))
         with pytest.raises(DimensionMismatch):
             RlsState(np.eye(2), np.zeros((3, 1)))
+        with pytest.raises(DimensionMismatch):
+            RlsState(np.eye(2), np.zeros(2))  # beta is m x k
+
+
+class TestVectorRhsRefused:
+    """Right-hand sides are N x k; a 1-D one raises DimensionMismatch
+    instead of being reshaped."""
+
+    def test_solve_regularized(self):
+        with pytest.raises(DimensionMismatch):
+            solve_regularized(np.eye(2), np.ones(2), 1.0)
+
+    def test_rls_init(self):
+        with pytest.raises(DimensionMismatch):
+            rls_init(np.eye(3), np.ones(3))
+
+    def test_rls_update(self):
+        state = rls_init(np.eye(3), np.zeros((3, 1)))
+        with pytest.raises(DimensionMismatch):
+            rls_update(state, np.ones((2, 3)), np.ones(2))

@@ -14,36 +14,34 @@ from occelm.metrics import (
     measures,
     render_value,
 )
-from occelm.threshold import Decision
+from occelm.threshold import apply_threshold
+
+
+def _decisions(is_target):
+    """Decisions with the given verdicts (score 0 accepts, 1 rejects)."""
+    return apply_threshold([0.0 if t else 1.0 for t in is_target], 0.5)
 
 
 class TestConfuse:
     def test_hand_tally(self):
-        predicted = [True, True, False, False, True]
+        predicted = _decisions([True, True, False, False, True])
         actual = [True, False, False, True, True]
         c = confuse(predicted, actual)
         assert (c.tp, c.fp, c.tn, c.fn) == (2, 1, 1, 1)
         assert c.total == 5
 
     def test_accepts_decisions(self):
-        decisions = [
-            Decision(True, 0.1, 0.5),
-            Decision(False, 0.9, 0.5),
-        ]
+        decisions = apply_threshold([0.1, 0.9], 0.5)
         c = confuse(decisions, [True, True])
         assert (c.tp, c.fn) == (1, 1)
 
-    def test_accepts_bool_array(self):
-        c = confuse(np.array([True, False]), np.array([False, False]))
-        assert (c.fp, c.tn) == (1, 1)
-
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            confuse([True], [True, False])
+            confuse(_decisions([True]), [True, False])
 
     def test_empty_rejected(self):
         with pytest.raises(LengthMismatch):
-            confuse([], [])
+            confuse(_decisions([]), [])
 
 
 class TestMeasures:

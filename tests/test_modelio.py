@@ -1,10 +1,13 @@
 """Tests for the plain-text model save/load format."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import run_cli
 
+import occelm.cli
 import occelm.modelio
 import occelm.offline
 from occelm.dataset import Dataset, zscore_fit
@@ -19,7 +22,6 @@ from occelm.featuremap import (
     wavelet_kernel,
 )
 from occelm.modelio import (
-    _BLOCK_TOKENS,
     _Reader,
     _Writer,
     _row,
@@ -56,7 +58,6 @@ class TestOfflineRoundTrip:
         assert loaded.family == model.family
         assert loaded.C == model.C
         assert loaded.thresh == model.thresh
-        assert loaded.R == model.R
         assert loaded.tspec == model.tspec
         assert loaded.mapping.kind == "rbf"
         assert loaded.mapping.sigma == 1.37
@@ -411,19 +412,24 @@ def _short_beta(lines):
     del lines[i + int(rows)]
 
 
+def _r_two(lines):
+    lines[lines.index("R 1")] = "R 2"
+
+
 # (edit, threshold kind of the edited file, text the error names)
 _LOAD_FAULTS = {
     "missing_kparam": (_drop_kparam, "thr1", "kparam sigma"),
     "inf_kparam": (_inf_kparam, "thr1", "kparam sigma"),
     "nan_condn1": (_nan_condn1, "thr3", "tspec"),
     "short_beta": (_short_beta, "thr1", "beta"),
+    "r_not_one": (_r_two, "thr1", "R: the boundary target is 1"),
 }
 
 
 class TestLoadFaults:
     """Files that once loaded, or escaped as another exception: a missing
-    kernel parameter, a non-finite kernel or threshold parameter, and a
-    beta with fewer rows than the basis."""
+    kernel parameter, a non-finite kernel or threshold parameter, a beta
+    with fewer rows than the basis, and a boundary target R other than 1."""
 
     @pytest.mark.parametrize("fault", list(_LOAD_FAULTS))
     def test_refused(self, tmp_path, fault):
@@ -477,10 +483,15 @@ def _joined_row(values):
     return " ".join(f"{v:.17g}" for v in values.tolist())
 
 
+# rows per block of 4096 tokens, by column count, of the block-wise parser
+# that _Reader.matrix's single pass replaced; the shapes below straddle them
+_OLD_BLOCK_ROWS = {1: 4096, 3: 1365, 100: 40, 4097: 1}
+
+
 class TestRowCodec:
-    """_row formats a whole row in one call and _Reader.matrix parses rows
-    in blocks of at most _BLOCK_TOKENS tokens; the bytes written and the
-    bits read are those of the per-value codec."""
+    """_row formats a whole row in one call and _Reader.matrix parses the
+    rows in one pass; the bytes written and the bits read are those of the
+    per-value codec."""
 
     def test_row_matches_per_value_join(self):
         rng = np.random.default_rng(40)
@@ -508,12 +519,11 @@ class TestRowCodec:
         path.write_text("\n".join(out) + "\n")
         return _Reader(str(path)).matrix("basis")
 
-    @pytest.mark.parametrize("cols", [1, 3, 100, _BLOCK_TOKENS + 1])
+    @pytest.mark.parametrize("cols", [1, 3, 100, 4097])
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("edge", [-1, 0, 1])
     def test_block_edges_load_bitwise(self, tmp_path, cols, k, edge):
-        step = max(1, _BLOCK_TOKENS // cols)
-        rows = k * step + edge
+        rows = k * _OLD_BLOCK_ROWS[cols] + edge
         bits = np.random.default_rng(rows + cols).integers(
             0, 2**64, (rows, cols), dtype=np.uint64
         )
@@ -523,8 +533,8 @@ class TestRowCodec:
 
     def test_short_row_in_later_block_names_global_index(self, tmp_path):
         cols = 3
-        row = 2 * (_BLOCK_TOKENS // cols) + 5
-        M = np.arange(3.0 * _BLOCK_TOKENS).reshape(-1, cols)
+        row = 2 * _OLD_BLOCK_ROWS[cols] + 5
+        M = np.arange(3.0 * 4096).reshape(-1, cols)
         out = _Writer()
         out.matrix("basis", M)
         out[1 + row] = " ".join(out[1 + row].split()[:2])
@@ -535,8 +545,8 @@ class TestRowCodec:
         assert str(info.value) == f"basis row {row}: 2 values, not 3"
 
     def test_bad_number_before_short_row_is_reported_first(self, tmp_path):
-        """As when rows were parsed one at a time: rows before a short one,
-        in the same block, are parsed before the short row is refused."""
+        """Each row is parsed as it is read: a bad number in a row before
+        a short one is the error reported."""
         out = _Writer()
         out.matrix("basis", np.ones((6, 2)))
         out[2] = "1 abc"
@@ -556,3 +566,21 @@ class TestRowCodec:
         path.write_text("\n".join(lines[: i + 20]) + "\n")
         with pytest.raises(ModelFormatError, match="unexpected end of model file"):
             load_model(str(path))
+
+
+_V2_MODELS = Path(__file__).parent / "data" / "v2_models"
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.stem for p in _V2_MODELS.glob("*.occ"))
+)
+def test_earlier_files_load_score_and_resave_bitwise(tmp_path, name):
+    """Files written while R was still a keyword (each says R 1) score
+    the probes to the bytes they gave then and are saved back unchanged."""
+    model_path = _V2_MODELS / f"{name}.occ"
+    out = tmp_path / "score.csv"
+    argv = ["score", str(model_path), str(_V2_MODELS / "probes.csv"), "-o", str(out)]
+    assert occelm.cli.main(argv) == 0
+    assert out.read_bytes() == (_V2_MODELS / f"{name}.score.csv").read_bytes()
+    save_model(load_model(str(model_path)), str(tmp_path / "again.occ"))
+    assert (tmp_path / "again.occ").read_bytes() == model_path.read_bytes()

@@ -144,6 +144,22 @@ class TestSelect:
         params, diag = select(_accept_all, self._rows(), cfg)
         assert params == {"m": 50, "C": 1.0}
 
+    @pytest.mark.parametrize("name", ["b_w", "degree"])
+    def test_kernel_parameter_compared_before_c(self, name):
+        """The wavelet width and the polynomial degree, like sigma, come
+        before C: consistent at (2, C = 100) and (3, C = 1), the smaller
+        kernel parameter wins. They were once compared after C."""
+
+        @_scanner
+        def trainer(params, train_rows, val):
+            ok = (params[name], params["C"]) in ((2, 100.0), (3, 1.0))
+            return np.full(len(val), ok, dtype=bool)
+
+        cfg = SelectionConfig(grids={name: [2, 3], "C": [1.0, 100.0]})
+        params, diag = select(trainer, self._rows(), cfg)
+        assert params == {name: 2, "C": 100.0}
+        assert diag.consistent
+
     def test_consistency_bound_filters(self):
         """Narrow kernels that reject too many targets are skipped."""
 

@@ -39,9 +39,7 @@ def _training_rows() -> np.ndarray:
 @pytest.mark.parametrize("family", [BOUNDARY, RECONSTRUCTION])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_decide_names_first_nonfinite_row(family, bad):
-    model = SimpleNamespace(
-        family=family, tspec=ThresholdSpec("thr1"), thresh=1.0, R=1.0
-    )
+    model = SimpleNamespace(family=family, tspec=ThresholdSpec("thr1"), thresh=1.0)
     Xs = np.zeros((5, 3))
     O = np.zeros((5, 1 if family == BOUNDARY else 3))
     O[3, -1] = bad

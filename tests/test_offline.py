@@ -41,7 +41,7 @@ class TestTrainBoundary:
         np.testing.assert_allclose(model.beta, expected, atol=1e-9)
 
     def test_outputs_near_r_for_large_c(self):
-        """Weak regularization drives training outputs onto the target R."""
+        """Weak regularization drives training outputs onto the target 1."""
         X = _cloud(2, count=25)
         model = train_boundary(X, rbf_kernel(1.5), 1e8, ThresholdSpec("thr1"))
         assert np.max(model.train_errors) < 1e-3
@@ -52,17 +52,6 @@ class TestTrainBoundary:
         m2 = train_boundary(X, rbf_kernel(1.0), 1.0, ThresholdSpec("thr2"))
         np.testing.assert_allclose(
             m2.train_errors, m1.train_errors**2, atol=1e-12
-        )
-
-    def test_custom_r(self):
-        X = _cloud(4, count=20)
-        model = train_boundary(
-            X, rbf_kernel(1.0), 1e8, ThresholdSpec("thr1"), R=3.0
-        )
-        assert model.R == 3.0
-        O = score(model, X)
-        np.testing.assert_allclose(
-            [d.score for d in O], model.train_errors, atol=1e-8
         )
 
     def test_thr3_rejected(self):

@@ -85,10 +85,10 @@ def _reference(case, X, cfg, seed, fracrej=0.1):
         points.append((params, rejection, not math.isnan(rejection) and rejection <= err_thr))
 
     def complexity(params):
-        # smallest sigma, then widest m, then smallest C, then the rest
-        order = [("sigma", 1), ("m", -1), ("C", 1)]
-        order += [(k, 1) for k in names if k not in ("sigma", "m", "C")]
-        return tuple(sign * params[k] for k, sign in order if k in params)
+        # every parameter but C in grid order (widest m, else the smallest
+        # value), then the smallest C
+        order = [(k, -1 if k == "m" else 1) for k in names if k != "C"]
+        return tuple(sign * params[k] for k, sign in order + [("C", 1)] if k in params)
 
     consistent = [p for p in points if p[2]]
     if consistent:

@@ -128,9 +128,9 @@ class TestRelativeErrors:
 
 class TestThr3:
     def test_perfect_reconstruction_is_target(self):
-        d = thr3_decide([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])[0]
-        assert d.is_target
-        assert d.score == 0.0
+        d = thr3_decide([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        assert d.is_target[0]
+        assert d.score[0] == 0.0
 
     def test_inclusive_feature_budget(self):
         """With 10 features and condn2_frac=0.1, exactly one bad feature
@@ -138,27 +138,27 @@ class TestThr3:
         actual = np.ones(10)
         predicted = np.ones(10)
         predicted[0] = 100.0
-        d = thr3_decide(actual, predicted, condn1=0.5, condn2_frac=0.1)[0]
-        assert d.is_target
-        assert d.score == 0.1
+        d = thr3_decide(actual, predicted, condn1=0.5, condn2_frac=0.1)
+        assert d.is_target[0]
+        assert d.score[0] == 0.1
 
     def test_one_over_budget_rejects(self):
         actual = np.ones(10)
         predicted = np.ones(10)
         predicted[0] = 100.0
         predicted[1] = 100.0
-        d = thr3_decide(actual, predicted, condn1=0.5, condn2_frac=0.1)[0]
-        assert not d.is_target
-        assert d.score == 0.2
+        d = thr3_decide(actual, predicted, condn1=0.5, condn2_frac=0.1)
+        assert not d.is_target[0]
+        assert d.score[0] == 0.2
 
     def test_condn1_boundary_counts_as_bad(self):
         """A feature whose relative error equals condn1 is already bad."""
-        d = thr3_decide([3.0], [1.0], condn1=0.5, condn2_frac=0.0)[0]
-        assert not d.is_target
+        d = thr3_decide([3.0], [1.0], condn1=0.5, condn2_frac=0.0)
+        assert not d.is_target[0]
 
     def test_just_below_condn1_is_fine(self):
-        d = thr3_decide([2.9], [1.0], condn1=0.5, condn2_frac=0.0)[0]
-        assert d.is_target
+        d = thr3_decide([2.9], [1.0], condn1=0.5, condn2_frac=0.0)
+        assert d.is_target[0]
 
     def test_score_is_bad_feature_fraction(self):
         rng = np.random.default_rng(33)
@@ -166,10 +166,10 @@ class TestThr3:
             n = int(rng.integers(1, 12))
             a = rng.uniform(0.5, 2.0, n)
             p = rng.uniform(0.5, 2.0, n)
-            d = thr3_decide(a, p)[0]
+            d = thr3_decide(a, p)
             bad = np.count_nonzero(relative_errors(a, p) >= 0.5)
-            assert d.score == bad / n
-            assert d.thresh == 0.1
+            assert d.score[0] == bad / n
+            assert d.thresh[0] == 0.1
 
     def test_empty_vectors_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -179,13 +179,11 @@ class TestThr3:
 class TestApplyThreshold:
     def test_strict_rule(self):
         """Equality means rejection: target iff score < thresh."""
-        assert apply_threshold([0.9], 1.0)[0].is_target
-        assert not apply_threshold([1.0], 1.0)[0].is_target
-        assert not apply_threshold([1.1], 1.0)[0].is_target
+        d = apply_threshold([0.9, 1.0, 1.1], 1.0)
+        assert d.is_target.tolist() == [True, False, False]
 
     def test_decision_carries_inputs(self):
-        d = apply_threshold([0.25], 0.75)[0]
-        assert d == Decision(True, 0.25, 0.75)
+        assert list(apply_threshold([0.25], 0.75)) == [Decision(True, 0.25, 0.75)]
 
 
 class TestThresholdSpec:
