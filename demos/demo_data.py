@@ -10,7 +10,6 @@ import numpy as np
 
 from occelm import (
     Dataset,
-    SplitPlan,
     gen_banana,
     gen_ring,
     load_csv,
@@ -47,10 +46,9 @@ def main() -> None:
         labels,
         ["x", "y"],
     )
-    plan = SplitPlan(rng_seed=7, run_count=20)
-    train_half, test_half = occ_split(mixed, plan, run_index=0)
+    train_half, test_half = occ_split(mixed, seed=7, run=0)
     print(
-        f"\nsplit (run 0 of {plan.run_count}, seed 7): "
+        "\nsplit (run 0, seed 7): "
         f"{train_half.samples.shape[0]} training targets, "
         f"{test_half.samples.shape[0]} test rows "
         f"({int(test_half.labels.sum())} targets + "

@@ -20,7 +20,6 @@ from .bench import (
 )
 from .dataset import (
     Dataset,
-    SplitPlan,
     ZScoreStats,
     gen_banana,
     gen_ring,
@@ -28,7 +27,6 @@ from .dataset import (
     load_csv,
     occ_split,
     round_half_up,
-    run_rng,
     write_csv,
     zscore_apply,
     zscore_fit,
@@ -89,7 +87,6 @@ from .modelio import load_model, save_model
 from .modelsel import (
     C_GRID,
     GridPoint,
-    SelectionConfig,
     SelectionDiagnostics,
     error_threshold,
     fold_assignment,

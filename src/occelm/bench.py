@@ -31,8 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import modelsel
-from .dataset import Dataset, SplitPlan, occ_split, zscore_apply, zscore_fit
-from .errors import MissingLabels, NoOutliers, NoTargets, TooFewSamples
+from .dataset import Dataset, occ_split, zscore_apply, zscore_fit
+from .errors import TooFewSamples
 from .featuremap import (
     ADDITIVE_SIGMOID,
     MAX_WIDTH,
@@ -46,7 +46,7 @@ from .featuremap import (
     wavelet_kernel,
 )
 from .metrics import EvalReport, aggregate, confuse, measures
-from .modelsel import C_GRID, SelectionConfig, SelectionDiagnostics, sigma_grid
+from .modelsel import C_GRID, SelectionDiagnostics, sigma_grid
 from .offline import (
     BOUNDARY,
     RECONSTRUCTION,
@@ -308,8 +308,9 @@ def score_model(model, rows) -> Decisions:
 
 def _fold_trainer(variant: Variant, fracrej: float, seed: int):
     """Scanner for modelsel.select on already normalized fold rows: offline
-    variants walk the C list with offline.scan_c, online ones fit once."""
-    tspec = ThresholdSpec(kind=variant.tkind, fracrej=fracrej)
+    variants walk the C list with offline.scan_c, online ones fit once.
+    The threshold spec is built in the scan, so that select's own fracrej
+    check, which runs first, gives the message for a bad value."""
 
     def scan(params: dict, fold):
         train, val = fold
@@ -318,6 +319,7 @@ def _fold_trainer(variant: Variant, fracrej: float, seed: int):
             model = fit(variant, params, train, fracrej=fracrej, layer_seed=layer_seed)
             return [score_model(model, val).is_target]
         mapping = _offline_mapping(variant, params)
+        tspec = ThresholdSpec(kind=variant.tkind, fracrej=fracrej)
         return scan_c(
             variant.family, train, val, mapping, params["C"], tspec, layer_seed
         )
@@ -336,15 +338,10 @@ def choose_params(
 ) -> tuple[dict, SelectionDiagnostics]:
     """Consistency-based selection over the variant's grid on normalized
     target rows Xz; returns the chosen parameters and the diagnostics."""
-    cfg = SelectionConfig(
-        selection_grids(variant, Xz, folds),
-        folds=folds,
-        sigma_thr=sigma_thr,
-        fracrej=fracrej,
-        rng_seed=[seed, 0, _FOLD_STREAM],
+    return modelsel.select(
+        _fold_trainer(variant, fracrej, seed), Xz, selection_grids(variant, Xz, folds),
+        folds=folds, sigma_thr=sigma_thr, fracrej=fracrej, seed=[seed, 0, _FOLD_STREAM],
     )
-    scan = _fold_trainer(variant, fracrej, seed)
-    return modelsel.select(scan, Xz, cfg)
 
 
 @dataclass
@@ -377,25 +374,15 @@ def run_benchmark(
 
     variant is a Variant from parse_variant, or an id resolved with the
     default feature map; fixed holds the fixed parameters (fixed_params).
-    data must carry labels with at least 3 targets and one outlier; runs
-    repeats the split/train/score cycle with run-indexed seed streams.
+    runs repeats the split/train/score cycle with run-indexed seed streams;
+    run 0's occ_split refuses data the protocol cannot split.
     """
     if isinstance(variant, str):
         variant = parse_variant(variant)
     fixed = fixed_params(variant, select_params, fixed or {})
-    if data.labels is None:
-        raise MissingLabels("benchmarking needs labeled data")
-    if bool(np.all(data.labels)):
-        raise NoOutliers("benchmarking needs at least one outlier row")
-    if np.count_nonzero(data.labels) < 3:
-        raise NoTargets(
-            "benchmarking needs at least 3 target rows: each run trains on "
-            "half of them, and z-scoring needs 2"
-        )
     if runs < 1:
         raise ValueError("runs must be >= 1")
 
-    plan = SplitPlan(run_count=runs, rng_seed=seed)
     chosen: dict | None = None
     diagnostics: SelectionDiagnostics | None = None
     run_reports: list[EvalReport] = []
@@ -403,7 +390,7 @@ def run_benchmark(
     run_params: list[dict] = []
 
     for r in range(runs):
-        train, test = occ_split(data, plan, r)
+        train, test = occ_split(data, seed, r)
         zstats = zscore_fit(train)
         Xz = zscore_apply(train, zstats).samples
 

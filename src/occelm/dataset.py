@@ -93,18 +93,6 @@ def identity_stats(n: int) -> ZScoreStats:
     return ZScoreStats(np.zeros(n), np.ones(n))
 
 
-@dataclass
-class SplitPlan:
-    """Repeated-run experiment schedule for target/outlier splits."""
-
-    run_count: int = 20
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.run_count < 1:
-            raise ValueError("run_count must be >= 1")
-
-
 def _parse_label(token: str, row: int) -> bool:
     raw = token.strip()
     key = raw.lower() if raw.lower() in ("target", "outlier") else raw
@@ -237,34 +225,29 @@ def require_finite(values: np.ndarray, what: str) -> None:
         raise NonFiniteOutput(f"row {row}: {what} overflowed to inf or nan")
 
 
-def run_rng(rng_seed: int, run_index: int, *extra: int) -> np.random.Generator:
-    """Deterministic generator for (seed, run) and optional sub-streams."""
-    return np.random.default_rng([rng_seed, run_index, *extra])
-
-
-def occ_split(
-    data: Dataset, plan: SplitPlan, run_index: int
-) -> tuple[Dataset, Dataset]:
+def occ_split(data: Dataset, seed: int, run: int) -> tuple[Dataset, Dataset]:
     """One repeated-run split: a random half of the targets (rounded half
     up) for training, the rest plus all outliers for testing.
 
     The training half keeps no labels (one-class training); the test half
-    keeps labels. Row selection depends only on (rng_seed, run_index).
+    keeps labels. Row selection depends only on (seed, run). data must
+    carry labels, one outlier and at least 3 targets, so that the training
+    half has the 2 rows z-scoring needs.
     """
     if data.labels is None:
-        raise MissingLabels("occ_split needs a labeled dataset")
-    if not 0 <= run_index < plan.run_count:
-        raise ValueError(f"run_index {run_index} outside 0..{plan.run_count - 1}")
+        raise MissingLabels("benchmarking needs labeled data")
     target_idx = np.flatnonzero(data.labels)
     outlier_idx = np.flatnonzero(~data.labels)
-    if target_idx.size < 2:
-        raise NoTargets("need at least 2 target rows to split")
-    if outlier_idx.size < 1:
-        raise NoOutliers("need at least 1 outlier row")
+    if outlier_idx.size == 0:
+        raise NoOutliers("benchmarking needs at least one outlier row")
+    if target_idx.size < 3:
+        raise NoTargets(
+            "benchmarking needs at least 3 target rows: each run trains on "
+            "half of them, and z-scoring needs 2"
+        )
 
     k = round_half_up(0.5 * target_idx.size)
-    rng = run_rng(plan.rng_seed, run_index)
-    perm = rng.permutation(target_idx.size)
+    perm = np.random.default_rng([seed, run]).permutation(target_idx.size)
     chosen = np.sort(target_idx[perm[:k]])
     rest = np.sort(target_idx[perm[k:]])
 
@@ -278,13 +261,20 @@ def occ_split(
     return train, test
 
 
+def _check_noise_std(noise_std: float) -> None:
+    # NAN fails every comparison, so it would pass a plain `< 0` check
+    if not 0 <= noise_std < math.inf:
+        raise ValueError(
+            "noise_std must be >= 0" if noise_std < 0 else "noise_std must be finite"
+        )
+
+
 def gen_banana(count: int, noise_std: float = 1.0, seed: int = 0) -> Dataset:
     """Banana-shaped 2-D data: a half-annulus arc of radius 5 with angles
     uniform in [-pi/2, pi/2], plus isotropic Gaussian noise."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if noise_std < 0:
-        raise ValueError("noise_std must be >= 0")
+    _check_noise_std(noise_std)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-np.pi / 2, np.pi / 2, count)
     pts = np.column_stack([5.0 * np.cos(theta), 5.0 * np.sin(theta)])
@@ -299,10 +289,9 @@ def gen_ring(
     radius + Normal(0, noise_std)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
-    if noise_std < 0:
-        raise ValueError("noise_std must be >= 0")
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be > 0" if radius <= 0 else "radius must be finite")
+    _check_noise_std(noise_std)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * np.pi, count)
     r = radius + (rng.normal(0.0, noise_std, count) if noise_std > 0 else 0.0)

@@ -38,8 +38,10 @@ def error_threshold(fracrej: float, sigma_thr: float, M: int) -> float:
         raise ValueError("M must be >= 1")
     if not 0.0 <= fracrej < 1.0:
         raise ValueError("fracrej must lie in [0, 1)")
-    if sigma_thr < 0:
-        raise ValueError("sigma_thr must be >= 0")
+    if not 0.0 <= sigma_thr < math.inf:  # NAN fails this too
+        raise ValueError(
+            "sigma_thr must be >= 0" if sigma_thr < 0 else "sigma_thr must be finite"
+        )
     return fracrej + sigma_thr * math.sqrt(fracrej * (1.0 - fracrej) / M)
 
 
@@ -71,25 +73,6 @@ def check_folds(folds: int) -> None:
 
 
 @dataclass
-class SelectionConfig:
-    """Grid-search settings; grids map parameter name to an ascending
-    candidate list and are walked in insertion order."""
-
-    grids: dict[str, list]
-    folds: int = 5
-    sigma_thr: float = 2.0
-    fracrej: float = 0.1
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        check_folds(self.folds)
-        if not self.grids or any(len(v) == 0 for v in self.grids.values()):
-            raise ValueError("every grid must be nonempty")
-        if not 0.0 < self.fracrej < 1.0:
-            raise ValueError("fracrej must lie in (0, 1)")
-
-
-@dataclass
 class GridPoint:
     params: dict
     rejection: float
@@ -101,7 +84,6 @@ class SelectionDiagnostics:
     err_thr: float
     fold_size: int
     points: list[GridPoint] = field(default_factory=list)
-    chosen: dict | None = None
     consistent: bool = False
 
 
@@ -135,8 +117,17 @@ def fold_assignment(N: int, folds: int, rng_seed: int) -> np.ndarray:
     return fold_of
 
 
-def select(scan, X, cfg: SelectionConfig) -> tuple[dict, SelectionDiagnostics]:
+def select(
+    scan, X, grids: dict[str, list], *, folds: int, sigma_thr: float,
+    fracrej: float, seed,
+) -> tuple[dict, SelectionDiagnostics]:
     """Scan the grid and pick the most complex consistent combination.
+
+    grids map each parameter name to an ascending candidate list and are
+    walked in insertion order. The rows X are dealt into folds by
+    fold_assignment(N, folds, seed); fracrej, in (0, 1), and sigma_thr set
+    the consistency bound (error_threshold). The arguments are checked
+    before the first scan call.
 
     For each combination of the non-C grid values and each fold, calls
     scan(params, (train_rows, val_rows)) once; params["C"] lists the C
@@ -148,21 +139,26 @@ def select(scan, X, cfg: SelectionConfig) -> tuple[dict, SelectionDiagnostics]:
     is consistent the minimum-rejection combination is returned with
     diagnostics.consistent False.
     """
+    check_folds(folds)
+    if not grids or any(len(v) == 0 for v in grids.values()):
+        raise ValueError("every grid must be nonempty")
+    if not 0.0 < fracrej < 1.0:
+        raise ValueError("fracrej must lie in (0, 1)")
     rows = _rows(X)
     N = rows.shape[0]
-    if N < cfg.folds:
-        raise ValueError(f"need at least folds={cfg.folds} rows, got {N}")
-    M = N // cfg.folds
-    err_thr = error_threshold(cfg.fracrej, cfg.sigma_thr, M)
-    fold_of = fold_assignment(N, cfg.folds, cfg.rng_seed)
-    folds = [(rows[fold_of != j], rows[fold_of == j]) for j in range(cfg.folds)]
-    prefs = _default_preference(cfg.grids)
+    if N < folds:
+        raise ValueError(f"need at least folds={folds} rows, got {N}")
+    M = N // folds
+    err_thr = error_threshold(fracrej, sigma_thr, M)
+    fold_of = fold_assignment(N, folds, seed)
+    splits = [(rows[fold_of != j], rows[fold_of == j]) for j in range(folds)]
+    prefs = _default_preference(grids)
 
-    Cs = cfg.grids.get("C")
+    Cs = grids.get("C")
     rejection = {}
-    for group in _combos({k: v for k, v in cfg.grids.items() if k != "C"}):
+    for group in _combos({k: v for k, v in grids.items() if k != "C"}):
         runs = {C: [] for C in Cs or [None]}  # per-fold rejections or None
-        for fold in folds:
+        for fold in splits:
             alive = [C for C, r in runs.items() if r is not None]
             if not alive:
                 break
@@ -180,7 +176,7 @@ def select(scan, X, cfg: SelectionConfig) -> tuple[dict, SelectionDiagnostics]:
             rejection[tuple(group.values()), C] = rej
 
     diag = SelectionDiagnostics(err_thr=err_thr, fold_size=M)
-    for params in _combos(cfg.grids):
+    for params in _combos(grids):
         group = tuple(v for k, v in params.items() if k != "C")
         rej = rejection[group, params.get("C")]
         consistent = (not math.isnan(rej)) and rej <= err_thr
@@ -199,7 +195,6 @@ def select(scan, X, cfg: SelectionConfig) -> tuple[dict, SelectionDiagnostics]:
             key=lambda p: (p.rejection, _complexity_key(p.params, prefs)),
         )
         diag.consistent = False
-    diag.chosen = dict(best.params)
     return dict(best.params), diag
 
 

@@ -53,7 +53,7 @@ class OnlineModel:
     seen_count: int
     n0: int
     block: int
-    train_errors: list[float] = field(default_factory=list)
+    train_errors: np.ndarray = field(default_factory=lambda: np.empty(0))
     retained_rows: list[np.ndarray] = field(default_factory=list)
     tspec: ThresholdSpec | None = None
     thresh: float | None = None
@@ -121,7 +121,7 @@ def os_finalize(model: OnlineModel, tspec: ThresholdSpec) -> OnlineModel:
     errors, model.thresh = fit_threshold(
         model.family, tspec, row_errors(model.family, Xs, O)
     )
-    model.train_errors = errors.tolist()
+    model.train_errors = errors
     model.tspec = tspec
     return model
 

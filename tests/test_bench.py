@@ -283,7 +283,7 @@ class TestFitAndScore:
         result = run_benchmark(
             data, "ockelm_thr1", runs=1, seed=4, select_params=True
         )
-        train, _ = bench.occ_split(data, bench.SplitPlan(1, 4), 0)
+        train, _ = bench.occ_split(data, 4, 0)
         Xz = zscore_apply(train, zscore_fit(train)).samples
         params, diag = choose_params(VARIANTS["ockelm_thr1"], Xz, seed=4)
         assert params == result.run_params[0]
@@ -338,9 +338,9 @@ class TestRunBenchmark:
         calls = []
         real_select = bench.modelsel.select
 
-        def counting_select(trainer, X, cfg):
+        def counting_select(trainer, X, grids, **settings):
             calls.append(np.asarray(X).shape)
-            return real_select(trainer, X, cfg)
+            return real_select(trainer, X, grids, **settings)
 
         monkeypatch.setattr(bench.modelsel, "select", counting_select)
         result = run_benchmark(

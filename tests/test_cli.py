@@ -696,3 +696,85 @@ class TestBadFlagValues:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+def _refused(argv, capsys, message):
+    """argv exits 1 with nothing on stdout and exactly one error line."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+class TestErrorMessages:
+    """The exact line each refused selection setting, protocol table and
+    generator parameter prints."""
+
+    @pytest.mark.parametrize("command", ["select", "train", "bench"])
+    @pytest.mark.parametrize("fracrej", ["0", "1.5"])
+    def test_selection_fracrej(self, tmp_path, labeled_csv, capsys, command, fracrej):
+        """Selection's (0, 1) check runs before the threshold rule's
+        [0, 1) one, under every command that selects."""
+        argv = [command, "ockelm_thr1", labeled_csv, "--label-col", "-1",
+                "--seed", "1", "--fracrej", fracrej]
+        if command != "select":
+            argv.append("--select")
+        if command == "train":
+            argv += ["-o", str(tmp_path / "m.occ")]
+        _refused(argv, capsys, "fracrej must lie in (0, 1)")
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("-1", "sigma_thr must be >= 0"), ("nan", "sigma_thr must be finite"),
+         ("inf", "sigma_thr must be finite")],
+    )
+    def test_sigma_thr(self, labeled_csv, capsys, value, message):
+        """NAN once gave err_thr nan and a minimum-rejection pick, inf a
+        bound that every grid point met; both exited 0."""
+        argv = ["select", "ockelm_thr1", labeled_csv, "--label-col", "-1",
+                "--seed", "1", "--sigma-thr", value]
+        _refused(argv, capsys, message)
+
+    def test_more_folds_than_rows(self, tmp_path, capsys):
+        path = tmp_path / "four.csv"
+        write_csv(gen_ring(4, seed=1), str(path))
+        argv = ["select", "ockelm_thr1", str(path), "--seed", "1", "--folds", "9"]
+        _refused(argv, capsys, "need at least folds=9 rows, got 4")
+
+    @pytest.mark.parametrize(
+        "targets, outliers, message",
+        [
+            (2, 4, "benchmarking needs at least 3 target rows: each run trains "
+                   "on half of them, and z-scoring needs 2"),
+            (6, 0, "benchmarking needs at least one outlier row"),
+            (6, None, "benchmarking needs labeled data"),
+        ],
+    )
+    def test_bench_table(self, tmp_path, capsys, targets, outliers, message):
+        ring = gen_ring(targets + (outliers or 0), seed=1)
+        labels = None if outliers is None else [True] * targets + [False] * outliers
+        path = tmp_path / "t.csv"
+        write_csv(Dataset(ring.samples, labels, ["x", "y"]), str(path))
+        argv = ["bench", "ockelm_thr1", str(path), "--seed", "1", "--runs", "2"]
+        if labels is not None:
+            argv += ["--label-col", "-1"]
+        _refused(argv, capsys, message)
+
+    @pytest.mark.parametrize(
+        "shape, flag, value, message",
+        [
+            ("ring", "--noise-std", "nan", "noise_std must be finite"),
+            ("banana", "--noise-std", "nan", "noise_std must be finite"),
+            ("ring", "--noise-std", "inf", "noise_std must be finite"),
+            ("banana", "--noise-std", "inf", "noise_std must be finite"),
+            ("ring", "--radius", "nan", "radius must be finite"),
+            ("ring", "--radius", "inf", "radius must be finite"),
+        ],
+    )
+    def test_gen_parameter(self, tmp_path, capsys, shape, flag, value, message):
+        """NAN noise once wrote the noiseless file, and an infinite
+        radius or noise failed as non-finite samples."""
+        out = tmp_path / "g.csv"
+        argv = ["gen", shape, "--count", "4", "--seed", "1", flag, value, "-o", str(out)]
+        _refused(argv, capsys, message)
+        assert not out.exists()

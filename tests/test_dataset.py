@@ -5,7 +5,6 @@ import pytest
 
 from occelm.dataset import (
     Dataset,
-    SplitPlan,
     ZScoreStats,
     gen_banana,
     gen_ring,
@@ -13,7 +12,6 @@ from occelm.dataset import (
     load_csv,
     occ_split,
     round_half_up,
-    run_rng,
     write_csv,
     zscore_apply,
     zscore_fit,
@@ -231,32 +229,41 @@ class TestOccSplit:
     def test_benchmark_scale_counts(self):
         """458 targets and 241 outliers split to 229 train, 470 test."""
         d = self._labeled(458, 241)
-        train, test = occ_split(d, SplitPlan(rng_seed=1), 0)
+        train, test = occ_split(d, 1, 0)
         assert train.sample_count == 229
         assert test.sample_count == 470
 
     def test_half_up_train_count(self):
         d = self._labeled(5, 2)
-        train, test = occ_split(d, SplitPlan(rng_seed=1), 0)
+        train, test = occ_split(d, 1, 0)
         # round(0.5 * 5) rounds half up to 3
         assert train.sample_count == 3
         assert test.sample_count == 4
 
     def test_train_unlabeled_test_labeled(self):
         d = self._labeled(8, 4)
-        train, test = occ_split(d, SplitPlan(rng_seed=3), 1)
+        train, test = occ_split(d, 3, 1)
         assert train.labels is None
         assert test.labels is not None
         assert int((~test.labels).sum()) == 4
 
     def test_deterministic_and_run_dependent(self):
         d = self._labeled(30, 10)
-        plan = SplitPlan(rng_seed=5)
-        t1, _ = occ_split(d, plan, 2)
-        t2, _ = occ_split(d, plan, 2)
-        t3, _ = occ_split(d, plan, 3)
+        t1, _ = occ_split(d, 5, 2)
+        t2, _ = occ_split(d, 5, 2)
+        t3, _ = occ_split(d, 5, 3)
+        t4, _ = occ_split(d, 6, 2)
         assert np.array_equal(t1.samples, t2.samples)
         assert not np.array_equal(t1.samples, t3.samples)
+        assert not np.array_equal(t1.samples, t4.samples)
+
+    def test_draws_from_the_seed_run_stream(self):
+        """The training half is the first k of a permutation drawn from
+        default_rng([seed, run]); any other stream moves every split."""
+        d = self._labeled(10, 3)
+        train, _ = occ_split(d, 4, 2)
+        perm = np.random.default_rng([4, 2]).permutation(10)
+        assert np.array_equal(train.samples, d.samples[np.sort(perm[:5])])
 
     def test_disjoint_rows(self):
         """Train and test partition the data with no shared row."""
@@ -265,20 +272,31 @@ class TestOccSplit:
             nt = int(rng.integers(4, 40))
             no = int(rng.integers(1, 20))
             d = self._labeled(nt, no, seed=trial)
-            train, test = occ_split(d, SplitPlan(rng_seed=trial), 0)
+            train, test = occ_split(d, trial, 0)
             assert train.sample_count + test.sample_count == nt + no
             seen = {tuple(r) for r in train.samples}
             assert all(tuple(r) not in seen for r in test.samples)
 
     def test_error_contracts(self):
-        with pytest.raises(MissingLabels):
-            occ_split(Dataset(np.zeros((4, 1))), SplitPlan(), 0)
+        with pytest.raises(MissingLabels, match="^benchmarking needs labeled data$"):
+            occ_split(Dataset(np.zeros((4, 1))), 0, 0)
         all_t = Dataset(np.zeros((4, 1)), labels=[True] * 4)
-        with pytest.raises(NoOutliers):
-            occ_split(all_t, SplitPlan(), 0)
+        with pytest.raises(NoOutliers, match="needs at least one outlier row$"):
+            occ_split(all_t, 0, 0)
         all_o = Dataset(np.zeros((4, 1)), labels=[False] * 4)
         with pytest.raises(NoTargets):
-            occ_split(all_o, SplitPlan(), 0)
+            occ_split(all_o, 0, 0)
+
+    @pytest.mark.parametrize("targets", [1, 2])
+    def test_fewer_than_three_targets_refused(self, targets):
+        """Each run trains on half of the targets, rounded half up, and
+        z-scoring needs 2 rows; 2 targets were once split, leaving 1."""
+        with pytest.raises(NoTargets, match="at least 3 target rows"):
+            occ_split(self._labeled(targets, 4), 0, 0)
+
+    def test_three_targets_split(self):
+        train, test = occ_split(self._labeled(3, 4), 0, 0)
+        assert (train.sample_count, test.sample_count) == (2, 5)
 
 
 class TestGenerators:
@@ -318,13 +336,22 @@ class TestGenerators:
         b = gen_ring(40, seed=2)
         assert np.array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: gen_ring(4, radius=0.0), "radius must be > 0"),
+            (lambda: gen_ring(4, radius=np.nan), "radius must be finite"),
+            (lambda: gen_ring(4, radius=np.inf), "radius must be finite"),
+            (lambda: gen_ring(4, noise_std=-1.0), "noise_std must be >= 0"),
+            (lambda: gen_ring(4, noise_std=np.nan), "noise_std must be finite"),
+            (lambda: gen_ring(4, noise_std=np.inf), "noise_std must be finite"),
+            (lambda: gen_banana(4, noise_std=np.nan), "noise_std must be finite"),
+            (lambda: gen_banana(4, noise_std=np.inf), "noise_std must be finite"),
+        ],
+    )
+    def test_parameters_outside_their_range_refused(self, make, message):
+        """NAN noise once drew no noise at all (NAN > 0 is false), and an
+        infinite radius or noise was reported only as non-finite samples."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
 
-class TestRunRng:
-    def test_streams_distinct_and_stable(self):
-        a = run_rng(1, 0).uniform(size=4)
-        b = run_rng(1, 0).uniform(size=4)
-        c = run_rng(1, 1).uniform(size=4)
-        d = run_rng(1, 0, 5).uniform(size=4)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-        assert not np.array_equal(a, d)

@@ -224,6 +224,10 @@ class TestOnlineRoundTrip:
         assert loaded.thresh == model.thresh
         np.testing.assert_array_equal(loaded.rls.beta, model.rls.beta)
         np.testing.assert_array_equal(loaded.rls.P, model.rls.P)
+        # stored as an array on both sides, as the offline models store it
+        assert isinstance(model.train_errors, np.ndarray)
+        assert isinstance(loaded.train_errors, np.ndarray)
+        np.testing.assert_array_equal(loaded.train_errors, model.train_errors)
         a = [(d.is_target, d.score) for d in os_score(model, X)]
         b = [(d.is_target, d.score) for d in os_score(loaded, X)]
         assert a == b

@@ -9,7 +9,6 @@ import pytest
 from occelm.errors import AllPointsIdentical, OccelmError
 from occelm.modelsel import (
     C_GRID,
-    SelectionConfig,
     error_threshold,
     fold_assignment,
     select,
@@ -41,6 +40,13 @@ def _scanner(point):
 _accept_all = _scanner(lambda params, train, val: np.ones(len(val), dtype=bool))
 
 
+def _select(scan, X, grids, *, folds=5, sigma_thr=2.0, fracrej=0.1, seed=0):
+    """select under the protocol's default settings."""
+    return select(
+        scan, X, grids, folds=folds, sigma_thr=sigma_thr, fracrej=fracrej, seed=seed
+    )
+
+
 class TestErrorThreshold:
     def test_hand_case(self):
         """fracrej=0.1, sigma_thr=2, M=25 gives 0.1 + 2 * 0.06 = 0.22."""
@@ -61,8 +67,12 @@ class TestErrorThreshold:
             error_threshold(0.1, 2.0, 0)
         with pytest.raises(ValueError):
             error_threshold(1.0, 2.0, 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sigma_thr must be >= 0$"):
             error_threshold(0.1, -1.0, 10)
+        for sigma_thr in (math.nan, math.inf):
+            # NAN once passed as a NAN bound, inf as a bound every point met
+            with pytest.raises(ValueError, match="^sigma_thr must be finite$"):
+                error_threshold(0.1, sigma_thr, 10)
 
 
 class TestSigmaGrid:
@@ -130,18 +140,16 @@ class TestSelect:
 
     def test_most_complex_consistent_sigma(self):
         """All-consistent grids pick the smallest sigma, then smallest C."""
-        cfg = SelectionConfig(
-            grids={"sigma": [0.5, 1.0, 2.0], "C": [1.0, 10.0]}
-        )
-        params, diag = select(_accept_all, self._rows(), cfg)
+        grids = {"sigma": [0.5, 1.0, 2.0], "C": [1.0, 10.0]}
+        params, diag = _select(_accept_all, self._rows(), grids)
         assert params == {"sigma": 0.5, "C": 1.0}
         assert diag.consistent
         assert len(diag.points) == 6
 
     def test_hidden_grid_prefers_widest(self):
         """Grids without sigma rank wider hidden layers as more complex."""
-        cfg = SelectionConfig(grids={"m": [5, 20, 50], "C": [1.0, 10.0]})
-        params, diag = select(_accept_all, self._rows(), cfg)
+        grids = {"m": [5, 20, 50], "C": [1.0, 10.0]}
+        params, diag = _select(_accept_all, self._rows(), grids)
         assert params == {"m": 50, "C": 1.0}
 
     @pytest.mark.parametrize("name", ["b_w", "degree"])
@@ -155,8 +163,8 @@ class TestSelect:
             ok = (params[name], params["C"]) in ((2, 100.0), (3, 1.0))
             return np.full(len(val), ok, dtype=bool)
 
-        cfg = SelectionConfig(grids={name: [2, 3], "C": [1.0, 100.0]})
-        params, diag = select(trainer, self._rows(), cfg)
+        grids = {name: [2, 3], "C": [1.0, 100.0]}
+        params, diag = _select(trainer, self._rows(), grids)
         assert params == {name: 2, "C": 100.0}
         assert diag.consistent
 
@@ -168,8 +176,7 @@ class TestSelect:
             ok = params["sigma"] >= 1.0
             return np.full(len(val), ok, dtype=bool)
 
-        cfg = SelectionConfig(grids={"sigma": [0.25, 0.5, 1.0, 2.0]})
-        params, diag = select(trainer, self._rows(), cfg)
+        params, diag = _select(trainer, self._rows(), {"sigma": [0.25, 0.5, 1.0, 2.0]})
         assert params == {"sigma": 1.0}
         assert diag.consistent
         by_sigma = {p.params["sigma"]: p for p in diag.points}
@@ -180,8 +187,7 @@ class TestSelect:
     def test_err_thr_uses_integer_fold_size(self):
         """M = floor(N / folds) feeds the bound."""
         rows = self._rows(43)
-        cfg = SelectionConfig(grids={"C": [1.0]}, folds=5)
-        params, diag = select(_accept_all, rows, cfg)
+        params, diag = _select(_accept_all, rows, {"C": [1.0]}, folds=5)
         assert diag.fold_size == 8
         np.testing.assert_allclose(diag.err_thr, error_threshold(0.1, 2.0, 8))
 
@@ -196,8 +202,7 @@ class TestSelect:
             out[:k] = True
             return out
 
-        cfg = SelectionConfig(grids={"C": [2.0, 5.0]}, sigma_thr=0.0)
-        params, diag = select(trainer, self._rows(40), cfg)
+        params, diag = _select(trainer, self._rows(40), {"C": [2.0, 5.0]}, sigma_thr=0.0)
         assert params == {"C": 2.0}
         assert not diag.consistent
 
@@ -208,8 +213,7 @@ class TestSelect:
                 raise OccelmError("unstable")
             return np.ones(len(val), dtype=bool)
 
-        cfg = SelectionConfig(grids={"C": [1.0, 10.0]})
-        params, diag = select(trainer, self._rows(), cfg)
+        params, diag = _select(trainer, self._rows(), {"C": [1.0, 10.0]})
         assert params == {"C": 10.0}
         by_c = {p.params["C"]: p for p in diag.points}
         assert math.isnan(by_c[1.0].rejection)
@@ -219,9 +223,8 @@ class TestSelect:
         def trainer(params, fold):
             raise OccelmError("nope")
 
-        cfg = SelectionConfig(grids={"C": [1.0, 2.0]})
         with pytest.raises(OccelmError):
-            select(trainer, self._rows(), cfg)
+            _select(trainer, self._rows(), {"C": [1.0, 2.0]})
 
     def test_folds_are_paired_across_grid(self):
         """Every combination sees the same train/validation partition."""
@@ -233,8 +236,7 @@ class TestSelect:
             return np.ones(len(val), dtype=bool)
 
         # one scan call per (sigma, fold); C values share their call
-        cfg = SelectionConfig(grids={"sigma": [1.0, 2.0, 3.0]}, folds=4)
-        select(trainer, self._rows(), cfg)
+        _select(trainer, self._rows(), {"sigma": [1.0, 2.0, 3.0]}, folds=4)
         assert len(seen) == 12
         first = seen[:4]
         np.testing.assert_allclose(seen[4:8], first, atol=1e-12)
@@ -249,21 +251,17 @@ class TestSelect:
             calls["i"] += 1
             return np.full(len(val), calls["i"] % 2 == 1, dtype=bool)
 
-        cfg = SelectionConfig(grids={"C": [1.0]}, folds=4)
-        params, diag = select(trainer, self._rows(40), cfg)
+        params, diag = _select(trainer, self._rows(40), {"C": [1.0]}, folds=4)
         np.testing.assert_allclose(diag.points[0].rejection, 0.5)
 
     def test_too_few_rows(self):
-        cfg = SelectionConfig(grids={"C": [1.0]}, folds=5)
         with pytest.raises(ValueError):
-            select(_accept_all, np.zeros((4, 2)), cfg)
+            _select(_accept_all, np.zeros((4, 2)), {"C": [1.0]}, folds=5)
 
     def test_deterministic_given_seed(self):
-        cfg = SelectionConfig(
-            grids={"sigma": [0.5, 1.0], "C": [1.0]}, rng_seed=7
-        )
-        a = select(_accept_all, self._rows(), cfg)[1]
-        b = select(_accept_all, self._rows(), cfg)[1]
+        grids = {"sigma": [0.5, 1.0], "C": [1.0]}
+        a = _select(_accept_all, self._rows(), grids, seed=7)[1]
+        b = _select(_accept_all, self._rows(), grids, seed=7)[1]
         assert [p.rejection for p in a.points] == [p.rejection for p in b.points]
 
 
@@ -278,10 +276,8 @@ class TestScannerContract:
             calls.append((params["sigma"], list(params["C"]), fold[1].shape[0]))
             return [np.ones(len(fold[1]), dtype=bool) for _ in params["C"]]
 
-        cfg = SelectionConfig(
-            grids={"sigma": [0.5, 1.0], "C": [1.0, 10.0, 100.0]}, folds=3
-        )
-        _, diag = select(scan, self._rows(), cfg)
+        grids = {"sigma": [0.5, 1.0], "C": [1.0, 10.0, 100.0]}
+        _, diag = _select(scan, self._rows(), grids, folds=3)
         assert [(s, c) for s, c, _ in calls] == [
             (s, [1.0, 10.0, 100.0]) for s in (0.5, 0.5, 0.5, 1.0, 1.0, 1.0)
         ]
@@ -300,8 +296,7 @@ class TestScannerContract:
                 for C in params["C"]
             ]
 
-        cfg = SelectionConfig(grids={"C": [1.0, 10.0, 100.0]}, folds=4)
-        params, diag = select(scan, self._rows(), cfg)
+        params, diag = _select(scan, self._rows(), {"C": [1.0, 10.0, 100.0]}, folds=4)
         assert seen == [[1.0, 10.0, 100.0]] * 2 + [[1.0, 100.0]] * 2
         assert [math.isnan(p.rejection) for p in diag.points] == [False, True, False]
         assert params == {"C": 1.0}
@@ -316,8 +311,7 @@ class TestScannerContract:
                 raise OccelmError("rank deficient")
             return [np.ones(len(fold[1]), dtype=bool)]
 
-        cfg = SelectionConfig(grids={"m": [5, 9]}, folds=4)
-        params, diag = select(scan, self._rows(), cfg)
+        params, diag = _select(scan, self._rows(), {"m": [5, 9]}, folds=4)
         assert calls == [5, 9, 9, 9, 9]
         assert params == {"m": 9}
         assert math.isnan(diag.points[0].rejection)
@@ -328,37 +322,50 @@ class TestScannerContract:
                 raise OccelmError("feature stage failed")
             return [np.ones(len(fold[1]), dtype=bool) for _ in params["C"]]
 
-        cfg = SelectionConfig(grids={"sigma": [0.5, 1.0], "C": [1.0, 2.0]}, folds=3)
-        params, diag = select(scan, self._rows(), cfg)
+        grids = {"sigma": [0.5, 1.0], "C": [1.0, 2.0]}
+        params, diag = _select(scan, self._rows(), grids, folds=3)
         assert [math.isnan(p.rejection) for p in diag.points] == [
             True, True, False, False
         ]
         assert params == {"sigma": 1.0, "C": 1.0}
 
     def test_points_follow_grid_order_when_c_comes_first(self):
-        cfg = SelectionConfig(grids={"C": [1.0, 2.0], "m": [5, 9]})
-        _, diag = select(_accept_all, self._rows(), cfg)
+        _, diag = _select(_accept_all, self._rows(), {"C": [1.0, 2.0], "m": [5, 9]})
         assert [p.params for p in diag.points] == [
             {"C": 1.0, "m": 5}, {"C": 1.0, "m": 9},
             {"C": 2.0, "m": 5}, {"C": 2.0, "m": 9},
         ]
 
     def test_verdict_count_must_match_the_c_list(self):
-        cfg = SelectionConfig(grids={"C": [1.0, 2.0]})
         with pytest.raises(ValueError):
-            select(lambda params, fold: [np.ones(len(fold[1]), bool)], self._rows(), cfg)
+            _select(
+                lambda params, fold: [np.ones(len(fold[1]), bool)],
+                self._rows(), {"C": [1.0, 2.0]},
+            )
 
 
 class TestSelectionConfig:
+    """The selection's settings: select's own checks of its arguments and
+    the built-in C grid."""
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SelectionConfig(grids={})
-        with pytest.raises(ValueError):
-            SelectionConfig(grids={"C": []})
-        with pytest.raises(ValueError):
-            SelectionConfig(grids={"C": [1.0]}, folds=1)
-        with pytest.raises(ValueError):
-            SelectionConfig(grids={"C": [1.0]}, fracrej=0.0)
+        """Refused before the scanner is first called."""
+
+        def scan(params, fold):
+            raise AssertionError("scanned")
+
+        rows = np.random.default_rng(8).normal(0.0, 1.0, (40, 2))
+        for grids, settings, message in [
+            ({}, {}, "every grid must be nonempty"),
+            ({"C": []}, {}, "every grid must be nonempty"),
+            ({"C": [1.0]}, {"folds": 1}, "folds must be >= 2"),
+            ({"C": [1.0]}, {"fracrej": 0.0}, r"fracrej must lie in \(0, 1\)"),
+            ({"C": [1.0]}, {"fracrej": 1.5}, r"fracrej must lie in \(0, 1\)"),
+            ({"C": [1.0]}, {"fracrej": math.nan}, r"fracrej must lie in \(0, 1\)"),
+            ({"C": [1.0]}, {"sigma_thr": math.nan}, "sigma_thr must be finite"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                _select(scan, rows, grids, **settings)
 
     def test_c_grid_span(self):
         """Built-in C grid covers 1e-8 through 1e8 in decades."""
@@ -376,8 +383,8 @@ class TestWriteDiagnostics:
             return np.ones(len(val), dtype=bool)
 
         rng = np.random.default_rng(5)
-        cfg = SelectionConfig(grids={"sigma": [0.5, 1.5], "C": [1.0, 2.0]})
-        _, diag = select(trainer, rng.normal(0.0, 1.0, (30, 2)), cfg)
+        grids = {"sigma": [0.5, 1.5], "C": [1.0, 2.0]}
+        _, diag = _select(trainer, rng.normal(0.0, 1.0, (30, 2)), grids)
         out = tmp_path / "grid.csv"
         write_diagnostics(diag, str(out))
         with open(out, newline="") as fh:

@@ -60,10 +60,11 @@ class TestOsInit:
         finalize."""
         model = os_init("boundary", _layer(), _cloud(5, count=12))
         assert len(model.retained_rows) == 1
-        assert model.train_errors == []
+        assert isinstance(model.train_errors, np.ndarray)
+        assert model.train_errors.size == 0
         assert not model.finalized
         os_finalize(model, ThresholdSpec("thr1"))
-        assert len(model.train_errors) == 12
+        assert model.train_errors.shape == (12,)
 
 
 class TestOsUpdate:

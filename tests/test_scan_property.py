@@ -24,14 +24,11 @@ from occelm.bench import (
     selection_grids,
 )
 from occelm.errors import DimensionMismatch, OccelmError
-from occelm.modelsel import (
-    SelectionConfig,
-    error_threshold,
-    fold_assignment,
-    select,
-)
+from occelm.modelsel import error_threshold, fold_assignment, select
 
 _C = [1e-2, 1.0, 1e8, 1e16]
+# select's settings under the protocol's defaults
+_FOLDS, _SIGMA_THR, _FRACREJ = 5, 2.0, 0.1
 
 # (variant with its feature map, grid without C or None for no C axis)
 CASES = [
@@ -57,24 +54,24 @@ def _grids(case):
     return {**grid, "C": list(_C)}
 
 
-def _reference(case, X, cfg, seed, fracrej=0.1):
+def _reference(case, X, grids, fold_seed, seed):
     """One bench.fit plus score_model per (grid point, fold); a point
     failing at any fold records NAN; then the documented preference."""
     variant, _ = case
     N = X.shape[0]
-    M = N // cfg.folds
-    err_thr = error_threshold(cfg.fracrej, cfg.sigma_thr, M)
-    fold_of = fold_assignment(N, cfg.folds, cfg.rng_seed)
-    names = list(cfg.grids)
+    M = N // _FOLDS
+    err_thr = error_threshold(_FRACREJ, _SIGMA_THR, M)
+    fold_of = fold_assignment(N, _FOLDS, fold_seed)
+    names = list(grids)
     points = []
-    for values in itertools.product(*(cfg.grids[k] for k in names)):
+    for values in itertools.product(*(grids[k] for k in names)):
         params = dict(zip(names, values))
         rejections = []
         try:
-            for j in range(cfg.folds):
+            for j in range(_FOLDS):
                 model = fit(
                     variant, params, X[fold_of != j],
-                    fracrej=fracrej,
+                    fracrej=_FRACREJ,
                     layer_seed=[seed, 0, _SELECT_LAYER_STREAM, int(params.get("m", 0))],
                 )
                 is_target = score_model(model, X[fold_of == j]).is_target
@@ -103,21 +100,22 @@ def _reference(case, X, cfg, seed, fracrej=0.1):
 
 def _compare(case, X, seed, fold_seed):
     variant, _ = case
-    cfg = SelectionConfig(_grids(case), folds=5, rng_seed=fold_seed)
-    err_thr, M, points, chosen, consistent = _reference(case, X, cfg, seed)
-    scan = _fold_trainer(variant, 0.1, seed)
+    grids = _grids(case)
+    err_thr, M, points, chosen, consistent = _reference(case, X, grids, fold_seed, seed)
+    scan = _fold_trainer(variant, _FRACREJ, seed)
+    settings = dict(folds=_FOLDS, sigma_thr=_SIGMA_THR, fracrej=_FRACREJ, seed=fold_seed)
     if chosen is None:
         with pytest.raises(OccelmError, match="every grid point failed"):
-            select(scan, X, cfg)
+            select(scan, X, grids, **settings)
         return
-    params, diag = select(scan, X, cfg)
+    params, diag = select(scan, X, grids, **settings)
     assert (diag.err_thr, diag.fold_size) == (err_thr, M)
     assert [p.params for p in diag.points] == [p[0] for p in points]
     got = np.array([p.rejection for p in diag.points])
     want = np.array([p[1] for p in points])
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     assert [p.consistent for p in diag.points] == [p[2] for p in points]
-    assert params == chosen == diag.chosen
+    assert params == chosen
     assert diag.consistent == consistent
 
 
@@ -148,8 +146,7 @@ def test_some_c_fail_and_others_do_not():
     case = CASES[8]
     X = _rows(0, 30, 3, 10)
     _compare(case, X, 3, 1)
-    cfg = SelectionConfig(_grids(case), folds=5, rng_seed=1)
-    rejection = [p[1] for p in _reference(case, X, cfg, 3)[2]]
+    rejection = [p[1] for p in _reference(case, X, _grids(case), 1, 3)[2]]
     assert any(math.isnan(r) for r in rejection)
     assert not all(math.isnan(r) for r in rejection)
 
@@ -170,8 +167,7 @@ def test_feature_stage_failing_at_one_fold(monkeypatch):
     monkeypatch.setattr(occelm.offline, "kernel_gram", flaky)
     case = CASES[0]
     _compare(case, X, 0, 2)
-    cfg = SelectionConfig(_grids(case), folds=5, rng_seed=2)
-    points = _reference(case, X, cfg, 0)[2]
+    points = _reference(case, X, _grids(case), 2, 0)[2]
     assert [math.isnan(p[1]) for p in points] == [False] * 4 + [True] * 4
 
 
@@ -181,10 +177,8 @@ def test_full_protocol_grid(vid):
     X = _rows(9, 36, 4, 4)
     params, diag = choose_params(VARIANTS[vid], X, seed=2)
     case = next(c for c in CASES if c[0] == VARIANTS[vid])
-    cfg = SelectionConfig(
-        selection_grids(VARIANTS[vid], X, 5), rng_seed=[2, 0, _FOLD_STREAM]
-    )
-    ref = _reference(case, X, cfg, 2)
+    grids = selection_grids(VARIANTS[vid], X, _FOLDS)
+    ref = _reference(case, X, grids, [2, 0, _FOLD_STREAM], 2)
     assert [p.params for p in diag.points] == [p[0] for p in ref[2]]
     np.testing.assert_array_equal(
         np.array([p.rejection for p in diag.points]).view(np.uint64),
