@@ -4,10 +4,18 @@ Two mapping styles feed the solvers: a random hidden layer (additive
 sigmoid or RBF nodes) whose outer product H @ H.T forms the "random
 kernel", and four explicit kernels (rbf, linear, polynomial, wavelet)
 evaluated directly on samples.
+
+Their elementwise work runs in row tiles on one thread per CPU in the
+process's affinity set, with the same bits at any count; workers run only
+numpy and scipy, none of the functions perfbench/spans.py wraps (SITES).
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +33,8 @@ KERNEL_KINDS = ("random", "rbf", "linear", "polynomial", "wavelet")
 # raise OverflowError, instead of giving inf, past about 1e154
 MAX_WIDTH = 1e150
 
-# cells per row tile of kernel_gram (512 KiB of float64): a tile and its
-# temporaries stay in cache while every elementwise step runs over it
+# cells per row tile (512 KiB of float64): a tile and its temporaries stay
+# in cache while every elementwise step runs over it
 TILE_CELLS = 2**16
 
 
@@ -76,28 +84,35 @@ def hidden_init(node_type: str, m: int, n: int, seed) -> HiddenLayer:
 
 def hidden_apply(layer: HiddenLayer, X: np.ndarray) -> np.ndarray:
     """Hidden activations H (N x m): sigmoid(W x + b) for additive nodes,
-    exp(-b * ||x - w||^2) for rbf nodes."""
+    exp(-b * ||x - w||^2) for rbf nodes. X @ W.T stays one product on the
+    caller's thread; the rest runs in place over row tiles of H."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != layer.n:
         raise DimensionMismatch(
             f"X has {X.shape[1]} features, layer expects {layer.n}"
         )
-    if layer.node_type == ADDITIVE_SIGMOID:
-        A = X @ layer.W.T
-        A += layer.b
-        # stable sigmoid from e = exp(-|A|), which never overflows: 1 / (1 + e)
-        # where A >= 0, else e / (1 + e). It is elementwise, so it runs in
-        # place over row tiles of A and only tile-sized temporaries are made
-        for rows in _row_tiles(*A.shape):
-            tile = A[rows]
+    sigmoid = layer.node_type == ADDITIVE_SIGMOID
+    H = X @ layer.W.T if sigmoid else np.empty((X.shape[0], layer.m))
+
+    def activate(rows):
+        tile = H[rows]
+        if sigmoid:
+            # A = X W' + b, then the stable sigmoid from e = exp(-|A|), which
+            # never overflows: 1 / (1 + e) where A >= 0, else e / (1 + e)
+            tile += layer.b
             e = np.abs(tile)
             np.exp(np.negative(e, out=e), out=e)
-            tile[...] = np.where(tile >= 0, 1.0, e)
+            nonneg = tile >= 0
+            np.copyto(tile, e)
+            np.copyto(tile, 1.0, where=nonneg)
             tile /= np.add(e, 1.0, out=e)
-        return A
-    D = cdist(X, layer.W, "sqeuclidean")
-    np.multiply(-layer.b, D, out=D)
-    return np.exp(D, out=D)
+        else:
+            cdist(X[rows], layer.W, "sqeuclidean", out=tile)
+            np.multiply(-layer.b, tile, out=tile)
+            np.exp(tile, out=tile)
+
+    _each_tile(activate, *H.shape)
+    return H
 
 
 @dataclass(frozen=True)
@@ -173,12 +188,40 @@ def random_kernel_gram(H: np.ndarray) -> np.ndarray:
     return H @ H.T
 
 
-def _row_tiles(rows: int, cells_per_row: int):
-    """Consecutive row slices of at most TILE_CELLS cells each (at least
-    one row, however wide)."""
+@functools.cache
+def _tile_pool() -> tuple[ThreadPoolExecutor | None, int]:
+    """(pool, workers): the caller plus a pool thread per further CPU in the
+    affinity set; made on first use, and anew in a forked child (no threads)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return ThreadPoolExecutor(workers - 1, "occelm-tile") if workers > 1 else None, workers
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_tile_pool.cache_clear)
+
+
+def _each_tile(work, rows: int, cells_per_row: int) -> None:
+    """Call work(slice) on consecutive row slices of at most TILE_CELLS cells
+    (at least one row), worker k taking every k-th; pool threads run in a copy
+    of the caller's context (np.errstate holds) and their errors raise here."""
     step = max(1, TILE_CELLS // max(1, cells_per_row))
-    for start in range(0, rows, step):
-        yield slice(start, start + step)
+    tiles = [slice(start, start + step) for start in range(0, rows, step)]
+    pool, workers = _tile_pool()
+    if pool is None or len(tiles) < 2:
+        return _run_tiles(work, tiles)
+    shares = [tiles[k::workers] for k in range(1, min(workers, len(tiles)))]
+    futures = [pool.submit(contextvars.copy_context().run, _run_tiles, work, s) for s in shares]
+    try:
+        _run_tiles(work, tiles[::workers])
+    finally:  # every pool share is done, and its error read, before returning
+        for future in wait(futures).done:
+            future.result()
+
+
+def _run_tiles(work, tiles) -> None:
+    for tile in tiles:
+        work(tile)
 
 
 def kernel_gram(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -186,13 +229,14 @@ def kernel_gram(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     kernels; the random kind must go through hidden_apply instead.
 
     K is allocated once and filled in row tiles of at most TILE_CELLS
-    (2**16) cells; the wavelet counts its rows x N x features difference
-    block. Every elementwise step runs in place on the tile, in the order
-    of the one-shot formula (the rbf folds its negation into the divisor,
-    which changes no bit), so K is bit-identical to it and no full-size
-    temporary is made. The linear and polynomial kernels keep A @ B.T as
-    one product over all rows: a product split by rows can change the low
-    bits (139 of 264 row splits tried with OpenBLAS did).
+    (2**16) cells on every CPU; the wavelet counts its rows x N x features
+    difference block. Every elementwise step runs in place on the tile, in
+    the order of the one-shot formula (the rbf folds its negation into the
+    divisor, which changes no bit), so K is bit-identical to it at any
+    worker count and no full-size temporary is made. The linear and
+    polynomial kernels keep A @ B.T as one product on the caller's thread:
+    a row-split product can change low bits (139 of 264 tried with OpenBLAS
+    did).
     """
     if spec.kind == "random":
         raise ValueError("random kernels use hidden_apply + random_kernel_gram")
@@ -204,35 +248,31 @@ def kernel_gram(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         )
     if spec.kind == "linear":
         return A @ B.T
-    if spec.kind == "polynomial":
-        K = A @ B.T
-        for rows in _row_tiles(*K.shape):
-            tile = K[rows]
+    K = A @ B.T if spec.kind == "polynomial" else np.empty((A.shape[0], B.shape[0]))
+
+    def fill(rows):
+        tile = K[rows]
+        if spec.kind == "polynomial":
             tile += spec.offset
             tile **= spec.degree
-        return K
-    K = np.empty((A.shape[0], B.shape[0]))
-    if spec.kind == "rbf":
-        # exp(-D / (2 sigma^2)) on the squared distances D; one pass of
-        # D / -scale has the bits of -D / scale (IEEE rounding is symmetric
-        # in sign)
-        scale = 2.0 * spec.sigma**2
-        for rows in _row_tiles(*K.shape):
-            tile = K[rows]
+        elif spec.kind == "rbf":
+            # exp(-D / (2 sigma^2)) on squared distances D; D / (-2 sigma^2) has
+            # the bits of -D / (2 sigma^2) (IEEE rounding is sign-symmetric)
             cdist(A[rows], B, "sqeuclidean", out=tile)
-            np.divide(tile, -scale, out=tile)
+            np.divide(tile, -2.0 * spec.sigma**2, out=tile)
             np.exp(tile, out=tile)
-        return K
-    # wavelet: product over features of cos(a*d/b_w) * exp(-d^2/c_w)
-    for rows in _row_tiles(K.shape[0], B.size):
-        diff = A[rows, None, :] - B[None, :, :]
-        damp = np.square(diff)
-        np.negative(damp, out=damp)
-        damp /= spec.c_w
-        np.exp(damp, out=damp)
-        diff *= spec.a
-        diff /= spec.b_w
-        np.cos(diff, out=diff)
-        diff *= damp
-        np.prod(diff, axis=2, out=K[rows])
+        else:
+            # wavelet: product over features of cos(a*d/b_w) * exp(-d^2/c_w)
+            diff = A[rows, None, :] - B[None, :, :]
+            damp = np.square(diff)
+            np.negative(damp, out=damp)
+            damp /= spec.c_w
+            np.exp(damp, out=damp)
+            diff *= spec.a
+            diff /= spec.b_w
+            np.cos(diff, out=diff)
+            diff *= damp
+            np.prod(diff, axis=2, out=tile)
+
+    _each_tile(fill, K.shape[0], B.size if spec.kind == "wavelet" else K.shape[1])
     return K
