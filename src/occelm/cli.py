@@ -49,6 +49,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:  # numpy refuses a negative seed
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text}: must be >= 0")
+    return value
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -267,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_positive_int, default=100)
     p.add_argument("--noise-std", type=float, default=None)
     p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--out", "-o", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -276,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data")
     p.add_argument("--label-col", type=int, default=None)
     p.add_argument("--select", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--out", "-o", required=True)
     _add_model_flags(p)
     _add_select_flags(p)
@@ -296,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset-name", default=None)
     p.add_argument("--runs", type=_positive_int, default=20)
     p.add_argument("--select", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--out", "-o", default=None)
     _add_model_flags(p)
     _add_select_flags(p)
@@ -306,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("variant", choices=_VARIANT_CHOICES, metavar="variant")
     p.add_argument("data")
     p.add_argument("--label-col", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--out", "-o", default=None)
     _add_model_flags(p, fixed_params=False)
     _add_select_flags(p)

@@ -188,12 +188,17 @@ def random_kernel_gram(H: np.ndarray) -> np.ndarray:
     return H @ H.T
 
 
+def cpu_count() -> int:
+    """CPUs this process may run on; tiles and selection groups use them all."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 @functools.cache
 def _tile_pool() -> tuple[ThreadPoolExecutor | None, int]:
     """(pool, workers): the caller plus a pool thread per further CPU in the
     affinity set; made on first use, and anew in a forked child (no threads)."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = cpu_count()
     return ThreadPoolExecutor(workers - 1, "occelm-tile") if workers > 1 else None, workers
 
 

@@ -19,12 +19,17 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
+import pickle
+import signal
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
 from .errors import AllPointsIdentical, OccelmError
+from .featuremap import cpu_count
 from .offline import _rows
 
 C_GRID: list[float] = [10.0**e for e in range(-8, 9)]
@@ -117,6 +122,84 @@ def fold_assignment(N: int, folds: int, rng_seed: int) -> np.ndarray:
     return fold_of
 
 
+def _scan_share(scan, groups, Cs, splits, share):
+    """(index, {C: mean fold rejection, NAN once a fit failed}, None) for
+    each group of share in order; a group that raises ends it with (index,
+    None, error). C is None without a C grid."""
+    for i in share:
+        runs = {C: [] for C in Cs or [None]}  # per-fold rejections or None
+        try:
+            for fold in splits:
+                alive = [C for C, r in runs.items() if r is not None]
+                if not alive:
+                    break
+                try:
+                    verdicts = scan({**groups[i], "C": alive} if Cs else dict(groups[i]), fold)
+                except OccelmError:
+                    verdicts = [None] * len(alive)
+                for C, is_target in zip(alive, verdicts, strict=True):
+                    if is_target is None:
+                        runs[C] = None
+                    else:
+                        runs[C].append(1.0 - float(np.asarray(is_target, bool).mean()))
+        except Exception as exc:  # _scan_groups raises it, in grid order
+            yield i, None, exc
+            return
+        yield i, {C: math.nan if r is None else float(np.mean(r)) for C, r in runs.items()}, None
+
+
+def _scan_groups(scan, groups: list[dict], Cs, splits) -> list[dict]:
+    """Each group's rejections (_scan_share): the caller scans every k-th
+    group, and a forked child per further CPU one share each (the caller
+    runs a share whose fork fails). The first group in grid order that
+    raised raises here; every child is reaped before this returns."""
+    workers = min(cpu_count(), len(groups)) if hasattr(os, "fork") else 1
+    mine, children, done, errors = list(range(0, len(groups), workers)), [], {}, {}
+    try:
+        for k in range(1, workers):
+            share, (read_fd, write_fd) = range(k, len(groups), workers), os.pipe()
+            try:
+                with warnings.catch_warnings():  # Python 3.12+ warns when a threaded process forks
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                mine += share
+                continue
+            if pid == 0:  # pickle the records, leave without flushing inherited buffers
+                try:
+                    with open(write_fd, "wb") as out:
+                        for record in _scan_share(scan, groups, Cs, splits, share):
+                            pickle.dump(record, out)
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb"), share))
+        for i, rejections, exc in _scan_share(scan, groups, Cs, splits, sorted(mine)):
+            done[i] = rejections
+            errors.update({i: exc} if exc is not None else {})
+        for pid, reader, share in children:
+            for i in share:
+                if errors and i > min(errors):
+                    break  # an earlier group raised; the child is killed below
+                try:
+                    _, done[i], exc = pickle.load(reader)
+                except (EOFError, pickle.UnpicklingError):
+                    raise ChildProcessError(
+                        f"selection worker {pid} sent no result for group {i}"
+                    ) from None
+                errors.update({i: exc} if exc is not None else {})
+        if errors:
+            raise errors[min(errors)]
+        return [done[i] for i in range(len(groups))]
+    finally:
+        for pid, reader, _ in children:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def select(
     scan, X, grids: dict[str, list], *, folds: int, sigma_thr: float,
     fracrej: float, seed,
@@ -138,6 +221,9 @@ def select(
     rejection NAN, is not fitted again and is never selectable; if nothing
     is consistent the minimum-rejection combination is returned with
     diagnostics.consistent False.
+
+    scan may run in a forked child (_scan_groups): only its return value
+    reaches select. The result does not depend on the CPU count.
     """
     check_folds(folds)
     if not grids or any(len(v) == 0 for v in grids.values()):
@@ -155,30 +241,14 @@ def select(
     prefs = _default_preference(grids)
 
     Cs = grids.get("C")
-    rejection = {}
-    for group in _combos({k: v for k, v in grids.items() if k != "C"}):
-        runs = {C: [] for C in Cs or [None]}  # per-fold rejections or None
-        for fold in splits:
-            alive = [C for C, r in runs.items() if r is not None]
-            if not alive:
-                break
-            try:
-                verdicts = scan({**group, "C": alive} if Cs else dict(group), fold)
-            except OccelmError:
-                verdicts = [None] * len(alive)
-            for C, is_target in zip(alive, verdicts, strict=True):
-                if is_target is None:
-                    runs[C] = None
-                else:
-                    runs[C].append(1.0 - float(np.asarray(is_target, bool).mean()))
-        for C, r in runs.items():
-            rej = math.nan if r is None else float(np.mean(r))
-            rejection[tuple(group.values()), C] = rej
+    groups = list(_combos({k: v for k, v in grids.items() if k != "C"}))
+    found = _scan_groups(scan, groups, Cs, splits)
+    rejection = {tuple(g.values()): rejections for g, rejections in zip(groups, found)}
 
     diag = SelectionDiagnostics(err_thr=err_thr, fold_size=M)
     for params in _combos(grids):
         group = tuple(v for k, v in params.items() if k != "C")
-        rej = rejection[group, params.get("C")]
+        rej = rejection[group][params.get("C")]
         consistent = (not math.isnan(rej)) and rej <= err_thr
         diag.points.append(GridPoint(params, rej, consistent))
 

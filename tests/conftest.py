@@ -3,7 +3,7 @@
 Collects the acceptance-gate result lines so the terminal summary shows
 one pass/fail line per criterion even when output capture is on, and runs
 the command-line interface or a script in a child process for the
-subprocess tests.
+subprocess tests, with one BLAS thread and optionally on one CPU.
 """
 
 import os
@@ -47,6 +47,22 @@ def run_python(args, cwd) -> subprocess.CompletedProcess:
         [sys.executable, *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+def run_code(code: str, cwd, one_cpu: bool) -> subprocess.CompletedProcess:
+    """Run code in a child with one BLAS thread, on every CPU of this
+    process or pinned to the first before it imports numpy. Products like
+    A @ B.T depend on the BLAS thread count, which follows the CPU count
+    unless it is fixed; the tiles and selection workers must not."""
+    prefix = (
+        "import os; os.environ.update(OMP_NUM_THREADS='1', "
+        "OPENBLAS_NUM_THREADS='1', MKL_NUM_THREADS='1'); "
+    )
+    if one_cpu:
+        prefix += "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+    proc = run_python(["-c", prefix + code], cwd)
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def perfbench_module(name: str) -> types.ModuleType:

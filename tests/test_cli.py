@@ -657,6 +657,37 @@ class TestFoldsBelowTwo:
         assert captured.out == ""
 
 
+class TestNegativeSeed:
+    """--seed must be >= 0 under every command: a usage error naming the
+    flag (exit 2), before any file is read or written. numpy refuses a
+    negative seed with a message that names no flag (exit 1), and
+    `train ockelm_thr1`, which draws no layer, once took it (exit 0)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "ring", "-o", "{out}"],
+            ["train", "ocelm_thr1", "{data}", "--label-col", "-1", "-o", "{out}"],
+            ["train", "ockelm_thr1", "{data}", "--label-col", "-1", "-o", "{out}"],
+            ["bench", "ockelm_thr1", "{data}", "--label-col", "-1", "-o", "{out}"],
+            ["select", "ockelm_thr1", "{data}", "--label-col", "-1", "-o", "{out}"],
+        ],
+        ids=["gen", "train-ocelm", "train-ockelm", "bench", "select"],
+    )
+    @pytest.mark.parametrize("seed", ["-1", "-5"])
+    def test_usage_error_names_the_flag(self, tmp_path, labeled_csv, capsys, argv, seed):
+        out = tmp_path / "out.csv"
+        argv = [a.format(data=labeled_csv, out=out) for a in argv] + ["--seed", seed]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [f"occelm {argv[0]}: error: argument --seed: {seed}: must be >= 0"]
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestBadFlagValues:
     """A flag value the library refuses is reported like any toolbox
     error: one "error:" line on stderr and exit 1, never a traceback. An

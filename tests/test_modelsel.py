@@ -1,5 +1,6 @@
 """Tests for consistency-based hyperparameter selection."""
 
+import ast
 import csv
 import math
 
@@ -38,6 +39,28 @@ def _scanner(point):
 
 
 _accept_all = _scanner(lambda params, train, val: np.ones(len(val), dtype=bool))
+
+
+class CallLog:
+    """Scanner calls recorded one line each in a file, so that the calls a
+    forked selection worker makes are seen too. One process scans a whole
+    group, so a group's calls keep their order; groups may interleave."""
+
+    def __init__(self, path):
+        self.path = path
+        path.write_text("")
+
+    def add(self, group, *fields) -> None:
+        with open(self.path, "a") as fh:  # one append per line
+            fh.write(repr((group, *fields)) + "\n")
+
+    def by_group(self) -> dict:
+        """{group: [fields of each call, in call order]}"""
+        calls = {}
+        for line in self.path.read_text().splitlines():
+            group, *fields = ast.literal_eval(line)
+            calls.setdefault(group, []).append(tuple(fields))
+        return calls
 
 
 def _select(scan, X, grids, *, folds=5, sigma_thr=2.0, fracrej=0.1, seed=0):
@@ -226,21 +249,23 @@ class TestSelect:
         with pytest.raises(OccelmError):
             _select(trainer, self._rows(), {"C": [1.0, 2.0]})
 
-    def test_folds_are_paired_across_grid(self):
+    def test_folds_are_paired_across_grid(self, tmp_path):
         """Every combination sees the same train/validation partition."""
-        seen = []
+        log = CallLog(tmp_path / "calls")
 
         @_scanner
         def trainer(params, train_rows, val):
-            seen.append(np.asarray(train_rows).sum())
+            log.add(params["sigma"], float(np.asarray(train_rows).sum()))
             return np.ones(len(val), dtype=bool)
 
         # one scan call per (sigma, fold); C values share their call
         _select(trainer, self._rows(), {"sigma": [1.0, 2.0, 3.0]}, folds=4)
-        assert len(seen) == 12
-        first = seen[:4]
-        np.testing.assert_allclose(seen[4:8], first, atol=1e-12)
-        np.testing.assert_allclose(seen[8:], first, atol=1e-12)
+        seen = log.by_group()
+        assert sorted(seen) == [1.0, 2.0, 3.0]
+        assert [len(seen[s]) for s in (1.0, 2.0, 3.0)] == [4, 4, 4]
+        first = seen[1.0]
+        np.testing.assert_allclose(seen[2.0], first, atol=1e-12)
+        np.testing.assert_allclose(seen[3.0], first, atol=1e-12)
 
     def test_rejection_is_fold_average(self):
         calls = {"i": 0}
@@ -269,19 +294,20 @@ class TestScannerContract:
     def _rows(self, n=40):
         return np.random.default_rng(8).normal(0.0, 1.0, (n, 2))
 
-    def test_one_call_per_group_and_fold_with_the_whole_c_list(self):
-        calls = []
+    def test_one_call_per_group_and_fold_with_the_whole_c_list(self, tmp_path):
+        log = CallLog(tmp_path / "calls")
 
         def scan(params, fold):
-            calls.append((params["sigma"], list(params["C"]), fold[1].shape[0]))
+            log.add(params["sigma"], list(params["C"]), fold[1].shape[0])
             return [np.ones(len(fold[1]), dtype=bool) for _ in params["C"]]
 
         grids = {"sigma": [0.5, 1.0], "C": [1.0, 10.0, 100.0]}
         _, diag = _select(scan, self._rows(), grids, folds=3)
-        assert [(s, c) for s, c, _ in calls] == [
-            (s, [1.0, 10.0, 100.0]) for s in (0.5, 0.5, 0.5, 1.0, 1.0, 1.0)
-        ]
-        assert sum(m for _, _, m in calls[:3]) == 40
+        calls = log.by_group()
+        assert {s: [c for c, _ in group] for s, group in calls.items()} == {
+            s: [[1.0, 10.0, 100.0]] * 3 for s in (0.5, 1.0)
+        }
+        assert [sum(m for _, m in calls[s]) for s in (0.5, 1.0)] == [40, 40]
         assert [(p.params["sigma"], p.params["C"]) for p in diag.points] == [
             (s, c) for s in (0.5, 1.0) for c in (1.0, 10.0, 100.0)
         ]
@@ -301,18 +327,18 @@ class TestScannerContract:
         assert [math.isnan(p.rejection) for p in diag.points] == [False, True, False]
         assert params == {"C": 1.0}
 
-    def test_group_with_every_c_failed_is_not_scanned_again(self):
+    def test_group_with_every_c_failed_is_not_scanned_again(self, tmp_path):
         """A grid without C (the online engine's) has one fit per call."""
-        calls = []
+        log = CallLog(tmp_path / "calls")
 
         def scan(params, fold):
-            calls.append(params["m"])
+            log.add(params["m"])
             if params["m"] == 5:
                 raise OccelmError("rank deficient")
             return [np.ones(len(fold[1]), dtype=bool)]
 
         params, diag = _select(scan, self._rows(), {"m": [5, 9]}, folds=4)
-        assert calls == [5, 9, 9, 9, 9]
+        assert log.by_group() == {5: [()], 9: [()] * 4}
         assert params == {"m": 9}
         assert math.isnan(diag.points[0].rejection)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import run_cli, run_python
+from conftest import run_cli, run_code
 
 from occelm.dataset import Dataset, write_csv
 from occelm.featuremap import (
@@ -67,22 +67,6 @@ def tiled_results() -> dict[str, np.ndarray]:
     return out
 
 
-def _python(code: str, cwd, one_cpu: bool):
-    """Run code in a child with one BLAS thread, on every CPU of this
-    process or pinned to the first before it imports numpy. Products like
-    A @ B.T depend on the BLAS thread count, which follows the CPU count
-    unless it is fixed; the tiles must not."""
-    prefix = (
-        "import os; os.environ.update(OMP_NUM_THREADS='1', "
-        "OPENBLAS_NUM_THREADS='1', MKL_NUM_THREADS='1'); "
-    )
-    if one_cpu:
-        prefix += "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
-    proc = run_python(["-c", prefix + code], cwd)
-    assert proc.returncode == 0, proc.stderr
-    return proc
-
-
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 class TestWorkerCount:
     """A process pinned to one CPU evaluates every tile on its own thread;
@@ -90,7 +74,7 @@ class TestWorkerCount:
 
     def test_kernels_and_activations_match_one_cpu(self, tmp_path):
         for one_cpu in (False, True):
-            _python(
+            run_code(
                 f"import sys; sys.path.insert(0, {str(TESTS)!r}); "
                 "import numpy as np; from test_tile_workers import tiled_results; "
                 f"np.savez('{one_cpu}.npz', **tiled_results())",
@@ -125,8 +109,8 @@ class TestWorkerCount:
             "from occelm.cli import main; "
             "raise SystemExit(main(['score', 'm.occ', 'probes.csv']))"
         )
-        many = _python(score_cli, tmp_path, one_cpu=False)
-        one = _python(score_cli, tmp_path, one_cpu=True)
+        many = run_code(score_cli, tmp_path, one_cpu=False)
+        one = run_code(score_cli, tmp_path, one_cpu=True)
         assert len(many.stdout.splitlines()) == 701
         assert one.stdout == many.stdout
 
