@@ -26,6 +26,7 @@ from .errors import (
 
 _COND_LIMIT = 1e12
 _REFINE_PASSES = 4
+_BLOCK = 256  # diagonal block width of the in-place factorization
 
 
 def solve_regularized(omega: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:
@@ -36,23 +37,25 @@ def solve_regularized(omega: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:
     refinement; SingularSystem (with a condition estimate) is raised only
     when that bound cannot be met.
 
-    Omega must equal Omega.T bit for bit, as every Gram matrix of
-    featuremap does: a C-order Omega is copied into the Fortran-order
-    workspace through its transpose (at N = 4000 that copy takes 27 ms
-    instead of the transposing copy's 148 ms), so Cholesky reads the
-    upper triangle of Omega.T.
-
-    Workspace: one N x N Fortran-order array, which LAPACK factors in
-    place (dpotrf/dpotrs, or getrf when Cholesky fails). Omega itself is
-    borrowed as the refinement operator: 1/C is added to its diagonal for
-    the length of the call, and the saved diagonal is written back on
-    return or raise, so the caller's Omega ends bitwise unchanged. No
-    other thread may read Omega during the call. A read-only,
-    non-contiguous or unaligned Omega, or one sharing memory with T, is
-    copied once. At N = 2000 the call's tracemalloc peak is 1.00 N^2
-    doubles (32.1 MB), against 2.00 N^2 when Omega + I/C was held apart
-    from its factor. beta is bit-identical to that form: the same LAPACK
-    routines run on the same values.
+    Omega is borrowed: 1/C is added to its diagonal for the call, and for
+    N > 256 (_BLOCK) dpotrf factors Omega + I/C in Omega's own memory, on
+    its Fortran-order view (Omega.T if C-order). Only that view's upper
+    triangle, its -0.0 made +0.0 first, is overwritten; before the residual
+    check its off-diagonal blocks are copied back from the untouched
+    triangle and its diagonal blocks from copies saved first, so Omega ends
+    bitwise unchanged. That needs each off-diagonal block to mirror its
+    twin bit for bit (-0.0 and NaN payloads included), as featuremap's Gram
+    matrices do; an Omega that does not is factored as a copy. No other
+    thread may read Omega during the call. A read-only, non-contiguous or
+    unaligned Omega, or one sharing memory with T, is copied once. A private
+    Fortran-order copy is also factored for N <= 256, for LU when Cholesky
+    fails, and when the first residual misses the bound (refinement needs
+    the factor again, so dpotrf runs twice): Omega plus one N^2 copy at the
+    peak. beta keeps the bits of always factoring a copy. The call's own
+    tracemalloc peak at N = 2000 is 4.2 MB in place (0.13 N^2 doubles: the
+    saved blocks), against 32.1 MB (1.00 N^2) for the copy; the mirror
+    check and the restore are transposing passes that make a one-thread
+    solve about 10-20 % slower than the copy at N = 600-4000.
     """
     if not 0 < C < np.inf:  # also refuses a NaN C
         raise ValueError("C must be finite and > 0")
@@ -91,48 +94,81 @@ def _cond(A: np.ndarray) -> float:
         return np.nan
 
 
+def _cholesky(F: np.ndarray):
+    """Factor F's upper triangle in F's own memory, the other one unread;
+    the solve with the factor, or None when F is not positive definite."""
+    _, info = scipy.linalg.lapack.dpotrf(F, lower=0, clean=0, overwrite_a=1)
+    return None if info else lambda rhs: scipy.linalg.lapack.dpotrs(F, rhs, lower=0)[0]
+
+
+def _mirrored(W: np.ndarray) -> bool:
+    """Whether W's off-diagonal blocks mirror each other bit for bit (-0.0
+    and NaN payloads included), so that the restore rebuilds W."""
+    b, B = W.view(np.uint64), _BLOCK
+    pairs = ((b[s + B :, s : s + B], b[s : s + B, s + B :].T) for s in range(0, len(b), B))
+    return all(np.array_equal(lower, upper) for lower, upper in pairs)
+
+
+def _first_solve_in_place(W: np.ndarray, T: np.ndarray) -> np.ndarray | None:
+    """W^-1 T from a Cholesky factor made in W's own memory, or None when W
+    is not positive definite; W is put back before this returns."""
+    starts = range(0, W.shape[0], _BLOCK)
+    saved = [W[s : s + _BLOCK, s : s + _BLOCK].copy() for s in starts]
+    try:
+        for s in starts:  # "+ 0.0" (see _factor_copy) on what dpotrf reads
+            W[: s + _BLOCK, s : s + _BLOCK] += 0.0
+        solve = _cholesky(W)
+        return None if solve is None else solve(T)
+    finally:
+        for s, block in zip(starts, saved):
+            W[s : s + _BLOCK, s : s + _BLOCK] = block
+            W[s : s + _BLOCK, s + _BLOCK :] = W[s + _BLOCK :, s : s + _BLOCK].T
+
+
+def _factor_copy(A: np.ndarray, W: np.ndarray, cholesky: bool):
+    """The solve with a factor of a private Fortran-order copy: Cholesky of
+    W, or LU of A itself, whatever its symmetry, if Cholesky fails or did."""
+    F = np.empty(A.shape, order="F")
+    # "+ 0.0" turns any -0.0 into +0.0, as adding the zero off-diagonal of
+    # I / C did; on the diagonal, already shifted by 1/C, it changes no bit
+    solve = _cholesky(np.add(W, 0.0, out=F)) if cholesky else None
+    if solve is not None:
+        return solve
+    np.add(A, 0.0, out=F)
+    try:
+        with warnings.catch_warnings():
+            # the residual check below is the real verdict on near
+            # singularity; scipy's advisory warning is redundant here
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu = scipy.linalg.lu_factor(F, overwrite_a=True, check_finite=False)
+    except (scipy.linalg.LinAlgError, ValueError):
+        raise SingularSystem(
+            f"factorization failed; condition estimate {_cond(A):.3e}"
+        ) from None
+    return lambda rhs: scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+
+
 def _solve_shifted(A: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Solve A beta = T with A = Omega + I/C, refined against A itself."""
-    # "+ 0.0" turns any -0.0 into +0.0, as adding the zero off-diagonal of
-    # I / C did; on the diagonal, already shifted by 1/C, it changes no bit.
-    # A C-order A is copied through its transpose, which is F-contiguous:
-    # a straight pass instead of a transposing one, and the same values
-    # because A is bitwise symmetric
-    F = np.empty(A.shape, order="F")
-    np.add(A.T if A.flags.c_contiguous else A, 0.0, out=F)
+    # W is A's Fortran-order view (A.T if C-order: equal if A is symmetric)
+    W = A.T if A.flags.c_contiguous else A
     tol = 1e-8 * (1.0 + np.linalg.norm(T))
-
-    _, info = scipy.linalg.lapack.dpotrf(F, lower=0, clean=0, overwrite_a=1)
-    if info == 0:
-
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            return scipy.linalg.lapack.dpotrs(F, rhs, lower=0)[0]
-
-    else:
-        np.add(A, 0.0, out=F)  # A itself, whatever its symmetry
-        try:
-            with warnings.catch_warnings():
-                # the residual check below is the real verdict on near
-                # singularity; scipy's advisory warning is redundant here
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu = scipy.linalg.lu_factor(F, overwrite_a=True, check_finite=False)
-
-            def solve(rhs: np.ndarray) -> np.ndarray:
-                return scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-
-        except (scipy.linalg.LinAlgError, ValueError):
-            raise SingularSystem(
-                "factorization failed; condition estimate "
-                f"{_cond(A):.3e}"
-            ) from None
-
+    # up to one block, saving it would copy all of A: three passes, not one
+    in_place = A.shape[0] > _BLOCK and _mirrored(W)
+    beta = _first_solve_in_place(W, T) if in_place else None
+    solve = None
+    if beta is None:  # after a failed Cholesky in place, LU only
+        solve = _factor_copy(A, W, cholesky=not in_place)
     with np.errstate(all="ignore"):
-        beta = solve(T)
+        if beta is None:
+            beta = solve(T)
         for _ in range(_REFINE_PASSES):
             residual = T - A @ beta
             final = np.linalg.norm(residual)
             if final <= tol:
                 break
+            if solve is None:  # the in-place factor is gone
+                solve = _factor_copy(A, W, cholesky=True)
             beta = beta + solve(residual)
         else:
             final = np.linalg.norm(T - A @ beta)

@@ -148,6 +148,17 @@ def _scan_share(scan, groups, Cs, splits, share):
         yield i, {C: math.nan if r is None else float(np.mean(r)) for C, r in runs.items()}, None
 
 
+def _portable(record) -> bytes:
+    """The pickled record; its error becomes a RuntimeError naming its class
+    and message when pickle cannot send or rebuild it."""
+    try:
+        pickle.loads(data := pickle.dumps(record))
+        return data
+    except Exception:
+        i, _, exc = record
+        return pickle.dumps((i, None, RuntimeError(f"{type(exc).__qualname__}: {exc}")))
+
+
 def _scan_groups(scan, groups: list[dict], Cs, splits) -> list[dict]:
     """Each group's rejections (_scan_share): the caller scans every k-th
     group, and a forked child per further CPU one share each (the caller
@@ -171,7 +182,7 @@ def _scan_groups(scan, groups: list[dict], Cs, splits) -> list[dict]:
                 try:
                     with open(write_fd, "wb") as out:
                         for record in _scan_share(scan, groups, Cs, splits, share):
-                            pickle.dump(record, out)
+                            out.write(_portable(record))
                 finally:
                     os._exit(0)
             os.close(write_fd)

@@ -472,8 +472,10 @@ def _square_gram_cases(draw):
 
 
 class TestGramSymmetry:
-    """solve_regularized copies a C-order Omega through its transpose, so
-    every training Gram matrix must equal its transpose bit for bit."""
+    """Past 256 rows solve_regularized factors Omega in place and rebuilds
+    the overwritten triangle from the untouched one, which it does only for
+    an Omega equal to its transpose bit for bit (an asymmetric one is
+    factored as a copy); so every training Gram matrix must be symmetric."""
 
     @settings(max_examples=160, deadline=None)
     @given(_square_gram_cases())

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from occelm import linsolve
 from occelm.featuremap import (
     hidden_apply,
     hidden_init,
@@ -222,20 +224,156 @@ class TestBorrowedOmega:
         assert solve_regularized(omega, T, 0.5).tobytes() == expected.tobytes()
 
     def test_peak_memory_is_one_workspace(self):
-        """The solve's own peak is one N x N workspace plus O(N k); with
-        Omega + I/C held apart from its factor it was 2.00 N^2 doubles."""
+        """Factored in Omega's own memory, the solve's own peak is its saved
+        diagonal blocks (0.175 N^2 doubles at N = 1500) plus O(N k); with a
+        Fortran-order copy to factor it was 1.00 N^2, and with Omega + I/C
+        held apart from that copy 2.00 N^2."""
         n, k = 1500, 2
         rng = np.random.default_rng(4)
         H = rng.normal(0.0, 1.0, (n, 60))
+        assert _solve_peak(H @ H.T, rng.normal(0.0, 1.0, (n, k))) <= (
+            0.2 * n * n * 8 + 16 * n * (k + 1) * 8
+        )
+
+    def test_lu_fallback_peak_is_one_copy(self):
+        """When Cholesky fails, LU runs on a private copy: one N^2 workspace."""
+        n, k = 1500, 2
+        rng = np.random.default_rng(5)
+        G = rng.normal(0.0, 1.0, (n, n))
+        omega = G + G.T - (2.0 * n + 1.0) * np.eye(n)
+        del G
+        assert _solve_peak(omega, rng.normal(0.0, 1.0, (n, k))) <= (
+            1.1 * n * n * 8 + 16 * n * (k + 1) * 8
+        )
+
+
+def _solve_peak(omega, T):
+    """The tracemalloc peak of one solve_regularized call, in bytes."""
+    tracemalloc.start()
+    try:
+        solve_regularized(omega, T, 1.0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_B = linsolve._BLOCK
+
+
+@st.composite
+def _wide_systems(draw):
+    """Omega past the block width, N from B + 1 to 2B + 50, in C or Fortran
+    order, of one of four kinds: PSD, PSD with -0.0 off-diagonal blocks,
+    indefinite (the LU path), or PSD at a C so large that the first
+    residual misses the bound (the refinement path)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(_B + 1, 2 * _B + 50))
+    kind = draw(st.sampled_from(["psd", "signed_zero", "indefinite", "refine"]))
+    C = 10.0 ** draw(st.floats(-8.0, 2.0))
+    if kind == "indefinite":
+        G = rng.normal(0.0, 1.0, (n, n))
+        omega = G + G.T - (2.0 * n + 1.0 / C) * np.eye(n)
+    else:
+        H = rng.normal(0.0, 1.0, (n, int(rng.integers(20, 80))))
         omega = H @ H.T
-        T = rng.normal(0.0, 1.0, (n, k))
-        tracemalloc.start()
+    if kind == "signed_zero":
+        cut = draw(st.integers(1, n - 1))
+        omega[:cut, cut:] = omega[cut:, :cut] = -0.0
+    if kind == "refine":
+        C = 10.0 ** draw(st.floats(5.5, 7.0))
+    omega = np.asarray(omega, order=draw(st.sampled_from(["C", "F"])))
+    T = rng.normal(0.0, 1.0, (n, draw(st.integers(1, 3))))
+    return kind, omega, T, C
+
+
+class TestInPlaceFactor:
+    """Past the block width Omega + I/C is factored in Omega's own memory
+    and put back before the residual check; the LU and refinement paths
+    factor a private copy. Every path keeps the bits of the dense reference
+    and leaves Omega unchanged."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_wide_systems())
+    def test_bits_match_dense_reference_and_omega_is_restored(self, case):
+        kind, omega, T, C = case
+        assert np.array_equal(omega, omega.T)
+        before = omega.tobytes()
+        expected = _dense_reference(omega, T, C)
+        with mock.patch.object(
+            linsolve, "_factor_copy", wraps=linsolve._factor_copy
+        ) as copies:
+            if expected is None:
+                with pytest.raises(SingularSystem):
+                    solve_regularized(omega, T, C)
+            else:
+                assert solve_regularized(omega, T, C).tobytes() == expected.tobytes()
+        assert omega.tobytes() == before
+        cholesky = [call.kwargs["cholesky"] for call in copies.call_args_list]
+        assert cholesky == {"indefinite": [False], "refine": [True]}.get(kind, [])
+
+    def test_refinement_that_meets_the_bound(self):
+        """The refinement kind above mostly ends in SingularSystem; at the
+        first C of a fine grid where a refined solve meets the bound, the
+        refactored copy gives the reference's bits too."""
+        n = 400
+        rng = np.random.default_rng(0)
+        H = rng.normal(0.0, 1.0, (n, 40))
+        omega = H @ H.T
+        T = rng.normal(0.0, 1.0, (n, 2))
+        before = omega.tobytes()
+        for C in np.geomspace(1e4, 1e7, 61):
+            expected = _dense_reference(omega, T, C)
+            if expected is None:
+                continue
+            with mock.patch.object(
+                linsolve, "_factor_copy", wraps=linsolve._factor_copy
+            ) as copies:
+                beta = solve_regularized(omega, T, C)
+            if copies.call_count:
+                break
+        else:
+            pytest.fail("no C of the grid refined and met the bound")
+        assert beta.tobytes() == expected.tobytes()
+        assert omega.tobytes() == before
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("flaw", ["ulp", "signed_zero", "nan"])
+def test_asymmetric_omega_is_factored_as_a_copy(order, flaw):
+    """An Omega past the block width whose off-diagonal blocks are not
+    bitwise mirrored (one entry one ulp off, a -0.0 facing +0.0, or a NaN
+    in one triangle) is not factored in place, where the restore would
+    rebuild one triangle from the other: it keeps every byte, and beta or
+    the error message is that of the copy path."""
+    n = 300
+    rng = np.random.default_rng(9)
+    H = rng.normal(0.0, 1.0, (n, 40))
+    omega = H @ H.T
+    omega[5, 290] = {
+        "ulp": np.nextafter(omega[5, 290], np.inf),
+        "signed_zero": -0.0,
+        "nan": np.nan,
+    }[flaw]
+    if flaw == "signed_zero":
+        omega[290, 5] = 0.0
+    omega = np.asarray(omega, order=order)
+    T = rng.normal(0.0, 1.0, (n, 2))
+    before = omega.tobytes()
+
+    def outcome():
         try:
-            solve_regularized(omega, T, 1.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * n * n * 8 + 16 * n * (k + 1) * 8
+            return solve_regularized(omega, T, 1.0).tobytes()
+        except SingularSystem as error:
+            return str(error)
+
+    with mock.patch.object(linsolve, "_BLOCK", n):  # the copy path
+        expected = outcome()
+    with mock.patch.object(
+        linsolve, "_first_solve_in_place", wraps=linsolve._first_solve_in_place
+    ) as in_place:
+        assert outcome() == expected
+    assert not in_place.called
+    assert omega.tobytes() == before
 
 
 def _fortran_copy_reference(omega, T, C):

@@ -1,5 +1,7 @@
 """Tests for the offline boundary and reconstruction classifiers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,21 @@ class TestScore:
         )
         assert len(score(model, data)) == 40
 
+
+@pytest.mark.parametrize("train", [train_boundary, train_reconstruction])
+@pytest.mark.parametrize(
+    "mapping", [rbf_kernel(2.0), random_kernel(100)], ids=["rbf", "random"]
+)
+def test_training_peak_memory(train, mapping):
+    """Training holds Omega, N^2 doubles, and the solve factors it in
+    Omega's own memory: at N = 1500 the tracemalloc peak was 1.18-1.25 N^2
+    doubles, where factoring a copy of Omega took 2.01-2.08 N^2."""
+    n = 1500
+    X = _cloud(23, count=n, n=5)
+    tracemalloc.start()
+    try:
+        train(X, mapping, 1.0, ThresholdSpec("thr1"), seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.35 * n * n * 8

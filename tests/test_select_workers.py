@@ -150,6 +150,41 @@ def test_first_failing_group_in_grid_order_raises(workers, failing, first):
         _select(_scan(fail))
 
 
+class TwoArgError(Exception):
+    """Pickles, but unpickling calls __init__ with the message alone."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("kind", ["local", "two-arg"])
+def test_error_pickle_cannot_rebuild_keeps_class_and_message(workers, k, kind):
+    """On one CPU the scanner's own error is raised. A child sends one that
+    pickle cannot send or rebuild as a RuntimeError naming its class and
+    message, not as a missing result."""
+
+    class LocalError(Exception):
+        pass
+
+    cls = LocalError if kind == "local" else TwoArgError
+    error = LocalError("group two broke") if kind == "local" else TwoArgError("group two broke", 7)
+
+    def scan(params, fold):
+        if params["m"] == 2:
+            raise error
+        return [np.ones(len(fold[1]), bool)]
+
+    workers(k)
+    if k == 1:
+        raised, message = cls, "group two broke"
+    else:  # the child scans group 1; a local class's name carries <locals>
+        raised, message = RuntimeError, rf"[\w.<>]*{cls.__name__}: group two broke"
+    with deadline(60), pytest.raises(raised, match=f"^{message}$"):
+        select(scan, _rows(), {"m": [1, 2]}, folds=2, sigma_thr=2.0, fracrej=0.1, seed=0)
+
+
 @pytest.mark.parametrize("death", ["exit", "kill"])
 def test_child_that_dies_is_an_error_not_a_hang(workers, death):
     caller = os.getpid()
