@@ -48,7 +48,8 @@ class NoOutliers(OccelmError):
 
 # linsolve
 class SingularSystem(OccelmError):
-    """The regularized system could not be solved to tolerance."""
+    """Neither Cholesky nor the eigen fallback met the residual bound; the
+    message states the 2-norm condition of Omega + I/C (nan for a NaN)."""
 
 
 class RankDeficient(OccelmError):

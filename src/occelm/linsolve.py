@@ -11,7 +11,6 @@ pseudo-inverting.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,31 +30,21 @@ _BLOCK = 256  # diagonal block width of the in-place factorization
 
 def solve_regularized(omega: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:
     """Solve (Omega + I/C) beta = T for bitwise symmetric N x N Omega and
-    N x k T.
+    N x k T, with the residual refined below 1e-8 * (1 + ||T||_F).
 
-    The residual is driven below 1e-8 * (1 + ||T||_F) by iterative
-    refinement; SingularSystem (with a condition estimate) is raised only
-    when that bound cannot be met.
+    Cholesky runs first: in Omega's own memory for N > 256 (_BLOCK) when its
+    off-diagonal blocks mirror each other bit for bit, else on a private
+    Fortran-order copy (one more N^2 at the peak), which refining the
+    in-place solve needs too. Where Cholesky fails or its refined residual
+    misses the bound, beta is solved from eigh of a private copy, refined
+    the same way, at a peak of about 2 N^2 doubles. Where that misses too,
+    SingularSystem states the 2-norm condition max|lambda| / min|lambda| of
+    Omega + I/C (nan for a NaN).
 
-    Omega is borrowed: 1/C is added to its diagonal for the call, and for
-    N > 256 (_BLOCK) dpotrf factors Omega + I/C in Omega's own memory, on
-    its Fortran-order view (Omega.T if C-order). Only that view's upper
-    triangle, its -0.0 made +0.0 first, is overwritten; before the residual
-    check its off-diagonal blocks are copied back from the untouched
-    triangle and its diagonal blocks from copies saved first, so Omega ends
-    bitwise unchanged. That needs each off-diagonal block to mirror its
-    twin bit for bit (-0.0 and NaN payloads included), as featuremap's Gram
-    matrices do; an Omega that does not is factored as a copy. No other
-    thread may read Omega during the call. A read-only, non-contiguous or
-    unaligned Omega, or one sharing memory with T, is copied once. A private
-    Fortran-order copy is also factored for N <= 256, for LU when Cholesky
-    fails, and when the first residual misses the bound (refinement needs
-    the factor again, so dpotrf runs twice): Omega plus one N^2 copy at the
-    peak. beta keeps the bits of always factoring a copy. The call's own
-    tracemalloc peak at N = 2000 is 4.2 MB in place (0.13 N^2 doubles: the
-    saved blocks), against 32.1 MB (1.00 N^2) for the copy; the mirror
-    check and the restore are transposing passes that make a one-thread
-    solve about 10-20 % slower than the copy at N = 600-4000.
+    Omega is borrowed: 1/C is added to its diagonal for the call, and it
+    ends bitwise unchanged; no other thread may read it meanwhile. A
+    read-only, non-contiguous or unaligned Omega, or one sharing memory
+    with T, is copied once.
     """
     if not 0 < C < np.inf:  # also refuses a NaN C
         raise ValueError("C must be finite and > 0")
@@ -85,20 +74,13 @@ def solve_regularized(omega: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:
         omega.flat[:: n + 1] = diagonal
 
 
-def _cond(A: np.ndarray) -> float:
-    """Condition estimate for an error message; nan where the SVD fails
-    (a NaN in A), so the error raised stays SingularSystem."""
-    try:
-        return np.linalg.cond(A)
-    except np.linalg.LinAlgError:
-        return np.nan
-
-
 def _cholesky(F: np.ndarray):
     """Factor F's upper triangle in F's own memory, the other one unread;
-    the solve with the factor, or None when F is not positive definite."""
+    the solve with the factor. LinAlgError if F is not positive definite."""
     _, info = scipy.linalg.lapack.dpotrf(F, lower=0, clean=0, overwrite_a=1)
-    return None if info else lambda rhs: scipy.linalg.lapack.dpotrs(F, rhs, lower=0)[0]
+    if info:
+        raise np.linalg.LinAlgError("not positive definite")
+    return lambda rhs: scipy.linalg.lapack.dpotrs(F, rhs, lower=0)[0]
 
 
 def _mirrored(W: np.ndarray) -> bool:
@@ -109,74 +91,78 @@ def _mirrored(W: np.ndarray) -> bool:
     return all(np.array_equal(lower, upper) for lower, upper in pairs)
 
 
-def _first_solve_in_place(W: np.ndarray, T: np.ndarray) -> np.ndarray | None:
-    """W^-1 T from a Cholesky factor made in W's own memory, or None when W
-    is not positive definite; W is put back before this returns."""
+def _first_solve_in_place(W: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """W^-1 T from a Cholesky factor made in W's own memory (LinAlgError if
+    W is not positive definite); W is put back before this returns."""
     starts = range(0, W.shape[0], _BLOCK)
     saved = [W[s : s + _BLOCK, s : s + _BLOCK].copy() for s in starts]
     try:
-        for s in starts:  # "+ 0.0" (see _factor_copy) on what dpotrf reads
+        for s in starts:  # "+ 0.0" (see _by_cholesky) on what dpotrf reads
             W[: s + _BLOCK, s : s + _BLOCK] += 0.0
-        solve = _cholesky(W)
-        return None if solve is None else solve(T)
+        return _cholesky(W)(T)
     finally:
         for s, block in zip(starts, saved):
             W[s : s + _BLOCK, s : s + _BLOCK] = block
             W[s : s + _BLOCK, s + _BLOCK :] = W[s + _BLOCK :, s : s + _BLOCK].T
 
 
-def _factor_copy(A: np.ndarray, W: np.ndarray, cholesky: bool):
-    """The solve with a factor of a private Fortran-order copy: Cholesky of
-    W, or LU of A itself, whatever its symmetry, if Cholesky fails or did."""
-    F = np.empty(A.shape, order="F")
-    # "+ 0.0" turns any -0.0 into +0.0, as adding the zero off-diagonal of
-    # I / C did; on the diagonal, already shifted by 1/C, it changes no bit
-    solve = _cholesky(np.add(W, 0.0, out=F)) if cholesky else None
-    if solve is not None:
-        return solve
-    np.add(A, 0.0, out=F)
+def _eigen(A: np.ndarray):
+    """The solve U((U'rhs)/lam) from eigh of a private copy of A, and A's
+    2-norm condition max|lam|/min|lam|; NaN and nan if eigh refuses A."""
     try:
-        with warnings.catch_warnings():
-            # the residual check below is the real verdict on near
-            # singularity; scipy's advisory warning is redundant here
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(F, overwrite_a=True, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError):
-        raise SingularSystem(
-            f"factorization failed; condition estimate {_cond(A):.3e}"
-        ) from None
-    return lambda rhs: scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+        lam, U = scipy.linalg.eigh(A, driver="evr")
+    except (ValueError, np.linalg.LinAlgError):
+        return (lambda rhs: rhs * np.nan), np.nan
+    size = np.abs(lam)
+    cond = size.max() / size.min() if size.any() else np.inf  # A = 0: not 0/0
+    return (lambda rhs: U @ ((U.T @ rhs) / lam[:, None])), cond
+
+
+def _refined(A: np.ndarray, T: np.ndarray, beta: np.ndarray, solve, tol: float):
+    """beta after up to _REFINE_PASSES passes of refinement against A with
+    solve, and whether its residual meets tol (a NaN one does not)."""
+    for _ in range(_REFINE_PASSES):
+        residual = T - A @ beta
+        if np.linalg.norm(residual) <= tol:
+            return beta, True
+        beta = beta + solve(residual)
+    return beta, np.linalg.norm(T - A @ beta) <= tol
+
+
+def _by_cholesky(A: np.ndarray, T: np.ndarray, tol: float):
+    """beta from a Cholesky factor of A, refined, and whether it meets tol;
+    LinAlgError if A is not positive definite."""
+    # W is A's Fortran-order view (A.T if C-order: equal if A is symmetric);
+    # up to one block, saving it would copy all of A: three passes, not one
+    W = A.T if A.flags.c_contiguous else A
+    in_place = A.shape[0] > _BLOCK and _mirrored(W)
+    if in_place:
+        beta = _first_solve_in_place(W, T)
+        if np.linalg.norm(T - A @ beta) <= tol:
+            return beta, True
+    # a private Fortran-order copy, which refinement after the in-place solve
+    # needs too; "+ 0.0" turns any -0.0 into +0.0, as adding the zero
+    # off-diagonal of I / C did (on the shifted diagonal it changes no bit)
+    solve = _cholesky(np.add(W, 0.0, out=np.empty(W.shape, order="F")))
+    return _refined(A, T, beta if in_place else solve(T), solve, tol)
 
 
 def _solve_shifted(A: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Solve A beta = T with A = Omega + I/C, refined against A itself."""
-    # W is A's Fortran-order view (A.T if C-order: equal if A is symmetric)
-    W = A.T if A.flags.c_contiguous else A
+    """Solve A beta = T with A = Omega + I/C, refined against A itself: by
+    Cholesky, or from eigh where Cholesky fails or misses the bound."""
     tol = 1e-8 * (1.0 + np.linalg.norm(T))
-    # up to one block, saving it would copy all of A: three passes, not one
-    in_place = A.shape[0] > _BLOCK and _mirrored(W)
-    beta = _first_solve_in_place(W, T) if in_place else None
-    solve = None
-    if beta is None:  # after a failed Cholesky in place, LU only
-        solve = _factor_copy(A, W, cholesky=not in_place)
     with np.errstate(all="ignore"):
-        if beta is None:
-            beta = solve(T)
-        for _ in range(_REFINE_PASSES):
-            residual = T - A @ beta
-            final = np.linalg.norm(residual)
-            if final <= tol:
-                break
-            if solve is None:  # the in-place factor is gone
-                solve = _factor_copy(A, W, cholesky=True)
-            beta = beta + solve(residual)
-        else:
-            final = np.linalg.norm(T - A @ beta)
-    # "not <=" instead of ">" so a NaN residual also trips the guard
-    if not final <= tol:
+        try:
+            beta, met = _by_cholesky(A, T, tol)
+        except np.linalg.LinAlgError:
+            met = False
+        if not met:
+            solve, cond = _eigen(A)
+            beta, met = _refined(A, T, solve(T), solve, tol)
+    if not met:
         raise SingularSystem(
             "residual bound not met after refinement; condition estimate "
-            f"{_cond(A):.3e}"
+            f"{cond:.3e}"
         )
     return beta
 

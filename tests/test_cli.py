@@ -638,6 +638,32 @@ class TestSubprocess:
         assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "h.csv").read_bytes()
 
 
+def test_huge_c_solves_or_exits_with_one_line(tmp_path):
+    """At --c-reg 1e16 an offline train either solves or exits 1 with one
+    stderr line naming the condition: no warning and no traceback. On this
+    200-row integer table, ocelm_thr1's rank-100 Gram is refused."""
+    path = tmp_path / "int.csv"
+    rows = np.random.default_rng(0).integers(1, 11, (200, 4))
+    np.savetxt(path, rows, fmt="%d", delimiter=",", header="a,b,c,d", comments="")
+    codes = {}
+    for vid in ["ockelm_thr1", "ocelm_thr1"]:
+        proc = run_cli(
+            ["train", vid, str(path), "--seed", "1", "--c-reg", "1e16", "-o", "m.occ"],
+            tmp_path,
+        )
+        codes[vid] = proc.returncode
+        if proc.returncode == 1:
+            assert re.fullmatch(
+                r"error: residual bound not met after refinement; "
+                r"condition estimate \S+\n",
+                proc.stderr,
+            )
+        else:
+            assert proc.returncode == 0
+            assert re.fullmatch(r"train \S+s\n", proc.stderr)
+    assert codes["ocelm_thr1"] == 1
+
+
 _TRAIN = ["train", "aakelm_thr1", "{data}", "--label-col", "-1", "--seed", "1",
           "-o", "m.occ"]
 _SELECT = ["select", "aakelm_thr1", "{data}", "--label-col", "-1", "--seed", "1"]

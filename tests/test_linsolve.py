@@ -12,9 +12,13 @@ from hypothesis import strategies as st
 
 from occelm import linsolve
 from occelm.featuremap import (
+    ADDITIVE_SIGMOID,
+    RBF_NODE,
     hidden_apply,
     hidden_init,
     kernel_gram,
+    linear_kernel,
+    polynomial_kernel,
     random_kernel_gram,
     rbf_kernel,
 )
@@ -103,42 +107,53 @@ class TestSolveRegularized:
         with pytest.raises(SingularSystem):
             solve_regularized(omega, np.array([[1.0], [0.0]]), 1.0)
 
+    def test_zero_system_states_infinite_condition(self):
+        """Omega = -I/C makes the shifted matrix zero: its condition is
+        infinite, not the 0/0 of its eigenvalues."""
+        with pytest.raises(SingularSystem, match="condition estimate inf$"):
+            solve_regularized(-np.eye(3), np.ones((3, 1)), 1.0)
 
-def _dense_reference(omega, T, C):
-    """The solve with Omega + I/C held apart from its factor: a dense
-    "omega + 0.0" copy with 1/C added to the diagonal, cho_factor, or
-    lu_factor when Cholesky fails, refined against that copy. Returns
-    None where the residual bound is not met."""
-    A = omega + 0.0
-    A.flat[:: A.shape[0] + 1] += 1.0 / C
+
+def _refined(A, T, solve):
+    """solve(T) refined against A by up to 4 passes, or None where the
+    residual bound is not met."""
     tol = 1e-8 * (1.0 + np.linalg.norm(T))
-    try:
-        factor = scipy.linalg.cho_factor(A, check_finite=False)
-
-        def solve(rhs):
-            return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-
-    except scipy.linalg.LinAlgError:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(A, check_finite=False)
-
-        def solve(rhs):
-            return scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-
     with np.errstate(all="ignore"):
         beta = solve(T)
         for _ in range(4):
             residual = T - A @ beta
-            final = np.linalg.norm(residual)
-            if final <= tol:
-                break
+            if np.linalg.norm(residual) <= tol:
+                return beta
             beta = beta + solve(residual)
-        else:
-            final = np.linalg.norm(T - A @ beta)
-    if not final <= tol:
+        return beta if np.linalg.norm(T - A @ beta) <= tol else None
+
+
+def _eigen_reference(A, T):
+    """The fallback: U((U'T)/lam) from an evr eigh of A, refined the same
+    way; None where the bound is missed or eigh refuses a NaN."""
+    try:
+        lam, U = scipy.linalg.eigh(A, driver="evr")
+    except ValueError:
         return None
-    return beta
+    return _refined(A, T, lambda rhs: U @ ((U.T @ rhs) / lam[:, None]))
+
+
+def _dense_reference(omega, T, C):
+    """The solve with Omega + I/C held apart from its factor: a dense
+    "omega + 0.0" copy with 1/C added to the diagonal, cho_factor refined
+    against that copy, or the eigen fallback where Cholesky fails or
+    misses. Returns beta, or None where the bound is not met, and whether
+    the eigen fallback ran."""
+    A = omega + 0.0
+    A.flat[:: A.shape[0] + 1] += 1.0 / C
+    try:
+        factor = scipy.linalg.cho_factor(A, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return _eigen_reference(A, T), True
+    beta = _refined(
+        A, T, lambda rhs: scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    )
+    return (_eigen_reference(A, T), True) if beta is None else (beta, False)
 
 
 @st.composite
@@ -192,7 +207,7 @@ class TestBorrowedOmega:
     def test_bits_match_dense_reference_and_omega_is_restored(self, case):
         omega, T, C = case
         before = omega.tobytes()
-        expected = _dense_reference(omega, T, C)
+        expected, _ = _dense_reference(omega, T, C)
         if expected is None:
             with pytest.raises(SingularSystem):
                 solve_regularized(omega, T, C)
@@ -202,17 +217,19 @@ class TestBorrowedOmega:
             assert beta.tobytes() == expected.tobytes()
         assert omega.tobytes() == before
 
-    def test_indefinite_case_takes_the_lu_fallback(self):
-        """The indefinite kind above really fails Cholesky, so the LU
-        branch and its refill of the workspace are covered."""
+    def test_indefinite_case_takes_the_eigen_fallback(self):
+        """The indefinite kind above really fails Cholesky, so the eigen
+        fallback is covered."""
         G = np.random.default_rng(3).normal(0.0, 1.0, (6, 6))
         omega = G + G.T - 13.0 * np.eye(6)
         with pytest.raises(scipy.linalg.LinAlgError):
             scipy.linalg.cho_factor(omega + np.eye(6))
         T = np.arange(6.0).reshape(-1, 1)
-        assert solve_regularized(omega, T, 1.0).tobytes() == (
-            _dense_reference(omega, T, 1.0).tobytes()
-        )
+        expected, eigen = _dense_reference(omega, T, 1.0)
+        assert eigen
+        with mock.patch.object(linsolve, "_eigen", wraps=linsolve._eigen) as spy:
+            assert solve_regularized(omega, T, 1.0).tobytes() == expected.tobytes()
+        assert spy.call_count == 1
 
     def test_omega_sharing_memory_with_t_is_copied(self):
         """A right-hand side that views Omega's diagonal stays unshifted."""
@@ -220,7 +237,7 @@ class TestBorrowedOmega:
         H = rng.normal(0.0, 1.0, (12, 20))
         omega = H @ H.T
         T = omega[:, :2]
-        expected = _dense_reference(omega, T.copy(), 0.5)
+        expected, _ = _dense_reference(omega, T.copy(), 0.5)
         assert solve_regularized(omega, T, 0.5).tobytes() == expected.tobytes()
 
     def test_peak_memory_is_one_workspace(self):
@@ -235,26 +252,48 @@ class TestBorrowedOmega:
             0.2 * n * n * 8 + 16 * n * (k + 1) * 8
         )
 
-    def test_lu_fallback_peak_is_one_copy(self):
-        """When Cholesky fails, LU runs on a private copy: one N^2 workspace."""
+    @pytest.mark.parametrize("layout", ["in_place", "copy"])
+    @pytest.mark.parametrize("failure", ["indefinite", "misses"])
+    def test_eigen_fallback_peak_is_two_copies(self, failure, layout):
+        """Where Cholesky fails (an indefinite Omega) or its refined residual
+        misses the bound (a PSD Omega at C = 1e8), the eigen fallback holds
+        eigh's copy of Omega + I/C and its eigenvectors: about 2 N^2
+        doubles, with the Cholesky copy (on the copy path, for an Omega one
+        ulp off symmetric, or for refinement) released first."""
         n, k = 1500, 2
         rng = np.random.default_rng(5)
-        G = rng.normal(0.0, 1.0, (n, n))
-        omega = G + G.T - (2.0 * n + 1.0) * np.eye(n)
-        del G
-        assert _solve_peak(omega, rng.normal(0.0, 1.0, (n, k))) <= (
-            1.1 * n * n * 8 + 16 * n * (k + 1) * 8
-        )
+        if failure == "indefinite":
+            G = rng.normal(0.0, 1.0, (n, n))
+            omega, C = G + G.T - (2.0 * n + 1.0) * np.eye(n), 1.0
+            del G
+        else:
+            H = rng.normal(0.0, 1.0, (n, 60))
+            omega, C = H @ H.T, 1e8
+        if layout == "copy":  # off the diagonal blocks, which are saved whole
+            omega[0, -1] = np.nextafter(omega[0, -1], np.inf)
+        with mock.patch.object(
+            linsolve, "_first_solve_in_place", wraps=linsolve._first_solve_in_place
+        ) as in_place, mock.patch.object(
+            linsolve, "_eigen", wraps=linsolve._eigen
+        ) as eigen:
+            peak = _solve_peak(omega, rng.normal(0.0, 1.0, (n, k)), C)
+        assert in_place.called == (layout == "in_place")
+        assert eigen.call_count == 1
+        assert peak <= 2.1 * n * n * 8 + 16 * n * (k + 1) * 8
 
 
-def _solve_peak(omega, T):
-    """The tracemalloc peak of one solve_regularized call, in bytes."""
+def _solve_peak(omega, T, C=1.0):
+    """The tracemalloc peak of one solve_regularized call, in bytes,
+    whether it returns or raises SingularSystem."""
     tracemalloc.start()
     try:
-        solve_regularized(omega, T, 1.0)
-        return tracemalloc.get_traced_memory()[1]
+        solve_regularized(omega, T, C)
+    except SingularSystem:
+        pass
     finally:
+        peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
+    return peak
 
 
 _B = linsolve._BLOCK
@@ -264,7 +303,7 @@ _B = linsolve._BLOCK
 def _wide_systems(draw):
     """Omega past the block width, N from B + 1 to 2B + 50, in C or Fortran
     order, of one of four kinds: PSD, PSD with -0.0 off-diagonal blocks,
-    indefinite (the LU path), or PSD at a C so large that the first
+    indefinite (the eigen path), or PSD at a C so large that the first
     residual misses the bound (the refinement path)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(_B + 1, 2 * _B + 50))
@@ -286,11 +325,36 @@ def _wide_systems(draw):
     return kind, omega, T, C
 
 
+def _paths(omega, T, C):
+    """solve_regularized's beta (or SingularSystem's message) and the
+    paths it took: "in_place" or "copy" for each Cholesky factorization,
+    by whether it ran in Omega's memory, and "eigen" for the fallback."""
+    taken = []
+    cholesky, eigen = linsolve._cholesky, linsolve._eigen
+
+    def spy_cholesky(F):
+        taken.append("in_place" if np.shares_memory(F, omega) else "copy")
+        return cholesky(F)
+
+    def spy_eigen(A):
+        taken.append("eigen")
+        return eigen(A)
+
+    with mock.patch.object(linsolve, "_cholesky", spy_cholesky), mock.patch.object(
+        linsolve, "_eigen", spy_eigen
+    ):
+        try:
+            outcome = solve_regularized(omega, T, C).tobytes()
+        except SingularSystem as error:
+            outcome = str(error)
+    return outcome, taken
+
+
 class TestInPlaceFactor:
     """Past the block width Omega + I/C is factored in Omega's own memory
-    and put back before the residual check; the LU and refinement paths
-    factor a private copy. Every path keeps the bits of the dense reference
-    and leaves Omega unchanged."""
+    and put back before the residual check; refinement factors a private
+    copy, and the eigen fallback takes what Cholesky fails or misses. Every
+    path keeps the bits of the dense reference and leaves Omega unchanged."""
 
     @settings(max_examples=60, deadline=None)
     @given(_wide_systems())
@@ -298,23 +362,21 @@ class TestInPlaceFactor:
         kind, omega, T, C = case
         assert np.array_equal(omega, omega.T)
         before = omega.tobytes()
-        expected = _dense_reference(omega, T, C)
-        with mock.patch.object(
-            linsolve, "_factor_copy", wraps=linsolve._factor_copy
-        ) as copies:
-            if expected is None:
-                with pytest.raises(SingularSystem):
-                    solve_regularized(omega, T, C)
-            else:
-                assert solve_regularized(omega, T, C).tobytes() == expected.tobytes()
+        expected, eigen = _dense_reference(omega, T, C)
+        outcome, taken = _paths(omega, T, C)
+        if expected is None:
+            assert outcome.startswith("residual bound not met after refinement")
+        else:
+            assert outcome == expected.tobytes()
         assert omega.tobytes() == before
-        cholesky = [call.kwargs["cholesky"] for call in copies.call_args_list]
-        assert cholesky == {"indefinite": [False], "refine": [True]}.get(kind, [])
+        copies = ["copy"] if kind == "refine" else []
+        assert taken == ["in_place", *copies] + ["eigen"] * eigen
+        assert eigen or kind != "indefinite"
 
     def test_refinement_that_meets_the_bound(self):
-        """The refinement kind above mostly ends in SingularSystem; at the
-        first C of a fine grid where a refined solve meets the bound, the
-        refactored copy gives the reference's bits too."""
+        """The refinement kind above mostly ends in the eigen fallback; at
+        the first C of a fine grid where the refined Cholesky solve meets
+        the bound, the refactored copy gives the reference's bits too."""
         n = 400
         rng = np.random.default_rng(0)
         H = rng.normal(0.0, 1.0, (n, 40))
@@ -322,18 +384,15 @@ class TestInPlaceFactor:
         T = rng.normal(0.0, 1.0, (n, 2))
         before = omega.tobytes()
         for C in np.geomspace(1e4, 1e7, 61):
-            expected = _dense_reference(omega, T, C)
-            if expected is None:
+            expected, eigen = _dense_reference(omega, T, C)
+            if eigen:
                 continue
-            with mock.patch.object(
-                linsolve, "_factor_copy", wraps=linsolve._factor_copy
-            ) as copies:
-                beta = solve_regularized(omega, T, C)
-            if copies.call_count:
+            outcome, taken = _paths(omega, T, C)
+            if taken == ["in_place", "copy"]:
                 break
         else:
             pytest.fail("no C of the grid refined and met the bound")
-        assert beta.tobytes() == expected.tobytes()
+        assert outcome == expected.tobytes()
         assert omega.tobytes() == before
 
 
@@ -379,34 +438,19 @@ def test_asymmetric_omega_is_factored_as_a_copy(order, flaw):
 def _fortran_copy_reference(omega, T, C):
     """The solve as it stood before C-order Omega was copied through its
     transpose: Omega + I/C copied into a Fortran-order array by a
-    transposing copy, dpotrf/dpotrs on it, or LU of a refill when Cholesky
-    fails, refined against Omega + I/C."""
+    transposing copy, dpotrf/dpotrs on it refined against Omega + I/C, or
+    the eigen fallback where Cholesky fails."""
     A = omega + 0.0
     A.flat[:: A.shape[0] + 1] += 1.0 / C
     F = np.add(A, 0.0, out=np.empty(A.shape, order="F"))
-    tol = 1e-8 * (1.0 + np.linalg.norm(T))
     _, info = scipy.linalg.lapack.dpotrf(F, lower=0, clean=0, overwrite_a=1)
     if info == 0:
-
-        def solve(rhs):
-            return scipy.linalg.lapack.dpotrs(F, rhs, lower=0)[0]
-
+        beta = _refined(
+            A, T, lambda rhs: scipy.linalg.lapack.dpotrs(F, rhs, lower=0)[0]
+        )
     else:
-        np.add(A, 0.0, out=F)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(F, overwrite_a=True, check_finite=False)
-
-        def solve(rhs):
-            return scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-
-    beta = solve(T)
-    for _ in range(4):
-        residual = T - A @ beta
-        if np.linalg.norm(residual) <= tol:
-            break
-        beta = beta + solve(residual)
-    assert np.linalg.norm(T - A @ beta) <= tol  # the cases below all solve
+        beta = _eigen_reference(A, T)
+    assert beta is not None  # the cases below all solve
     return beta, info == 0
 
 
@@ -440,6 +484,82 @@ class TestWorkspaceCopy:
         assert cholesky == (kind != "indefinite")
         assert solve_regularized(omega, T, C).tobytes() == expected.tobytes()
         assert omega.tobytes(order="A") == before
+
+
+def _random_gram(node_type):
+    def gram(X, rng):
+        layer = hidden_init(node_type, int(rng.integers(5, 200)), X.shape[1], rng)
+        return random_kernel_gram(hidden_apply(layer, X))
+
+    return gram
+
+
+_MAPS = {
+    "linear": lambda X, rng: kernel_gram(linear_kernel(), X, X),
+    "polynomial": lambda X, rng: kernel_gram(
+        polynomial_kernel(int(rng.integers(2, 5))), X, X
+    ),
+    "rbf": lambda X, rng: kernel_gram(rbf_kernel(rng.uniform(0.5, 30.0)), X, X),
+    "random_sigmoid": _random_gram(ADDITIVE_SIGMOID),
+    "random_rbf": _random_gram(RBF_NODE),
+}
+
+
+class TestFallbackProperty:
+    """On the Grams of small z-scored integer tables, at C from 1e-8 to
+    1e16, every returned beta meets the residual bound, every refusal
+    states Omega + I/C's 2-norm condition within 1 % where that is at most
+    1e13, and Omega keeps its bytes."""
+
+    @pytest.mark.parametrize("kind", sorted(_MAPS))
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        C=st.sampled_from([1e-8, 1.0, 1e4, 1e8, 1e10, 1e12, 1e14, 1e16]),
+    )
+    def test_bound_condition_and_bytes(self, kind, seed, C):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(1, 11, (int(rng.integers(20, 120)), int(rng.integers(2, 7))))
+        std = X.std(axis=0, ddof=1)
+        X = (X - X.mean(axis=0)) / np.where(std > 0, std, 1.0)
+        omega = _MAPS[kind](X, rng)
+        T = np.ones((len(X), 1)) if rng.integers(2) else X
+        before = omega.tobytes()
+        try:
+            beta = solve_regularized(omega, T, C)
+        except SingularSystem as error:
+            stated = float(str(error).rsplit(" ", 1)[1])
+            cond = np.linalg.cond(omega + np.eye(len(X)) / C)
+            assert not cond <= 1e13 or abs(stated - cond) <= 0.01 * cond
+        else:
+            residual = np.linalg.norm(T - (omega + np.eye(len(X)) / C) @ beta)
+            assert residual <= 1e-8 * (1.0 + np.linalg.norm(T))
+        assert omega.tobytes() == before
+
+
+class TestNoWarnings:
+    """The edges raise no warning: an indefinite system solves, an exactly
+    singular one and one with a NaN raise SingularSystem, in place and on a
+    copy."""
+
+    @pytest.mark.parametrize("n", [6, 300])
+    @pytest.mark.parametrize("kind", ["indefinite", "singular", "nan"])
+    def test_edges_under_error_filter(self, kind, n):
+        rng = np.random.default_rng(n)
+        if kind == "indefinite":
+            G = rng.normal(0.0, 1.0, (n, n))
+            omega = G + G.T - (2.0 * n + 1.0) * np.eye(n)
+        else:  # + I is diag(0, 2, ..., 2): an exact zero eigenvalue
+            omega = np.eye(n)
+            omega[0, 0] = np.nan if kind == "nan" else -1.0
+        T = rng.normal(0.0, 1.0, (n, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if kind == "indefinite":
+                solve_regularized(omega, T, 1.0)
+            else:
+                with pytest.raises(SingularSystem):
+                    solve_regularized(omega, T, 1.0)
 
 
 class TestRlsInit:
