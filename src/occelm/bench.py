@@ -35,6 +35,7 @@ from .dataset import Dataset, occ_split, zscore_apply, zscore_fit
 from .errors import TooFewSamples
 from .featuremap import (
     ADDITIVE_SIGMOID,
+    KERNEL_PARAMS,
     MAX_WIDTH,
     NODE_TYPES,
     RBF_NODE,
@@ -49,6 +50,7 @@ from .metrics import EvalReport, aggregate, confuse, measures
 from .modelsel import C_GRID, SelectionDiagnostics, sigma_grid
 from .offline import (
     BOUNDARY,
+    DEFAULT_HIDDEN,
     RECONSTRUCTION,
     OfflineModel,
     _rows,
@@ -64,7 +66,7 @@ KERNEL_ENGINE = "kernel"
 RANDOM_ENGINE = "random"
 ONLINE_ENGINE = "online"
 
-KERNELS = ("rbf", "linear", "polynomial", "wavelet")
+KERNELS = tuple(KERNEL_PARAMS)
 FIXED_PARAMS = ("kern_par", "c_reg", "hidden", "n0", "block")
 HIDDEN_GRID = (20, 50, 100, 200)
 DEFAULT_DEGREE = 2
@@ -122,7 +124,8 @@ def _build_variants() -> dict[str, Variant]:
 VARIANTS: dict[str, Variant] = _build_variants()
 VARIANT_IDS: tuple[str, ...] = tuple(VARIANTS)
 
-_NODE_SUFFIXES = {"_sig": ADDITIVE_SIGMOID, "_rbf": RBF_NODE}
+# short hidden node names: the --node-type values and the id suffixes
+NODE_NAMES = {"sig": ADDITIVE_SIGMOID, "rbf": RBF_NODE}
 
 
 def parse_variant(
@@ -134,10 +137,9 @@ def parse_variant(
     variant's engine does not read."""
     vid = text.lower()
     suffix_type = None
-    for suffix, kind in _NODE_SUFFIXES.items():
-        if vid.endswith(suffix) and vid[: -len(suffix)] in VARIANTS:
-            vid, suffix_type = vid[: -len(suffix)], kind
-            break
+    stem, _, name = vid.rpartition("_")
+    if name in NODE_NAMES and stem in VARIANTS:
+        vid, suffix_type = stem, NODE_NAMES[name]
     if vid not in VARIANTS:
         raise KeyError(f"unknown variant id {text!r}")
     if node_type is not None and node_type not in NODE_TYPES:
@@ -188,8 +190,9 @@ def fixed_params(variant: Variant, select: bool, given: Mapping) -> dict:
 def default_params(variant: Variant, Xz, fixed: Mapping) -> dict:
     """Parameters used when selection is off: the fixed values win, the
     kernel width falls back to the median pairwise distance of the run's
-    normalized training targets, C to 1, the hidden width to 100 (online:
-    at most half the rows, so that the initial chunk of 2m rows fits)."""
+    normalized training targets, C to 1, the hidden width to DEFAULT_HIDDEN
+    (online: at most half the rows, so that the initial chunk of 2m rows
+    fits)."""
     C = float(fixed.get("c_reg", 1.0))
     kern_par, hidden = fixed.get("kern_par"), fixed.get("hidden")
     if variant.engine == KERNEL_ENGINE:
@@ -200,11 +203,10 @@ def default_params(variant: Variant, Xz, fixed: Mapping) -> dict:
         width = median_pairwise(Xz) if kern_par is None else float(kern_par)
         key = "sigma" if variant.kernel == "rbf" else "b_w"
         return {key: width, "C": C}
-    rows = _rows(Xz)
+    m = DEFAULT_HIDDEN if hidden is None else int(hidden)
     if variant.engine == ONLINE_ENGINE:
-        m = min(100, max(1, rows.shape[0] // 2)) if hidden is None else int(hidden)
-        return {"m": m}
-    return {"m": 100 if hidden is None else int(hidden), "C": C}
+        return {"m": min(m, max(1, _rows(Xz).shape[0] // 2)) if hidden is None else m}
+    return {"m": m, "C": C}
 
 
 def _capped_hidden_grid(cap: int) -> list[int]:

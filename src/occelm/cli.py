@@ -19,6 +19,7 @@ import numpy as np
 from .bench import (
     FIXED_PARAMS,
     KERNELS,
+    NODE_NAMES,
     VARIANTS,
     choose_params,
     default_params,
@@ -31,15 +32,13 @@ from .bench import (
 )
 from .dataset import Dataset, gen_banana, gen_ring, load_csv, write_csv, zscore_apply, zscore_fit
 from .errors import NotTwoDimensional, NoTargets, OccelmError
-from .featuremap import ADDITIVE_SIGMOID, RBF_NODE
 from .metrics import REPORT_COLUMNS, confuse, measures, render_value
 from .modelio import load_model, save_model
-from .modelsel import write_diagnostics
+from .modelsel import param_text, write_diagnostics
 
-_NODE_FLAG = {"sig": ADDITIVE_SIGMOID, "rbf": RBF_NODE}
 # every id with and without a node suffix; parse_variant refuses the
 # suffixed kernel ids as a usage error
-_VARIANT_CHOICES = [v + suffix for v in VARIANTS for suffix in ("", "_sig", "_rbf")]
+_VARIANT_CHOICES = [v + s for v in VARIANTS for s in ("", *(f"_{n}" for n in NODE_NAMES))]
 
 
 def _positive_int(text: str) -> int:
@@ -88,7 +87,7 @@ def _resolve_run(args):
     selection flags given (--folds, --sigma-thr), before any file is read.
     A flag the run does not read raises KeyError, a usage error."""
     select = getattr(args, "select", True)  # the select command always selects
-    variant = parse_variant(args.variant, _NODE_FLAG.get(args.node_type), args.kernel)
+    variant = parse_variant(args.variant, NODE_NAMES.get(args.node_type), args.kernel)
     fixed = fixed_params(variant, select, {k: getattr(args, k, None) for k in FIXED_PARAMS})
     scan = {"folds": args.folds, "sigma_thr": args.sigma_thr}
     scan = {name: value for name, value in scan.items() if value is not None}
@@ -107,20 +106,18 @@ def _training_rows(args):
 
 def _print_params(params: dict, consistent: bool | None) -> None:
     for name, value in params.items():
-        text = f"{value:.17g}" if isinstance(value, float) else str(value)
-        print(f"param {name} {text}")
+        print(f"param {name} {param_text(value)}")
     if consistent is not None:
         print(f"consistent {int(consistent)}")
 
 
 def cmd_gen(args) -> int:
     seed = _resolve_seed(args)
+    noise = {} if args.noise_std is None else {"noise_std": args.noise_std}
     if args.shape == "banana":
-        noise = 1.0 if args.noise_std is None else args.noise_std
-        data = gen_banana(args.count, noise_std=noise, seed=seed)
+        data = gen_banana(args.count, seed=seed, **noise)
     else:
-        noise = 0.1 if args.noise_std is None else args.noise_std
-        data = gen_ring(args.count, radius=args.radius, noise_std=noise, seed=seed)
+        data = gen_ring(args.count, radius=args.radius, seed=seed, **noise)
     write_csv(data, args.out)
     return 0
 
@@ -244,30 +241,35 @@ def cmd_grid(args) -> int:
     return 0
 
 
-def _add_model_flags(p: argparse.ArgumentParser, fixed_params: bool = True) -> None:
-    """--kernel and --node-type, plus the parameters that selection would
-    otherwise choose, for commands that can run without selection."""
-    p.add_argument("--kernel", choices=KERNELS, default=None)
-    if fixed_params:
-        p.add_argument("--kern-par", type=float, default=None)
-        p.add_argument("--c-reg", type=float, default=None)
-        p.add_argument("--hidden", type=_positive_int, default=None)
-        p.add_argument("--n0", type=_positive_int, default=None)
-        p.add_argument("--block", type=_positive_int, default=None)
-    p.add_argument("--node-type", choices=tuple(_NODE_FLAG), default=None)
-
-
-def _add_select_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fracrej", type=float, default=0.1)
-    p.add_argument("--folds", type=_positive_int, default=None)
-    p.add_argument("--sigma-thr", type=float, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="occelm", description="One-class ELM/OSELM toolbox"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def run_command(name: str, summary: str, func, own: dict) -> None:
+        """train, bench or select: the variant, the data and --label-col, the
+        command's own flags, then the run flags. The fixed parameters, which
+        selection would otherwise choose, go to commands that take --select."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("variant", choices=_VARIANT_CHOICES, metavar="variant")
+        p.add_argument("data")
+        p.add_argument("--label-col", type=int, default=None)
+        for flag, kwargs in own.items():
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--seed", type=_nonnegative_int, default=None)
+        p.add_argument("--out", "-o", required=name == "train", default=None)
+        p.add_argument("--kernel", choices=KERNELS, default=None)
+        if "--select" in own:
+            p.add_argument("--kern-par", type=float, default=None)
+            p.add_argument("--c-reg", type=float, default=None)
+            for flag in ("--hidden", "--n0", "--block"):
+                p.add_argument(flag, type=_positive_int, default=None)
+        p.add_argument("--node-type", choices=tuple(NODE_NAMES), default=None)
+        p.add_argument("--fracrej", type=float, default=0.1)
+        p.add_argument("--folds", type=_positive_int, default=None)
+        p.add_argument("--sigma-thr", type=float, default=None)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("gen", help="generate a synthetic 2-D dataset")
     p.add_argument("shape", choices=("banana", "ring"))
@@ -278,16 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", "-o", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("train", help="train one variant and save the model")
-    p.add_argument("variant", choices=_VARIANT_CHOICES, metavar="variant")
-    p.add_argument("data")
-    p.add_argument("--label-col", type=int, default=None)
-    p.add_argument("--select", action="store_true")
-    p.add_argument("--seed", type=_nonnegative_int, default=None)
-    p.add_argument("--out", "-o", required=True)
-    _add_model_flags(p)
-    _add_select_flags(p)
-    p.set_defaults(func=cmd_train)
+    select = {"--select": {"action": "store_true"}}
+    run_command("train", "train one variant and save the model", cmd_train, select)
 
     p = sub.add_parser("score", help="score a CSV with a saved model")
     p.add_argument("model")
@@ -296,28 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", "-o", default=None)
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("bench", help="full multi-run benchmark protocol")
-    p.add_argument("variant", choices=_VARIANT_CHOICES, metavar="variant")
-    p.add_argument("data")
-    p.add_argument("--label-col", type=int, default=None)
-    p.add_argument("--dataset-name", default=None)
-    p.add_argument("--runs", type=_positive_int, default=20)
-    p.add_argument("--select", action="store_true")
-    p.add_argument("--seed", type=_nonnegative_int, default=None)
-    p.add_argument("--out", "-o", default=None)
-    _add_model_flags(p)
-    _add_select_flags(p)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("select", help="consistency-based hyperparameter search")
-    p.add_argument("variant", choices=_VARIANT_CHOICES, metavar="variant")
-    p.add_argument("data")
-    p.add_argument("--label-col", type=int, default=None)
-    p.add_argument("--seed", type=_nonnegative_int, default=None)
-    p.add_argument("--out", "-o", default=None)
-    _add_model_flags(p, fixed_params=False)
-    _add_select_flags(p)
-    p.set_defaults(func=cmd_select)
+    run_command("bench", "full multi-run benchmark protocol", cmd_bench, {
+        "--dataset-name": {"default": None},
+        "--runs": {"type": _positive_int, "default": 20},
+        **select,
+    })
+    run_command("select", "consistency-based hyperparameter search", cmd_select, {})
 
     p = sub.add_parser("grid", help="export a decision-boundary lattice")
     p.add_argument("model")

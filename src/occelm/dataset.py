@@ -1,10 +1,11 @@
 """Dataset ingestion, artificial data generators, normalization, and splits.
 
 A Dataset is a row-major float matrix with optional boolean target labels
-(True = target, False = outlier). CSV files use comma separation with an
-optional header line (auto-detected: the first line fails numeric parsing)
-and the label tokens "+1"/"1"/"target" for targets, "-1"/"0"/"outlier" for
-outliers (word tokens case-insensitive).
+(True = target, False = outlier). CSV files are UTF-8, with or without a
+leading byte-order mark, and use comma separation with an optional header
+line (auto-detected: the first line fails numeric parsing) and the label
+tokens "+1"/"1"/"target" for targets, "-1"/"0"/"outlier" for outliers (word
+tokens case-insensitive).
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def load_csv(path: str, label_column: int | None = None) -> Dataset:
     auto-detection: if any feature cell of the first line fails numeric
     parsing, the line is treated as column names.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         # each non-blank row with the number of the file line it ends on
         rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
@@ -204,10 +205,11 @@ def zscore_fit(train: Dataset) -> ZScoreStats:
 
 
 def zscore_apply(data: Dataset, stats: ZScoreStats) -> Dataset:
-    """Map each cell to (x - mean) / std; zero-std features map to 0."""
+    """Map each cell to (x - mean) / std; zero-std features map to 0. The
+    one check of a model's rows against its feature count."""
     if data.feature_count != stats.feature_count:
         raise DimensionMismatch(
-            f"data has {data.feature_count} features, stats {stats.feature_count}"
+            f"rows have {data.feature_count} features, expected {stats.feature_count}"
         )
     safe = np.where(stats.std > 0, stats.std, 1.0)
     z = (data.samples - stats.mean) / safe

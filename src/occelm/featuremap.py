@@ -27,7 +27,15 @@ ADDITIVE_SIGMOID = "additive_sigmoid"
 RBF_NODE = "rbf"
 NODE_TYPES = (ADDITIVE_SIGMOID, RBF_NODE)
 
-KERNEL_KINDS = ("random", "rbf", "linear", "polynomial", "wavelet")
+# each explicit kernel's parameters in the order a model file's kparam
+# lines hold them, with the type each value reads back as
+KERNEL_PARAMS = {
+    "rbf": (("sigma", float),),
+    "linear": (),
+    "polynomial": (("degree", int), ("offset", float)),
+    "wavelet": (("a", float), ("b_w", float), ("c_w", float)),
+}
+KERNEL_KINDS = ("random", *KERNEL_PARAMS)
 
 # widest rbf sigma (and benchmark wavelet b_w): their Python float squares
 # raise OverflowError, instead of giving inf, past about 1e154
@@ -71,8 +79,6 @@ def hidden_init(node_type: str, m: int, n: int, seed) -> HiddenLayer:
     nodes use centres Uniform(-1, 1) and impact factors Uniform(0.05, 1)."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    if node_type not in NODE_TYPES:
-        raise ValueError(f"node_type must be one of {NODE_TYPES}")
     rng = np.random.default_rng(seed)
     W = rng.uniform(-1.0, 1.0, (m, n))
     if node_type == ADDITIVE_SIGMOID:

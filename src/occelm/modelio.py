@@ -4,8 +4,9 @@ Both model kinds share one layout, written and read in this order:
 
 1. the header "OCCELM v2", then `kind` (offline or online) and `family`;
 2. the feature map. Offline: `mapping`, then the hidden layer or the
-   kernel's `kparam` lines (KERNEL_PARAMS), then `C`. Online: the hidden
-   layer, then `n0`, `block` and `seen`;
+   kernel's `kparam` lines (featuremap.KERNEL_PARAMS names them, in
+   order), then `C`. Online: the hidden layer, then `n0`, `block` and
+   `seen`;
 3. `R` (always 1), `tspec`, `thresh`, `zmean`, `zstd` and `trainerr`;
 4. `basis` (offline: the normalized training rows) or `P` (online);
 5. `beta`, then `end`.
@@ -34,22 +35,13 @@ import numpy as np
 
 from .dataset import ZScoreStats
 from .errors import DimensionMismatch, ModelFormatError, NotFinalized
-from .featuremap import HiddenLayer, KernelSpec, hidden_apply, random_kernel
+from .featuremap import KERNEL_PARAMS, HiddenLayer, KernelSpec, hidden_apply, random_kernel
 from .linsolve import RlsState
 from .offline import BOUNDARY, RECONSTRUCTION, OfflineModel
 from .online import OnlineModel
 from .threshold import THR3, ThresholdSpec
 
 HEADER = "OCCELM v2"
-
-# kparam lines of each explicit kernel kind, in file order, with the type
-# each value reads back as
-KERNEL_PARAMS = {
-    "rbf": (("sigma", float),),
-    "linear": (),
-    "polynomial": (("degree", int), ("offset", float)),
-    "wavelet": (("a", float), ("b_w", float), ("c_w", float)),
-}
 
 
 def _text(value) -> str:

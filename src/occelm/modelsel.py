@@ -279,6 +279,11 @@ def select(
     return dict(best.params), diag
 
 
+def param_text(value) -> str:
+    """A parameter value as `param` lines and .sel.csv cells write it."""
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
 def write_diagnostics(diag: SelectionDiagnostics, path: str) -> None:
     """One CSV row per grid point: parameters, fold-average rejection
     (NAN for failed points), and the consistency flag."""
@@ -288,8 +293,5 @@ def write_diagnostics(diag: SelectionDiagnostics, path: str) -> None:
         writer.writerow(names + ["rejection", "consistent"])
         for point in diag.points:
             rej = "NAN" if math.isnan(point.rejection) else f"{point.rejection:.17g}"
-            writer.writerow(
-                [f"{point.params[k]:.17g}" if isinstance(point.params[k], float)
-                 else str(point.params[k]) for k in names]
-                + [rej, "1" if point.consistent else "0"]
-            )
+            cells = [param_text(point.params[k]) for k in names]
+            writer.writerow(cells + [rej, "1" if point.consistent else "0"])

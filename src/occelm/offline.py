@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, ZScoreStats, identity_stats, require_finite, zscore_apply
-from .errors import DimensionMismatch, OccelmError, Thr3NotApplicable
+from .errors import OccelmError, Thr3NotApplicable
 from .featuremap import (
     KernelSpec,
     hidden_apply,
@@ -137,15 +137,9 @@ def decide(model, Xs: np.ndarray, O: np.ndarray) -> Decisions:
 
 
 def normalized_rows(model, Y) -> np.ndarray:
-    """Rows in the original feature space, checked against the model's
-    feature count and z-scored with its stats."""
-    raw = _rows(Y)
-    if raw.shape[1] != model.feature_count:
-        raise DimensionMismatch(
-            f"rows have {raw.shape[1]} features, model expects "
-            f"{model.feature_count}"
-        )
-    return zscore_apply(Dataset(raw), model.zstats).samples
+    """Rows in the original feature space z-scored with the model's stats,
+    which checks their feature count."""
+    return zscore_apply(Dataset(_rows(Y)), model.zstats).samples
 
 
 def _feature_stage(
@@ -161,14 +155,10 @@ def _feature_stage(
     layer drawn from seed), the basis and the Gram matrix Omega. Returns
     the mapping, the basis and fit(C), which solves and fits the threshold
     for one C."""
-    n = Xs.shape[1]
     if mapping.kind == "random":
         layer = mapping.layer
         if layer is None:
-            m = mapping.m or DEFAULT_HIDDEN
-            layer = hidden_init(mapping.node_type, m, n, seed)
-        elif layer.n != n:
-            raise DimensionMismatch(f"layer expects {layer.n} features, data has {n}")
+            layer = hidden_init(mapping.node_type, mapping.m or DEFAULT_HIDDEN, Xs.shape[1], seed)
         mapping = KernelSpec("random", layer=layer, m=layer.m, node_type=layer.node_type)
         basis = hidden_apply(layer, Xs)
         omega = random_kernel_gram(basis)

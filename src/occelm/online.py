@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, ZScoreStats, identity_stats, zscore_apply
-from .errors import AlreadyFinalized, DimensionMismatch, NotFinalized, TooFewSamples
+from .errors import AlreadyFinalized, NotFinalized, TooFewSamples
 from .featuremap import HiddenLayer, hidden_apply
 from .linsolve import RlsState, rls_init, rls_update
 from .offline import (
@@ -80,8 +80,6 @@ def os_init(
     raw = _rows(X0)
     if zstats is None:
         zstats = identity_stats(raw.shape[1])
-    if raw.shape[1] != zstats.feature_count:
-        raise DimensionMismatch("X0 feature count does not match zstats")
     Xs = zscore_apply(Dataset(raw), zstats).samples
     H0 = hidden_apply(layer, Xs)
     rls = rls_init(H0, targets(family, Xs))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import occelm.bench as bench
+import occelm.modelio
 from occelm.bench import (
     HIDDEN_GRID,
     VARIANT_IDS,
@@ -19,6 +20,7 @@ from occelm.bench import (
 )
 from occelm.dataset import Dataset, gen_ring, zscore_apply, zscore_fit
 from occelm.errors import MissingLabels, NoOutliers, NoTargets, TooFewSamples
+from occelm.featuremap import KERNEL_KINDS, KERNEL_PARAMS
 from occelm.modelsel import C_GRID
 from occelm.online import OnlineModel
 
@@ -49,6 +51,15 @@ class TestVariantTable:
 
     def test_label(self):
         assert VARIANTS["aakelm_thr2"].label == "Thr2"
+
+    def test_kernel_names_read_kernel_params(self):
+        """featuremap.KERNEL_PARAMS names the explicit kernels once: the
+        kinds a KernelSpec takes, the --kernel choices and the kparam
+        lines of a model file."""
+        assert KERNEL_KINDS == ("random", *KERNEL_PARAMS)
+        assert bench.KERNELS == tuple(KERNEL_PARAMS)
+        assert tuple(KERNEL_PARAMS) == ("rbf", "linear", "polynomial", "wavelet")
+        assert occelm.modelio.KERNEL_PARAMS is KERNEL_PARAMS
 
 
 class TestParseVariant:

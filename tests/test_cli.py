@@ -12,8 +12,8 @@ import pytest
 
 from conftest import perfbench_module, run_cli
 
-from occelm.bench import VARIANTS
-from occelm.cli import main
+from occelm.bench import NODE_NAMES, VARIANTS, parse_variant
+from occelm.cli import _resolve_run, build_parser, main
 from occelm.dataset import Dataset, gen_ring, load_csv, write_csv
 from occelm.modelio import load_model
 from occelm.modelsel import error_threshold
@@ -312,6 +312,18 @@ def rule_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("rule") / "rule.csv"
     write_csv(Dataset(samples, labels), str(path))
     return str(path)
+
+
+@pytest.mark.parametrize("name", list(NODE_NAMES))
+@pytest.mark.parametrize("vid", ["ocelm_thr1", "aaelm_thr3", "os_aaelm_thr2"])
+def test_node_flag_and_suffix_agree(vid, name):
+    """--node-type <name> and the _<name> suffix read one map of short node
+    names, and resolve to the same Variant."""
+    by_flag = build_parser().parse_args(["train", vid, "d.csv", "-o", "m", "--node-type", name])
+    by_suffix = build_parser().parse_args(["train", f"{vid}_{name}", "d.csv", "-o", "m"])
+    variant = parse_variant(vid, node_type=NODE_NAMES[name])
+    assert _resolve_run(by_flag)[0] == _resolve_run(by_suffix)[0] == variant
+    assert variant.node_type == NODE_NAMES[name]
 
 
 class TestReadRule:
@@ -791,6 +803,20 @@ class TestErrorMessages:
         argv = ["select", "ockelm_thr1", labeled_csv, "--label-col", "-1",
                 "--seed", "1", "--sigma-thr", value]
         _refused(argv, capsys, message)
+
+    @pytest.mark.parametrize(
+        "variant, extra",
+        [("ockelm_thr1", ()), ("ocelm_thr1", ()), ("os_ocelm_thr1", ("--hidden", "8"))],
+    )
+    def test_wrong_width_score(self, tmp_path, labeled_csv, capsys, variant, extra):
+        """A 3-column file against a 2-feature model: one check, one line."""
+        model = str(tmp_path / "m.occ")
+        argv = ["train", variant, labeled_csv, "--label-col", "-1", "--seed", "0"]
+        assert main([*argv, *extra, "-o", model]) == 0
+        capsys.readouterr()
+        wide = tmp_path / "wide.csv"
+        wide.write_text("1,2,3\n4,5,6\n")
+        _refused(["score", model, str(wide)], capsys, "rows have 3 features, expected 2")
 
     def test_more_folds_than_rows(self, tmp_path, capsys):
         path = tmp_path / "four.csv"

@@ -148,6 +148,24 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=r"line 5, column 2: cannot parse 'x'"):
             load_csv(str(p), label_column=-1)
 
+    def test_bom_headerless_keeps_first_row(self, tmp_path):
+        """A UTF-8 byte-order mark is no part of the first cell: read into
+        it, '\ufeff1' failed to parse, and the first data row was taken for
+        a header and dropped."""
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbf1,2,+1\n3,4,-1\n5,6,+1\n")
+        d = load_csv(str(p), label_column=-1)
+        assert d.feature_names is None
+        np.testing.assert_array_equal(d.samples, [[1, 2], [3, 4], [5, 6]])
+        assert list(d.labels) == [True, False, True]
+
+    def test_bom_header_gets_clean_names(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbfx,y,label\n1,2,+1\n3,4,-1\n")
+        d = load_csv(str(p), label_column=-1)
+        assert d.feature_names == ["x", "y"]
+        assert d.sample_count == 2
+
     def test_ragged_after_blank_lines_names_file_line(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b\n1,2\n\n\n3,4,5\n")

@@ -12,7 +12,8 @@ from occelm.errors import (
     TooFewInitialSamples,
     TooFewSamples,
 )
-from occelm.featuremap import hidden_apply, hidden_init
+from occelm.featuremap import hidden_apply, hidden_init, rbf_kernel
+from occelm.offline import score, train_boundary
 from occelm.online import os_finalize, os_init, os_score, os_update
 from occelm.threshold import ThresholdSpec, thr1_fit, thr2_fit
 
@@ -205,3 +206,31 @@ class TestOsScore:
         model = os_init("boundary", layer, np.array([[0.5, 1.0]]))
         with pytest.raises(TooFewSamples):
             os_finalize(model, ThresholdSpec("thr1"))
+
+
+class TestOneWidthCheck:
+    """zscore_apply alone checks a row set against a model's feature
+    count, so every front end refuses a wrong-width set in the same words."""
+
+    def test_same_message_from_every_front_end(self):
+        X = _cloud(25, count=20)
+        stats = zscore_fit(Dataset(X))
+        wide = np.zeros((4, 5))
+        tspec = ThresholdSpec("thr1")
+        offline = train_boundary(X, rbf_kernel(1.0), 1.0, tspec, zstats=stats)
+        growing = os_init("boundary", _layer(), X[:12], zstats=stats)
+        finalized = os_finalize(os_init("boundary", _layer(), X[:12]), tspec)
+        calls = {
+            "score": lambda: score(offline, wide),
+            "os_update": lambda: os_update(growing, wide),
+            "os_score": lambda: os_score(finalized, wide),
+            # the layer reads 5 features: only the stats refuse the rows
+            "os_init": lambda: os_init("boundary", _layer(n=5), wide, zstats=stats),
+            "train_boundary": lambda: train_boundary(
+                wide, rbf_kernel(1.0), 1.0, tspec, zstats=stats
+            ),
+        }
+        for name, call in calls.items():
+            with pytest.raises(DimensionMismatch) as info:
+                call()
+            assert str(info.value) == "rows have 5 features, expected 3", name
