@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import modelsel
-from .dataset import Dataset, occ_split, zscore_apply, zscore_fit
+from .dataset import Dataset, as_rows, occ_split, zscore_apply, zscore_fit
 from .errors import TooFewSamples
 from .featuremap import (
     ADDITIVE_SIGMOID,
@@ -53,7 +53,6 @@ from .offline import (
     DEFAULT_HIDDEN,
     RECONSTRUCTION,
     OfflineModel,
-    _rows,
     scan_c,
     score,
     train_boundary,
@@ -205,7 +204,7 @@ def default_params(variant: Variant, Xz, fixed: Mapping) -> dict:
         return {key: width, "C": C}
     m = DEFAULT_HIDDEN if hidden is None else int(hidden)
     if variant.engine == ONLINE_ENGINE:
-        return {"m": min(m, max(1, _rows(Xz).shape[0] // 2)) if hidden is None else m}
+        return {"m": min(m, max(1, as_rows(Xz).shape[0] // 2)) if hidden is None else m}
     return {"m": m, "C": C}
 
 
@@ -217,7 +216,7 @@ def selection_grids(variant: Variant, Xz, folds: int) -> dict:
     """Grid per engine: kernel widths x C, capped hidden widths x C, or
     hidden widths alone for the online engine, capped at half the smallest
     fold training set so that its default initial chunk of 2m rows fits."""
-    rows = _rows(Xz)
+    rows = as_rows(Xz)
     N = rows.shape[0]
     modelsel.check_folds(folds)
     if variant.engine == KERNEL_ENGINE:
@@ -266,7 +265,7 @@ def fit(
     """
     tspec = ThresholdSpec(kind=variant.tkind, fracrej=fracrej)
     if variant.engine == ONLINE_ENGINE:
-        raw = _rows(rows)
+        raw = as_rows(rows)
         N, n = raw.shape
         m = int(params["m"])
         layer = hidden_init(variant.node_type, m, n, layer_seed)

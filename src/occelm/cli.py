@@ -9,8 +9,6 @@ the flags, while wall-clock lines and any entropy-drawn seed go to stderr.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import sys
 import time
 
@@ -30,11 +28,12 @@ from .bench import (
     run_seed,
     score_model,
 )
-from .dataset import Dataset, gen_banana, gen_ring, load_csv, write_csv, zscore_apply, zscore_fit
+from .dataset import Dataset, gen_banana, gen_ring, label_text, load_csv, value_text
+from .dataset import write_csv, write_table, zscore_apply, zscore_fit
 from .errors import NotTwoDimensional, NoTargets, OccelmError
-from .metrics import REPORT_COLUMNS, confuse, measures, render_value
+from .metrics import MEASURES, REPORT_COLUMNS, confuse, measures, render_value
 from .modelio import load_model, save_model
-from .modelsel import param_text, write_diagnostics
+from .modelsel import write_diagnostics
 
 # every id with and without a node suffix; parse_variant refuses the
 # suffixed kernel ids as a usage error
@@ -61,16 +60,6 @@ def _resolve_seed(args) -> int:
     seed = int(np.random.SeedSequence().entropy % 2**32)
     print(f"seed {seed}", file=sys.stderr)
     return seed
-
-
-@contextlib.contextmanager
-def _csv_out(path: str | None):
-    """CSV writer on the file at path, or on stdout when path is None."""
-    if path is None:
-        yield csv.writer(sys.stdout)
-        return
-    with open(path, "w", newline="") as fh:
-        yield csv.writer(fh)
 
 
 def _target_rows(data: Dataset) -> Dataset:
@@ -106,18 +95,17 @@ def _training_rows(args):
 
 def _print_params(params: dict, consistent: bool | None) -> None:
     for name, value in params.items():
-        print(f"param {name} {param_text(value)}")
+        print(f"param {name} {value_text(value)}")
     if consistent is not None:
         print(f"consistent {int(consistent)}")
 
 
 def cmd_gen(args) -> int:
+    given = {k: getattr(args, k) for k in ("noise_std", "radius") if getattr(args, k) is not None}
+    if args.shape == "banana" and "radius" in given:
+        raise KeyError("banana does not read --radius")
     seed = _resolve_seed(args)
-    noise = {} if args.noise_std is None else {"noise_std": args.noise_std}
-    if args.shape == "banana":
-        data = gen_banana(args.count, seed=seed, **noise)
-    else:
-        data = gen_ring(args.count, radius=args.radius, seed=seed, **noise)
+    data = (gen_banana if args.shape == "banana" else gen_ring)(args.count, seed=seed, **given)
     write_csv(data, args.out)
     return 0
 
@@ -149,36 +137,26 @@ def cmd_score(args) -> int:
     data = load_csv(args.data, args.label_col)
     decisions = score_model(model, data.samples)
 
-    with _csv_out(args.out) as writer:
-        writer.writerow(["row", "decision", "score", "thresh"])
-        columns = zip(
-            decisions.is_target.tolist(), decisions.score.tolist(), decisions.thresh.tolist()
-        )
-        for i, (is_target, score, thresh) in enumerate(columns):
-            writer.writerow(
-                [i, "+1" if is_target else "-1", f"{score:.17g}", f"{thresh:.17g}"]
-            )
+    columns = zip(
+        decisions.is_target.tolist(), decisions.score.tolist(), decisions.thresh.tolist()
+    )
+    write_table(args.out, ["row", "decision", "score", "thresh"], (
+        [i, label_text(is_target), value_text(score), value_text(thresh)]
+        for i, (is_target, score, thresh) in enumerate(columns)
+    ))
 
     if data.labels is not None:
         r = measures(confuse(decisions, data.labels))
-        print(
-            f"precision {render_value(r.precision)} recall {render_value(r.recall)} "
-            f"specificity {render_value(r.specificity)} F1 {render_value(r.f1)} "
-            f"ACC {render_value(r.accuracy)} AUC {render_value(r.auc)}",
-            file=sys.stderr,
-        )
+        cells = (f"{name} {render_value(getattr(r, field))}" for field, name in MEASURES)
+        print(" ".join(cells), file=sys.stderr)
     return 0
 
 
 def _write_runs_csv(path: str, result) -> None:
-    with _csv_out(path) as writer:
-        writer.writerow(["run", "precision", "recall", "specificity", "F1", "ACC", "AUC"])
-        for i, r in enumerate(result.run_reports):
-            writer.writerow(
-                [i] + [render_value(v) for v in (
-                    r.precision, r.recall, r.specificity, r.f1, r.accuracy, r.auc
-                )]
-            )
+    write_table(path, ["run", *(name for _, name in MEASURES)], (
+        [i, *(render_value(getattr(r, field)) for field, _ in MEASURES)]
+        for i, r in enumerate(result.run_reports)
+    ))
 
 
 def cmd_bench(args) -> int:
@@ -197,9 +175,7 @@ def cmd_bench(args) -> int:
         render_value(result.report.f1), render_value(result.report.accuracy),
         render_value(result.report.auc), render_value(result.report.std_auc),
     ]
-    with _csv_out(args.out) as writer:
-        writer.writerow(REPORT_COLUMNS)
-        writer.writerow(cells)
+    write_table(args.out, REPORT_COLUMNS, [cells])
     if args.out is not None:
         _write_runs_csv(f"{args.out}.runs.csv", result)
         if result.selection is not None:
@@ -212,7 +188,7 @@ def cmd_select(args) -> int:
     seed = _resolve_seed(args)
     _, _, Xz = _training_rows(args)
     params, diag = choose_params(variant, Xz, fracrej=args.fracrej, seed=seed, **scan)
-    print(f"err_thr {diag.err_thr:.17g}")
+    print(f"err_thr {value_text(diag.err_thr)}")
     print(f"fold_size {diag.fold_size}")
     _print_params(params, diag.consistent)
     if args.out is not None:
@@ -221,6 +197,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    if not np.isfinite(args.bounds).all():
+        raise ValueError("bounds must be finite")
     model = load_model(args.model)
     if model.feature_count != 2:
         raise NotTwoDimensional(
@@ -232,12 +210,12 @@ def cmd_grid(args) -> int:
     points = np.array([(x, y) for x in xs for y in ys])
     decisions = score_model(model, points)
 
-    with _csv_out(args.out) as writer:
-        writer.writerow(["x", "y", "score", "is_target"])
+    write_table(args.out, ["x", "y", "score", "is_target"], (
+        [value_text(x), value_text(y), value_text(score), int(is_target)]
         for (x, y), score, is_target in zip(
             points, decisions.score.tolist(), decisions.is_target.tolist()
-        ):
-            writer.writerow([f"{x:.17g}", f"{y:.17g}", f"{score:.17g}", int(is_target)])
+        )
+    ))
     return 0
 
 
@@ -275,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("shape", choices=("banana", "ring"))
     p.add_argument("--count", type=_positive_int, default=100)
     p.add_argument("--noise-std", type=float, default=None)
-    p.add_argument("--radius", type=float, default=1.0)
+    p.add_argument("--radius", type=float, default=None)
     p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--out", "-o", required=True)
     p.set_defaults(func=cmd_gen)

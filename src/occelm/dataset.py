@@ -6,12 +6,17 @@ leading byte-order mark, and use comma separation with an optional header
 line (auto-detected: the first line fails numeric parsing) and the label
 tokens "+1"/"1"/"target" for targets, "-1"/"0"/"outlier" for outliers (word
 tokens case-insensitive).
+
+This module owns the text of every written table: value_text spells each
+value, label_text each label, and write_table writes each CSV file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +72,13 @@ class Dataset:
     @property
     def feature_count(self) -> int:
         return self.samples.shape[1]
+
+
+def as_rows(X) -> np.ndarray:
+    """A Dataset's samples, or X as a float matrix of at least 2 dimensions."""
+    if isinstance(X, Dataset):
+        return X.samples
+    return np.atleast_2d(np.asarray(X, dtype=float))
 
 
 @dataclass
@@ -173,24 +185,41 @@ def load_csv(path: str, label_column: int | None = None) -> Dataset:
     return Dataset(samples, labels, names)
 
 
+def value_text(value) -> str:
+    """A value as written tables and model files spell it: str and int as
+    they are, else a float of 17 significant digits (reading it keeps every bit)."""
+    return str(value) if isinstance(value, (str, int)) else f"{float(value):.17g}"
+
+
+def label_text(is_target) -> str:
+    """A label as written tables spell it: +1 target, -1 outlier."""
+    return "+1" if is_target else "-1"
+
+
+def write_table(path: str | None, header: list[str] | None, rows) -> None:
+    """Write header (none if None) and rows as CSV in the default dialect
+    (CRLF line ends) to the file at path, or to stdout if path is None."""
+    out = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
+    with out as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_csv(data: Dataset, path: str) -> None:
     """Write a Dataset in the same CSV dialect load_csv reads.
 
-    Labels, when present, become a trailing +1/-1 column. Floats use 17
-    significant digits so a round-trip preserves every bit.
+    Labels, when present, become a trailing +1/-1 column, and floats keep
+    every bit (value_text).
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if data.feature_names is not None:
-            header = list(data.feature_names)
-            if data.labels is not None:
-                header.append("label")
-            writer.writerow(header)
-        for i in range(data.sample_count):
-            row = [f"{v:.17g}" for v in data.samples[i]]
-            if data.labels is not None:
-                row.append("+1" if data.labels[i] else "-1")
-            writer.writerow(row)
+    header = data.feature_names
+    if header is not None and data.labels is not None:
+        header = [*header, "label"]
+    rows = ([value_text(v) for v in row] for row in data.samples)
+    if data.labels is not None:
+        rows = (row + [label_text(t)] for row, t in zip(rows, data.labels))
+    write_table(path, header, rows)
 
 
 def zscore_fit(train: Dataset) -> ZScoreStats:

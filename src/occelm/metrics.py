@@ -46,6 +46,11 @@ class EvalReport:
     run_count: int = 1
 
 
+# each measure's EvalReport field and column name, in report order
+MEASURES = (("precision", "precision"), ("recall", "recall"), ("specificity", "specificity"),
+            ("f1", "F1"), ("accuracy", "ACC"), ("auc", "AUC"))
+
+
 def confuse(decisions: Decisions, labels) -> ConfusionCounts:
     """Tally the verdicts of decisions against boolean labels
     (True = target)."""
@@ -93,15 +98,9 @@ def aggregate(runs: list[EvalReport]) -> EvalReport:
     standard deviation of the per-run AUC (0 for a single run)."""
     if not runs:
         raise EmptyRuns("aggregate needs at least one run")
-    aucs = np.array([r.auc for r in runs])
-    std_auc = 0.0 if len(runs) == 1 else float(aucs.std(ddof=1))
+    std_auc = 0.0 if len(runs) == 1 else float(np.std([r.auc for r in runs], ddof=1))
     return EvalReport(
-        precision=float(np.mean([r.precision for r in runs])),
-        recall=float(np.mean([r.recall for r in runs])),
-        specificity=float(np.mean([r.specificity for r in runs])),
-        f1=float(np.mean([r.f1 for r in runs])),
-        accuracy=float(np.mean([r.accuracy for r in runs])),
-        auc=float(aucs.mean()),
+        **{f: float(np.mean([getattr(r, f) for r in runs])) for f, _ in MEASURES},
         std_auc=std_auc,
         run_count=len(runs),
     )

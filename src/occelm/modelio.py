@@ -13,8 +13,8 @@ Both model kinds share one layout, written and read in this order:
 
 A hidden layer is `nodetype`, matrix `layerW` and vector `layerb`. A
 vector is one line "<name> <size> v0 v1 ...", a matrix a "<name> <rows>
-<cols>" line and that many rows. Ints print as they are, floats with 17
-significant digits (a round trip keeps every bit); thr3 stores thresh nan.
+<cols>" line and that many rows, each value spelled by dataset.value_text
+(floats keep every bit in a round trip); thr3 stores thresh nan.
 Online models must be finalized to save, and load score-only. Random
 offline models rebuild H at load, in one hidden_apply call on all rows as
 at training, so H keeps its trained bits.
@@ -33,7 +33,7 @@ from itertools import chain
 
 import numpy as np
 
-from .dataset import ZScoreStats
+from .dataset import ZScoreStats, value_text
 from .errors import DimensionMismatch, ModelFormatError, NotFinalized
 from .featuremap import KERNEL_PARAMS, HiddenLayer, KernelSpec, hidden_apply, random_kernel
 from .linsolve import RlsState
@@ -44,12 +44,8 @@ from .threshold import THR3, ThresholdSpec
 HEADER = "OCCELM v2"
 
 
-def _text(value) -> str:
-    return str(value) if isinstance(value, (str, int)) else f"{float(value):.17g}"
-
-
 def _row(values: np.ndarray) -> str:
-    # one format call per row; the same bytes as joining f"{v:.17g}"
+    # value_text in bulk: one format call per row, the same bytes value by value
     return ("%.17g " * values.size)[:-1] % tuple(values.tolist())
 
 
@@ -57,7 +53,7 @@ class _Writer(list):
     """The file's lines; each method writes what _Reader's namesake reads."""
 
     def fields(self, name: str, *values) -> None:
-        self.append(" ".join([name, *map(_text, values)]))
+        self.append(" ".join([name, *map(value_text, values)]))
 
     def vector(self, name: str, v) -> None:
         v = np.asarray(v, dtype=float).ravel()

@@ -16,7 +16,6 @@ combination of the other grid values and fold.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import os
@@ -28,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import pdist
 
+from .dataset import as_rows, value_text, write_table
 from .errors import AllPointsIdentical, OccelmError
 from .featuremap import cpu_count
-from .offline import _rows
 
 C_GRID: list[float] = [10.0**e for e in range(-8, 9)]
 
@@ -52,7 +51,7 @@ def error_threshold(fracrej: float, sigma_thr: float, M: int) -> float:
 
 def nonzero_distances(X) -> np.ndarray:
     """The rows' nonzero pairwise distances; AllPointsIdentical if none."""
-    d = pdist(_rows(X))
+    d = pdist(as_rows(X))
     d = d[d > 0]
     if d.size == 0:
         raise AllPointsIdentical("all rows coincide; no nonzero distance")
@@ -62,7 +61,7 @@ def nonzero_distances(X) -> np.ndarray:
 def sigma_grid(X, count: int = DEFAULT_SIGMA_COUNT) -> np.ndarray:
     """Geometrically spaced kernel widths between the smallest and largest
     nonzero pairwise distances of the rows."""
-    rows = _rows(X)
+    rows = as_rows(X)
     if rows.shape[0] < 2:
         raise ValueError("sigma_grid needs at least 2 rows")
     if count < 2:
@@ -241,7 +240,7 @@ def select(
         raise ValueError("every grid must be nonempty")
     if not 0.0 < fracrej < 1.0:
         raise ValueError("fracrej must lie in (0, 1)")
-    rows = _rows(X)
+    rows = as_rows(X)
     N = rows.shape[0]
     if N < folds:
         raise ValueError(f"need at least folds={folds} rows, got {N}")
@@ -279,19 +278,12 @@ def select(
     return dict(best.params), diag
 
 
-def param_text(value) -> str:
-    """A parameter value as `param` lines and .sel.csv cells write it."""
-    return f"{value:.17g}" if isinstance(value, float) else str(value)
-
-
 def write_diagnostics(diag: SelectionDiagnostics, path: str) -> None:
     """One CSV row per grid point: parameters, fold-average rejection
     (NAN for failed points), and the consistency flag."""
     names = list(diag.points[0].params) if diag.points else []
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names + ["rejection", "consistent"])
-        for point in diag.points:
-            rej = "NAN" if math.isnan(point.rejection) else f"{point.rejection:.17g}"
-            cells = [param_text(point.params[k]) for k in names]
-            writer.writerow(cells + [rej, "1" if point.consistent else "0"])
+    write_table(path, names + ["rejection", "consistent"], (
+        [value_text(p.params[k]) for k in names]
+        + ["NAN" if math.isnan(p.rejection) else value_text(p.rejection), int(p.consistent)]
+        for p in diag.points
+    ))

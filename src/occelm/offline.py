@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, ZScoreStats, identity_stats, require_finite, zscore_apply
+from .dataset import Dataset, ZScoreStats, as_rows, identity_stats, require_finite, zscore_apply
 from .errors import OccelmError, Thr3NotApplicable
 from .featuremap import (
     KernelSpec,
@@ -49,12 +49,6 @@ BOUNDARY = "boundary"
 RECONSTRUCTION = "reconstruction"
 
 DEFAULT_HIDDEN = 100
-
-
-def _rows(X) -> np.ndarray:
-    if isinstance(X, Dataset):
-        return X.samples
-    return np.atleast_2d(np.asarray(X, dtype=float))
 
 
 @dataclass
@@ -139,7 +133,7 @@ def decide(model, Xs: np.ndarray, O: np.ndarray) -> Decisions:
 def normalized_rows(model, Y) -> np.ndarray:
     """Rows in the original feature space z-scored with the model's stats,
     which checks their feature count."""
-    return zscore_apply(Dataset(_rows(Y)), model.zstats).samples
+    return zscore_apply(Dataset(as_rows(Y)), model.zstats).samples
 
 
 def _feature_stage(
@@ -201,7 +195,7 @@ def _train(
     seed,
     zstats: ZScoreStats | None,
 ) -> OfflineModel:
-    raw = _rows(X)
+    raw = as_rows(X)
     if zstats is None:
         zstats = identity_stats(raw.shape[1])
     Xs = zscore_apply(Dataset(raw), zstats).samples

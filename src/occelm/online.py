@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, ZScoreStats, identity_stats, zscore_apply
+from .dataset import Dataset, ZScoreStats, as_rows, identity_stats, zscore_apply
 from .errors import AlreadyFinalized, NotFinalized, TooFewSamples
 from .featuremap import HiddenLayer, hidden_apply
 from .linsolve import RlsState, rls_init, rls_update
 from .offline import (
     BOUNDARY,
     RECONSTRUCTION,
-    _rows,
     decide,
     fit_threshold,
     normalized_rows,
@@ -77,7 +76,7 @@ def os_init(
     """Initialization phase on the first chunk (N0 >= layer.m rows)."""
     if family not in (BOUNDARY, RECONSTRUCTION):
         raise ValueError(f"family must be {BOUNDARY!r} or {RECONSTRUCTION!r}")
-    raw = _rows(X0)
+    raw = as_rows(X0)
     if zstats is None:
         zstats = identity_stats(raw.shape[1])
     Xs = zscore_apply(Dataset(raw), zstats).samples

@@ -15,6 +15,7 @@ from conftest import perfbench_module, run_cli
 from occelm.bench import NODE_NAMES, VARIANTS, parse_variant
 from occelm.cli import _resolve_run, build_parser, main
 from occelm.dataset import Dataset, gen_ring, load_csv, write_csv
+from occelm.metrics import MEASURES, REPORT_COLUMNS
 from occelm.modelio import load_model
 from occelm.modelsel import error_threshold
 from occelm.offline import OfflineModel
@@ -71,6 +72,22 @@ class TestGen:
         main(["gen", "banana", "-o", str(tmp_path / "x.csv")])
         err = capsys.readouterr().err
         assert "seed " in err
+
+    def test_banana_refuses_radius(self, tmp_path, capsys):
+        """The banana arc has a fixed radius; --radius was once ignored in
+        silence (exit 0, the bytes of a run without it)."""
+        out = tmp_path / "b.csv"
+        argv = ["gen", "banana", "--radius", "5", "--count", "3", "--seed", "1", "-o", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "usage error: banana does not read --radius\n")
+        assert not out.exists()
+
+    def test_ring_radius_defaults_to_the_generator(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert main(["gen", "ring", "--count", "5", "--seed", "3", "-o", str(out)]) == 0
+        expected = tmp_path / "e.csv"
+        write_csv(gen_ring(5, seed=3), str(expected))
+        assert out.read_bytes() == expected.read_bytes()
 
 
 class TestTrain:
@@ -441,6 +458,41 @@ class TestGrid:
             ["grid", str(model_path), "--bounds", "0", "1", "0", "1"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("bounds", [
+        ["nan", "1", "0", "1"], ["0", "inf", "0", "1"], ["0", "1", "inf", "1"],
+        ["0", "1", "0", "nan"],
+    ])
+    def test_non_finite_bounds_exit_1(self, tmp_path, labeled_csv, capsys, bounds):
+        """A NAN bound once failed as "samples contain non-finite values",
+        which names no flag."""
+        model_path = tmp_path / "model.occ"
+        main(["train", "ockelm_thr1", labeled_csv, "--label-col", "-1",
+              "--seed", "0", "-o", str(model_path)])
+        capsys.readouterr()
+        _refused(["grid", str(model_path), "--bounds", *bounds], capsys, "bounds must be finite")
+
+
+class TestMeasureNames:
+    """metrics.MEASURES names the measures of the .runs.csv header and of
+    the score report line, in the same order."""
+
+    def test_runs_header_and_score_report(self, tmp_path, labeled_csv, capsys):
+        names = [name for _, name in MEASURES]
+        out = tmp_path / "report.csv"
+        argv = ["ockelm_thr1", labeled_csv, "--label-col", "-1", "--seed", "1"]
+        assert main(["bench", *argv, "--runs", "2", "-o", str(out)]) == 0
+        header = (tmp_path / "report.csv.runs.csv").read_text().splitlines()[0]
+        assert header == ",".join(["run", *names])
+        model = str(tmp_path / "m.occ")
+        assert main(["train", *argv, "-o", model]) == 0
+        capsys.readouterr()
+        assert main(["score", model, labeled_csv, "--label-col", "-1", "-o", str(out)]) == 0
+        report = capsys.readouterr().err.split()
+        assert report[::2] == names
+        assert all(re.fullmatch(r"\d+\.\d\d|NAN", value) for value in report[1::2])
+        measured = [c for c in REPORT_COLUMNS if c in names]
+        assert measured == ["F1", "ACC", "AUC"]
 
 
 class TestBench:

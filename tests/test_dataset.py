@@ -9,10 +9,13 @@ from occelm.dataset import (
     gen_banana,
     gen_ring,
     identity_stats,
+    label_text,
     load_csv,
     occ_split,
     round_half_up,
+    value_text,
     write_csv,
+    write_table,
     zscore_apply,
     zscore_fit,
 )
@@ -191,6 +194,53 @@ class TestWriteCsv:
         back = load_csv(str(p))
         assert np.array_equal(back.samples, d.samples)
         assert back.labels is None
+
+    def test_bytes(self, tmp_path):
+        """A header with the label column, 17-digit floats, +1/-1 labels
+        and CRLF line ends."""
+        d = Dataset(np.array([[0.1, -0.0], [2.0, 1e-300]]), [True, False], ["a", "b"])
+        p = tmp_path / "d.csv"
+        write_csv(d, str(p))
+        assert p.read_bytes() == (
+            b"a,b,label\r\n0.10000000000000001,-0,+1\r\n2,1e-300,-1\r\n"
+        )
+
+
+def _model_text(value) -> str:
+    """Model files' value rule before value_text owned it."""
+    return str(value) if isinstance(value, (str, int)) else f"{float(value):.17g}"
+
+
+def _param_text(value) -> str:
+    """`param` lines' and .sel.csv cells' rule before value_text owned it."""
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+class TestTableText:
+    """value_text, label_text and write_table: the text of every written
+    table."""
+
+    @pytest.mark.parametrize("value", [
+        "rbf", 7, np.int64(12), True, 0.1, np.float64(1.0 / 3.0), -0.0, float("nan"),
+        float("inf"), -np.inf,
+    ])
+    def test_value_text_keeps_both_old_rules(self, value):
+        assert value_text(value) == _model_text(value) == _param_text(value)
+
+    def test_label_text(self):
+        assert [label_text(t) for t in (True, False, np.bool_(True), np.bool_(False))] == [
+            "+1", "-1", "+1", "-1"
+        ]
+
+    @pytest.mark.parametrize("header", [["x", "y"], None])
+    def test_stdout_and_file_bytes_match(self, tmp_path, capsys, header):
+        rows = [[0, "a,b"], [1, value_text(0.1)]]
+        path = tmp_path / "t.csv"
+        write_table(str(path), header, rows)
+        write_table(None, header, iter(rows))
+        body = b'0,"a,b"\r\n1,0.10000000000000001\r\n'
+        assert path.read_bytes() == (b"x,y\r\n" if header else b"") + body
+        assert capsys.readouterr().out.encode() == path.read_bytes()
 
 
 class TestZScore:

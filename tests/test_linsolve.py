@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from occelm import linsolve
@@ -114,13 +114,13 @@ class TestSolveRegularized:
             solve_regularized(-np.eye(3), np.ones((3, 1)), 1.0)
 
 
-def _refined(A, T, solve):
-    """solve(T) refined against A by up to 4 passes, or None where the
+def _refined(A, T, solve, passes=4):
+    """solve(T) refined against A by up to passes passes, or None where the
     residual bound is not met."""
     tol = 1e-8 * (1.0 + np.linalg.norm(T))
     with np.errstate(all="ignore"):
         beta = solve(T)
-        for _ in range(4):
+        for _ in range(passes):
             residual = T - A @ beta
             if np.linalg.norm(residual) <= tol:
                 return beta
@@ -142,18 +142,22 @@ def _dense_reference(omega, T, C):
     """The solve with Omega + I/C held apart from its factor: a dense
     "omega + 0.0" copy with 1/C added to the diagonal, cho_factor refined
     against that copy, or the eigen fallback where Cholesky fails or
-    misses. Returns beta, or None where the bound is not met, and whether
-    the eigen fallback ran."""
+    misses. Returns beta, or None where the bound is not met; whether the
+    eigen fallback ran; and whether refinement ran, that is whether the
+    first Cholesky solve missed the bound (False where Cholesky failed)."""
     A = omega + 0.0
     A.flat[:: A.shape[0] + 1] += 1.0 / C
     try:
         factor = scipy.linalg.cho_factor(A, check_finite=False)
     except scipy.linalg.LinAlgError:
-        return _eigen_reference(A, T), True
-    beta = _refined(
-        A, T, lambda rhs: scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    )
-    return (_eigen_reference(A, T), True) if beta is None else (beta, False)
+        return _eigen_reference(A, T), True, False
+
+    def solve(rhs):
+        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+
+    refined = _refined(A, T, solve, passes=0) is None
+    beta = _refined(A, T, solve)
+    return (_eigen_reference(A, T), True, refined) if beta is None else (beta, False, refined)
 
 
 @st.composite
@@ -207,7 +211,7 @@ class TestBorrowedOmega:
     def test_bits_match_dense_reference_and_omega_is_restored(self, case):
         omega, T, C = case
         before = omega.tobytes()
-        expected, _ = _dense_reference(omega, T, C)
+        expected, _, _ = _dense_reference(omega, T, C)
         if expected is None:
             with pytest.raises(SingularSystem):
                 solve_regularized(omega, T, C)
@@ -225,7 +229,7 @@ class TestBorrowedOmega:
         with pytest.raises(scipy.linalg.LinAlgError):
             scipy.linalg.cho_factor(omega + np.eye(6))
         T = np.arange(6.0).reshape(-1, 1)
-        expected, eigen = _dense_reference(omega, T, 1.0)
+        expected, eigen, _ = _dense_reference(omega, T, 1.0)
         assert eigen
         with mock.patch.object(linsolve, "_eigen", wraps=linsolve._eigen) as spy:
             assert solve_regularized(omega, T, 1.0).tobytes() == expected.tobytes()
@@ -237,7 +241,7 @@ class TestBorrowedOmega:
         H = rng.normal(0.0, 1.0, (12, 20))
         omega = H @ H.T
         T = omega[:, :2]
-        expected, _ = _dense_reference(omega, T.copy(), 0.5)
+        expected, _, _ = _dense_reference(omega, T.copy(), 0.5)
         assert solve_regularized(omega, T, 0.5).tobytes() == expected.tobytes()
 
     def test_peak_memory_is_one_workspace(self):
@@ -304,7 +308,7 @@ def _wide_systems(draw):
     """Omega past the block width, N from B + 1 to 2B + 50, in C or Fortran
     order, of one of four kinds: PSD, PSD with -0.0 off-diagonal blocks,
     indefinite (the eigen path), or PSD at a C so large that the first
-    residual misses the bound (the refinement path)."""
+    residual mostly misses the bound (the refinement path)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(_B + 1, 2 * _B + 50))
     kind = draw(st.sampled_from(["psd", "signed_zero", "indefinite", "refine"]))
@@ -323,6 +327,14 @@ def _wide_systems(draw):
     omega = np.asarray(omega, order=draw(st.sampled_from(["C", "F"])))
     T = rng.normal(0.0, 1.0, (n, draw(st.integers(1, 3))))
     return kind, omega, T, C
+
+
+def _refine_kind_meeting_the_bound():
+    """A refine-kind system (N = 257, C = 10^5.5) whose first in-place solve
+    meets the bound at one BLAS thread, so no copy is factored."""
+    H = np.random.default_rng(27).normal(0.0, 1.0, (257, 20))
+    T = np.random.default_rng(27).normal(0.0, 1.0, (257, 1))
+    return "refine", H @ H.T, T, 10.0**5.5
 
 
 def _paths(omega, T, C):
@@ -358,19 +370,22 @@ class TestInPlaceFactor:
 
     @settings(max_examples=60, deadline=None)
     @given(_wide_systems())
+    @example(_refine_kind_meeting_the_bound())
     def test_bits_match_dense_reference_and_omega_is_restored(self, case):
+        """A copy is factored exactly where the reference's first Cholesky
+        solve misses the bound, for every kind: near C = 10^5.5 a refine-kind
+        system can meet it unrefined (the pinned example, at one BLAS thread)."""
         kind, omega, T, C = case
         assert np.array_equal(omega, omega.T)
         before = omega.tobytes()
-        expected, eigen = _dense_reference(omega, T, C)
+        expected, eigen, refined = _dense_reference(omega, T, C)
         outcome, taken = _paths(omega, T, C)
         if expected is None:
             assert outcome.startswith("residual bound not met after refinement")
         else:
             assert outcome == expected.tobytes()
         assert omega.tobytes() == before
-        copies = ["copy"] if kind == "refine" else []
-        assert taken == ["in_place", *copies] + ["eigen"] * eigen
+        assert taken == ["in_place"] + ["copy"] * refined + ["eigen"] * eigen
         assert eigen or kind != "indefinite"
 
     def test_refinement_that_meets_the_bound(self):
@@ -384,7 +399,7 @@ class TestInPlaceFactor:
         T = rng.normal(0.0, 1.0, (n, 2))
         before = omega.tobytes()
         for C in np.geomspace(1e4, 1e7, 61):
-            expected, eigen = _dense_reference(omega, T, C)
+            expected, eigen, _ = _dense_reference(omega, T, C)
             if eigen:
                 continue
             outcome, taken = _paths(omega, T, C)

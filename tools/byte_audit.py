@@ -1,0 +1,125 @@
+"""Byte audit of the occelm command line: run a fixed set of seeded
+commands against one source tree and record what each one wrote.
+
+    python3 tools/byte_audit.py --src src --out manifest.json
+    python3 tools/byte_audit.py --compare parent.json change.json
+
+--src runs every command as a fresh `python -m occelm` child with
+PYTHONPATH=<dir> and OPENBLAS_NUM_THREADS=1, in order, in one temporary
+directory (later commands read what earlier ones wrote). For each command
+the manifest holds the exit code and the sha256 of stdout, of stderr
+without its timing lines (`train ...s`, `run N: train ...s`) and of every
+file the command created or changed. The inputs are perfbench's 699x9
+table (perfbench/workloads.py::write_table, run from its source) and `gen`
+output. --compare prints the entries that differ and exits 1 if any do.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMING = re.compile(r"^(run \d+: )?train \d+\.\d+s$")
+RUN_IDS = ["ocelm_thr1", "ockelm_thr2", "aaelm_thr3", "aakelm_thr3",
+           "ocelm_thr1_rbf", "os_ocelm_thr1", "os_aaelm_thr2"]
+SELECT_IDS = ["ockelm_thr1", "ocelm_thr2", "aakelm_thr3"]
+TABLE = ["table.csv", "--label-col", "-1", "--seed", "7"]
+COMMANDS = ("gen", "train", "score", "bench", "select", "grid")
+
+
+def commands() -> list[list[str]]:
+    cmds = [["--help"]] + [[name, "--help"] for name in COMMANDS]
+    cmds += [["gen", "ring", "--count", "60", "--seed", "1", "-o", "ring.csv"],
+             ["gen", "banana", "--count", "60", "--seed", "2", "-o", "banana.csv"],
+             ["gen", "banana", "--radius", "5", "--count", "3", "--seed", "1", "-o", "b.csv"]]
+    for v in RUN_IDS:
+        cmds += [["train", v, *TABLE, "-o", f"{v}.occ"],
+                 ["score", f"{v}.occ", "table.csv", "--label-col", "-1", "-o", f"{v}.score.csv"],
+                 ["score", f"{v}.occ", "table.csv", "--label-col", "-1"],
+                 ["bench", v, *TABLE, "--runs", "2", "-o", f"{v}.bench.csv"]]
+    for v in SELECT_IDS:
+        cmds += [["select", v, *TABLE, "-o", f"{v}.sel.csv"],
+                 ["bench", v, *TABLE, "--runs", "2", "--select", "-o", f"{v}.bsel.csv"],
+                 ["train", v, *TABLE, "--select", "-o", f"{v}.sel.occ"]]
+    cmds += [["train", "ockelm_thr1", "ring.csv", "--seed", "3", "-o", "ring.occ"],
+             ["grid", "ring.occ", "--bounds", "-2", "2", "-2", "2", "--resolution", "15",
+              "-o", "grid.csv"],
+             ["grid", "ring.occ", "--bounds", "nan", "1", "0", "1"],
+             ["score", "ring.occ", "table.csv"]]
+    return cmds
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _files(cwd: Path) -> dict[str, str]:
+    return {p.name: _sha(p.read_bytes()) for p in sorted(cwd.iterdir()) if p.is_file()}
+
+
+def write_table(path: Path) -> None:
+    """perfbench's table at input seed 3, run from perfbench/workloads.py's
+    source without importing it (so no bytecode is written there)."""
+    source = ROOT / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    module.__file__ = str(source)
+    exec(compile(source.read_text(), str(source), "exec"), module.__dict__)
+    module.write_table(3, str(path))
+
+
+def audit(src: Path) -> dict[str, dict]:
+    sys.path.insert(0, str(src))  # workloads.py imports occelm
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "COLUMNS": "80",
+           "PYTHONDONTWRITEBYTECODE": "1"}  # argparse wraps --help at COLUMNS
+    manifest = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = Path(tmp)
+        write_table(cwd / "table.csv")
+        for argv in commands():
+            before = _files(cwd)
+            proc = subprocess.run([sys.executable, "-m", "occelm", *argv], cwd=cwd,
+                                  env=env, capture_output=True, timeout=600)
+            err = [line for line in proc.stderr.decode().splitlines(keepends=True)
+                   if not TIMING.match(line.rstrip("\n"))]
+            after = _files(cwd)
+            manifest[" ".join(argv)] = {
+                "exit": proc.returncode,
+                "stdout": _sha(proc.stdout),
+                "stderr": _sha("".join(err).encode()),
+                "files": {k: v for k, v in after.items() if before.get(k) != v},
+            }
+    return manifest
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path)
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(p.read_text()) for p in args.compare)
+        differ = [name for name in sorted(set(a) | set(b)) if a.get(name) != b.get(name)]
+        for name in differ:
+            print(f"differs: {name}")
+        print(f"{len(set(a) | set(b))} commands, {len(differ)} differ")
+        return 1 if differ else 0
+    if args.src is None or args.out is None:
+        parser.error("give --src and --out, or --compare")
+    manifest = audit(args.src.resolve())
+    args.out.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    print(f"{len(manifest)} commands, {sum(len(e['files']) for e in manifest.values())} files")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
