@@ -9,6 +9,7 @@ the flags, while wall-clock lines and any entropy-drawn seed go to stderr.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 
@@ -200,9 +201,9 @@ def cmd_grid(args) -> int:
     if not np.isfinite(args.bounds).all():
         raise ValueError("bounds must be finite")
     model = load_model(args.model)
-    if model.feature_count != 2:
+    if model.zstats.feature_count != 2:
         raise NotTwoDimensional(
-            f"grid export needs a 2-feature model, got {model.feature_count}"
+            f"grid export needs a 2-feature model, got {model.zstats.feature_count}"
         )
     xmin, xmax, ymin, ymax = args.bounds
     xs = np.linspace(xmin, xmax, args.resolution)
@@ -219,8 +220,16 @@ def cmd_grid(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes -1e3 and -inf, like -5, for numbers, not flags; subparsers too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(inf|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)$", re.I)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="occelm", description="One-class ELM/OSELM toolbox"
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -189,14 +189,6 @@ class RlsState:
         ):
             raise DimensionMismatch("P must be m x m with beta m x k")
 
-    @property
-    def m(self) -> int:
-        return self.P.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.beta.shape[1]
-
 
 def rls_init(H0: np.ndarray, T0: np.ndarray) -> RlsState:
     """Initial state P0 = (H0' H0)^-1, beta0 = P0 H0' T0 for N0 x k T0.
@@ -226,11 +218,11 @@ def rls_update(state: RlsState, H1: np.ndarray, T1: np.ndarray) -> RlsState:
     chunk x k)."""
     H1 = np.atleast_2d(np.asarray(H1, dtype=float))
     T1 = np.asarray(T1, dtype=float)
-    if H1.shape[1] != state.m:
+    if H1.shape[1] != state.P.shape[0]:
         raise DimensionMismatch(
-            f"chunk has {H1.shape[1]} columns, state expects {state.m}"
+            f"chunk has {H1.shape[1]} columns, state expects {state.P.shape[0]}"
         )
-    if T1.shape != (H1.shape[0], state.k):
+    if T1.shape != (H1.shape[0], state.beta.shape[1]):
         raise DimensionMismatch("T1 shape does not match chunk and state")
     P = state.P
     PH = P @ H1.T

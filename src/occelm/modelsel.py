@@ -3,11 +3,12 @@
 A parameter combination is consistent when its cross-validated
 target-rejection rate stays at or below the sigma_thr bound
     err_thr = fracrej + sigma_thr * sqrt(fracrej * (1 - fracrej) / M),
-M being the validation-fold size. The full grid is scanned and the most
-complex consistent combination wins: every parameter but C first, in grid
-order, the widest hidden layer m and the smallest of any other (sigma,
-degree, b_w: the tighter boundary), then the smallest C. When nothing is
-consistent the minimum-rejection combination is returned, flagged.
+M being the validation-fold size. A grid point is one combination of the
+non-C values, in grid order, with one distinct C, C innermost and last.
+The most complex consistent point wins, in its own parameter order: the
+widest hidden layer m and the smallest of any other value (sigma, degree,
+b_w: the tighter boundary), then the smallest C. When nothing is
+consistent the minimum-rejection point is returned, flagged.
 
 The scanner that select drives gets a whole list of C per call, so the
 C-independent work (features, Gram and cross matrices) is done once per
@@ -91,24 +92,9 @@ class SelectionDiagnostics:
     consistent: bool = False
 
 
-def _default_preference(grids: dict[str, list]) -> list[tuple[str, str]]:
-    # C last, the rest in grid order (a stable sort)
-    names = sorted(grids, key=lambda name: name == "C")
-    return [(name, "max" if name == "m" else "min") for name in names]
-
-
-def _complexity_key(params: dict, prefs: list[tuple[str, str]]):
-    return tuple(
-        params[name] if direction == "min" else -params[name]
-        for name, direction in prefs
-        if name in params
-    )
-
-
-def _combos(grids: dict[str, list]):
-    names = list(grids)
-    for values in itertools.product(*(grids[k] for k in names)):
-        yield dict(zip(names, values))
+def _preference(point: GridPoint) -> tuple:
+    """The point's own parameter order, lowest first: m negated, so the widest wins."""
+    return tuple(-v if k == "m" else v for k, v in point.params.items())
 
 
 def fold_assignment(N: int, folds: int, rng_seed: int) -> np.ndarray:
@@ -216,11 +202,13 @@ def select(
 ) -> tuple[dict, SelectionDiagnostics]:
     """Scan the grid and pick the most complex consistent combination.
 
-    grids map each parameter name to an ascending candidate list and are
-    walked in insertion order. The rows X are dealt into folds by
-    fold_assignment(N, folds, seed); fracrej, in (0, 1), and sigma_thr set
-    the consistency bound (error_threshold). The arguments are checked
-    before the first scan call.
+    grids map each parameter name to an ascending candidate list. The
+    points are the groups of non-C values, in insertion order, times each
+    distinct C: params {**group, "C": C}, C last wherever the grid lists
+    it, or the group alone without a C grid. The rows X are dealt into
+    folds by fold_assignment(N, folds, seed); fracrej, in (0, 1), and
+    sigma_thr set the consistency bound (error_threshold). The arguments
+    are checked before the first scan call.
 
     For each combination of the non-C grid values and each fold, calls
     scan(params, (train_rows, val_rows)) once; params["C"] lists the C
@@ -248,33 +236,22 @@ def select(
     err_thr = error_threshold(fracrej, sigma_thr, M)
     fold_of = fold_assignment(N, folds, seed)
     splits = [(rows[fold_of != j], rows[fold_of == j]) for j in range(folds)]
-    prefs = _default_preference(grids)
 
     Cs = grids.get("C")
-    groups = list(_combos({k: v for k, v in grids.items() if k != "C"}))
-    found = _scan_groups(scan, groups, Cs, splits)
-    rejection = {tuple(g.values()): rejections for g, rejections in zip(groups, found)}
-
+    names = [k for k in grids if k != "C"]
+    groups = [dict(zip(names, v)) for v in itertools.product(*(grids[k] for k in names))]
     diag = SelectionDiagnostics(err_thr=err_thr, fold_size=M)
-    for params in _combos(grids):
-        group = tuple(v for k, v in params.items() if k != "C")
-        rej = rejection[group][params.get("C")]
-        consistent = (not math.isnan(rej)) and rej <= err_thr
-        diag.points.append(GridPoint(params, rej, consistent))
+    for group, rejections in zip(groups, _scan_groups(scan, groups, Cs, splits)):
+        for C, rej in rejections.items():  # NAN fails the bound
+            diag.points.append(GridPoint({**group, "C": C} if Cs else group, rej, rej <= err_thr))
 
     eligible = [p for p in diag.points if p.consistent]
-    if eligible:
-        best = min(eligible, key=lambda p: _complexity_key(p.params, prefs))
-        diag.consistent = True
-    else:
-        scored = [p for p in diag.points if not math.isnan(p.rejection)]
-        if not scored:
-            raise OccelmError("every grid point failed to train")
-        best = min(
-            scored,
-            key=lambda p: (p.rejection, _complexity_key(p.params, prefs)),
-        )
-        diag.consistent = False
+    scored = [p for p in diag.points if not math.isnan(p.rejection)]
+    if not scored:
+        raise OccelmError("every grid point failed to train")
+    diag.consistent = bool(eligible)
+    pool = eligible or scored  # the most complex consistent point, else the least rejecting
+    best = min(pool, key=lambda p: (0.0 if p.consistent else p.rejection, _preference(p)))
     return dict(best.params), diag
 
 

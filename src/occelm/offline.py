@@ -67,10 +67,6 @@ class OfflineModel:
     zstats: ZScoreStats
     train_errors: np.ndarray
 
-    @property
-    def feature_count(self) -> int:
-        return self.zstats.feature_count
-
 
 def targets(family: str, Xs: np.ndarray) -> np.ndarray:
     """Training outputs: a column of ones for boundary models, the

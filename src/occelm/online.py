@@ -61,10 +61,6 @@ class OnlineModel:
     def finalized(self) -> bool:
         return self.tspec is not None
 
-    @property
-    def feature_count(self) -> int:
-        return self.layer.n
-
 
 def os_init(
     family: str,

@@ -259,6 +259,24 @@ class TestSelectionGrids:
         grids = selection_grids(VARIANTS["os_ocelm_thr1"], self._rows(4), 2)
         assert grids == {"m": [1]}
 
+    def test_c_comes_last(self):
+        """select makes C the last key of every point wherever a grid lists
+        it; every id's grid, under each kernel or node type it reads, lists
+        C last or has none, so that rule moves no program's points."""
+        orders = {}
+        for vid, variant in VARIANTS.items():
+            if variant.engine == bench.KERNEL_ENGINE:
+                maps = [parse_variant(vid, kernel=k) for k in bench.KERNELS]
+            else:
+                maps = [parse_variant(vid, node) for node in bench.NODE_NAMES.values()]
+            for v in maps:
+                orders[vid, v.kernel, v.node_type] = list(selection_grids(v, self._rows(250), 5))
+        assert len(orders) == 5 * 4 + 10 * 2
+        assert all("C" not in names or names[-1] == "C" for names in orders.values())
+        assert {tuple(names) for names in orders.values()} == {
+            ("sigma", "C"), ("b_w", "C"), ("degree", "C"), ("C",), ("m", "C"), ("m",)
+        }
+
 
 class TestFitAndScore:
     @pytest.mark.parametrize("vid", VARIANT_IDS)

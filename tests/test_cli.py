@@ -461,7 +461,7 @@ class TestGrid:
 
     @pytest.mark.parametrize("bounds", [
         ["nan", "1", "0", "1"], ["0", "inf", "0", "1"], ["0", "1", "inf", "1"],
-        ["0", "1", "0", "nan"],
+        ["0", "1", "0", "nan"], ["-inf", "1", "0", "1"],
     ])
     def test_non_finite_bounds_exit_1(self, tmp_path, labeled_csv, capsys, bounds):
         """A NAN bound once failed as "samples contain non-finite values",
@@ -471,6 +471,20 @@ class TestGrid:
               "--seed", "0", "-o", str(model_path)])
         capsys.readouterr()
         _refused(["grid", str(model_path), "--bounds", *bounds], capsys, "bounds must be finite")
+
+    def test_exponent_negative_bounds(self, tmp_path, labeled_csv, capsys):
+        """argparse once took -1e3 for a flag and exited 2 with "expected 4
+        arguments"; it reads as -1000 now."""
+        model_path = str(tmp_path / "model.occ")
+        main(["train", "ockelm_thr1", labeled_csv, "--label-col", "-1",
+              "--seed", "0", "-o", model_path])
+        written = []
+        for x in ("-1e3", "-1000"):
+            out = tmp_path / f"grid{x}.csv"
+            argv = ["grid", model_path, "--bounds", x, "1e3", "-1", "1", "--resolution", "3"]
+            assert main([*argv, "-o", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
 
 class TestMeasureNames:
@@ -847,11 +861,13 @@ class TestErrorMessages:
     @pytest.mark.parametrize(
         "value, message",
         [("-1", "sigma_thr must be >= 0"), ("nan", "sigma_thr must be finite"),
-         ("inf", "sigma_thr must be finite")],
+         ("inf", "sigma_thr must be finite"), ("-1e-3", "sigma_thr must be >= 0"),
+         ("-1E-3", "sigma_thr must be >= 0"), ("-inf", "sigma_thr must be >= 0")],
     )
     def test_sigma_thr(self, labeled_csv, capsys, value, message):
         """NAN once gave err_thr nan and a minimum-rejection pick, inf a
-        bound that every grid point met; both exited 0."""
+        bound that every grid point met; both exited 0. argparse once took
+        -1e-3 and -inf for flags (exit 2)."""
         argv = ["select", "ockelm_thr1", labeled_csv, "--label-col", "-1",
                 "--seed", "1", "--sigma-thr", value]
         _refused(argv, capsys, message)

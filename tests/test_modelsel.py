@@ -355,12 +355,15 @@ class TestScannerContract:
         ]
         assert params == {"sigma": 1.0, "C": 1.0}
 
-    def test_points_follow_grid_order_when_c_comes_first(self):
-        _, diag = _select(_accept_all, self._rows(), {"C": [1.0, 2.0], "m": [5, 9]})
-        assert [p.params for p in diag.points] == [
-            {"C": 1.0, "m": 5}, {"C": 1.0, "m": 9},
-            {"C": 2.0, "m": 5}, {"C": 2.0, "m": 9},
+    def test_c_is_innermost_and_last_when_the_grid_lists_it_first(self):
+        """Points are the groups x each distinct C, C the last key; a grid
+        listing C first once gave its points in the grid's own order."""
+        params, diag = _select(_accept_all, self._rows(), {"C": [1.0, 2.0, 2.0], "m": [5, 9]})
+        assert [list(p.params.items()) for p in diag.points] == [
+            [("m", 5), ("C", 1.0)], [("m", 5), ("C", 2.0)],
+            [("m", 9), ("C", 1.0)], [("m", 9), ("C", 2.0)],
         ]
+        assert list(params.items()) == [("m", 9), ("C", 1.0)]
 
     def test_verdict_count_must_match_the_c_list(self):
         with pytest.raises(ValueError):

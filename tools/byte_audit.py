@@ -32,6 +32,9 @@ TIMING = re.compile(r"^(run \d+: )?train \d+\.\d+s$")
 RUN_IDS = ["ocelm_thr1", "ockelm_thr2", "aaelm_thr3", "aakelm_thr3",
            "ocelm_thr1_rbf", "os_ocelm_thr1", "os_aaelm_thr2"]
 SELECT_IDS = ["ockelm_thr1", "ocelm_thr2", "aakelm_thr3"]
+# the kernel grids with a degree, a b_w or no kernel parameter
+KERNEL_SELECT = [(v, k) for v in ("ockelm_thr1", "aakelm_thr3")
+                 for k in ("linear", "polynomial", "wavelet")]
 TABLE = ["table.csv", "--label-col", "-1", "--seed", "7"]
 COMMANDS = ("gen", "train", "score", "bench", "select", "grid")
 
@@ -50,10 +53,18 @@ def commands() -> list[list[str]]:
         cmds += [["select", v, *TABLE, "-o", f"{v}.sel.csv"],
                  ["bench", v, *TABLE, "--runs", "2", "--select", "-o", f"{v}.bsel.csv"],
                  ["train", v, *TABLE, "--select", "-o", f"{v}.sel.occ"]]
+    for v, k in KERNEL_SELECT:
+        cmds += [["select", v, *TABLE, "--kernel", k, "-o", f"{v}_{k}.sel.csv"],
+                 ["bench", v, *TABLE, "--kernel", k, "--runs", "2", "--select",
+                  "-o", f"{v}_{k}.bsel.csv"]]
+    cmds += [["select", "os_ocelm_thr1", *TABLE, "-o", "os_ocelm_thr1.sel.csv"],  # no C grid
+             ["train", "os_ocelm_thr1", *TABLE, "--select", "-o", "os_ocelm_thr1.sel.occ"]]
     cmds += [["train", "ockelm_thr1", "ring.csv", "--seed", "3", "-o", "ring.occ"],
              ["grid", "ring.occ", "--bounds", "-2", "2", "-2", "2", "--resolution", "15",
               "-o", "grid.csv"],
              ["grid", "ring.occ", "--bounds", "nan", "1", "0", "1"],
+             ["grid", "ring.occ", "--bounds", "-2e0", "2", "-2E0", "2", "--resolution", "15",
+              "-o", "grid_e.csv"],
              ["score", "ring.occ", "table.csv"]]
     return cmds
 
