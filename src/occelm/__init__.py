@@ -32,29 +32,18 @@ from .dataset import (
     zscore_fit,
 )
 from .errors import (
-    AllPointsIdentical,
     AlreadyFinalized,
     DimensionMismatch,
-    EmptyErrors,
-    EmptyFile,
-    EmptyRuns,
-    LengthMismatch,
     MissingLabels,
     ModelFormatError,
-    NoOutliers,
     NonFiniteOutput,
     NotFinalized,
-    NoTargets,
-    NotTwoDimensional,
     OccelmError,
     ParseError,
-    RaggedRows,
     RankDeficient,
     SingularSystem,
     Thr3NotApplicable,
-    TooFewInitialSamples,
     TooFewSamples,
-    UnknownLabelToken,
 )
 from .featuremap import (
     ADDITIVE_SIGMOID,

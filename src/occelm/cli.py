@@ -31,7 +31,7 @@ from .bench import (
 )
 from .dataset import Dataset, gen_banana, gen_ring, label_text, load_csv, value_text
 from .dataset import write_csv, write_table, zscore_apply, zscore_fit
-from .errors import NotTwoDimensional, NoTargets, OccelmError
+from .errors import DimensionMismatch, OccelmError, TooFewSamples
 from .metrics import MEASURES, REPORT_COLUMNS, confuse, measures, render_value
 from .modelio import load_model, save_model
 from .modelsel import write_diagnostics
@@ -63,15 +63,6 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _target_rows(data: Dataset) -> Dataset:
-    """Training rows: every row of an unlabeled file, else the targets."""
-    if data.labels is None:
-        return Dataset(data.samples, feature_names=data.feature_names)
-    if not np.any(data.labels):
-        raise NoTargets("no target-labeled rows to train on")
-    return Dataset(data.samples[data.labels], feature_names=data.feature_names)
-
-
 def _resolve_run(args):
     """The variant with its feature map, its fixed parameters and the
     selection flags given (--folds, --sigma-thr), before any file is read.
@@ -87,9 +78,13 @@ def _resolve_run(args):
 
 
 def _training_rows(args):
-    """The target rows of the data file, their z-score stats and the
-    normalized rows."""
-    targets = _target_rows(load_csv(args.data, args.label_col))
+    """The training rows of the data file (every row of an unlabeled file,
+    else the targets), their z-score stats and the normalized rows."""
+    targets = load_csv(args.data, args.label_col)
+    if targets.labels is not None:
+        if not np.any(targets.labels):
+            raise TooFewSamples("no target-labeled rows to train on")
+        targets = Dataset(targets.samples[targets.labels], feature_names=targets.feature_names)
     zstats = zscore_fit(targets)
     return targets, zstats, zscore_apply(targets, zstats).samples
 
@@ -202,7 +197,7 @@ def cmd_grid(args) -> int:
         raise ValueError("bounds must be finite")
     model = load_model(args.model)
     if model.zstats.feature_count != 2:
-        raise NotTwoDimensional(
+        raise DimensionMismatch(
             f"grid export needs a 2-feature model, got {model.zstats.feature_count}"
         )
     xmin, xmax, ymin, ymax = args.bounds

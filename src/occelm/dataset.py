@@ -23,15 +23,10 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    EmptyFile,
     MissingLabels,
     NonFiniteOutput,
-    NoOutliers,
-    NoTargets,
     ParseError,
-    RaggedRows,
     TooFewSamples,
-    UnknownLabelToken,
 )
 
 _TARGET_TOKENS = {"+1", "1", "target"}
@@ -113,7 +108,7 @@ def _parse_label(token: str, row: int) -> bool:
         return True
     if key in _OUTLIER_TOKENS:
         return False
-    raise UnknownLabelToken(f"row {row}: unknown label token {raw!r}")
+    raise ParseError(f"row {row}: unknown label token {raw!r}")
 
 
 def load_csv(path: str, label_column: int | None = None) -> Dataset:
@@ -129,12 +124,12 @@ def load_csv(path: str, label_column: int | None = None) -> Dataset:
         # each non-blank row with the number of the file line it ends on
         rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
     if not rows:
-        raise EmptyFile(f"{path}: no rows")
+        raise ParseError(f"{path}: no rows")
 
     width = len(rows[0][1])
     for lineno, row in rows:
         if len(row) != width:
-            raise RaggedRows(
+            raise ParseError(
                 f"{path}: line {lineno} has {len(row)} cells, expected {width}"
             )
     label_idx = None
@@ -162,7 +157,7 @@ def load_csv(path: str, label_column: int | None = None) -> Dataset:
         names = [rows[0][1][j].strip() for j in feature_cols]
         rows = rows[1:]
     if not rows:
-        raise EmptyFile(f"{path}: header only, no data rows")
+        raise ParseError(f"{path}: header only, no data rows")
 
     samples = np.empty((len(rows), len(feature_cols)))
     labels = np.empty(len(rows), dtype=bool) if label_idx is not None else None
@@ -270,9 +265,9 @@ def occ_split(data: Dataset, seed: int, run: int) -> tuple[Dataset, Dataset]:
     target_idx = np.flatnonzero(data.labels)
     outlier_idx = np.flatnonzero(~data.labels)
     if outlier_idx.size == 0:
-        raise NoOutliers("benchmarking needs at least one outlier row")
+        raise TooFewSamples("benchmarking needs at least one outlier row")
     if target_idx.size < 3:
-        raise NoTargets(
+        raise TooFewSamples(
             "benchmarking needs at least 3 target rows: each run trains on "
             "half of them, and z-scoring needs 2"
         )

@@ -1,7 +1,11 @@
-"""Exception hierarchy for the toolbox.
+"""Exception hierarchy for the toolbox: one class per failure kind.
 
-Every error raised by occelm derives from OccelmError so callers (and the
-CLI) can catch toolbox failures with a single except clause.
+Toolbox refusals derive from OccelmError (CLI exit 1). Three kinds stay
+builtins: an argument out of range is a ValueError (exit 1; the selection
+scan counts an OccelmError as a failed grid point, and a bad grid value
+must not become a NAN point), an unknown variant or a flag the run does
+not read a KeyError (exit 2), and a dead selection worker a
+ChildProcessError (exit 1).
 """
 
 
@@ -11,39 +15,22 @@ class OccelmError(Exception):
 
 # dataset
 class ParseError(OccelmError):
-    """A CSV cell failed to parse; the message names row and column."""
-
-
-class RaggedRows(OccelmError):
-    """CSV rows disagree on column count."""
-
-
-class EmptyFile(OccelmError):
-    """CSV contains no data rows."""
-
-
-class UnknownLabelToken(OccelmError):
-    """Label cell holds a token outside the accepted map."""
+    """A CSV file failed to parse: a bad cell (the message names row and
+    column), ragged rows, no rows, a header only or an unknown label token."""
 
 
 class TooFewSamples(OccelmError):
-    """An operation needs more rows than were given."""
+    """An operation needs more rows than were given: targets, outliers,
+    N0 >= m initial rows, errors, decisions, runs or two distinct rows."""
 
 
 class DimensionMismatch(OccelmError):
-    """Matrix/vector shapes are inconsistent."""
+    """Shapes are inconsistent: matrices and vectors, decisions vs labels,
+    or a grid export of a model not trained on 2-D data."""
 
 
 class MissingLabels(OccelmError):
     """A labeled dataset was required."""
-
-
-class NoTargets(OccelmError):
-    """The labeled dataset contains no target rows."""
-
-
-class NoOutliers(OccelmError):
-    """The labeled dataset contains no outlier rows."""
 
 
 # linsolve
@@ -56,15 +43,7 @@ class RankDeficient(OccelmError):
     """H0'H0 is numerically singular (condition number reported)."""
 
 
-class TooFewInitialSamples(OccelmError):
-    """Initial chunk smaller than the hidden width (N0 < m)."""
-
-
 # threshold
-class EmptyErrors(OccelmError):
-    """Threshold fitting needs at least one error value."""
-
-
 class Thr3NotApplicable(OccelmError):
     """Thr3 is defined only for reconstruction-based models."""
 
@@ -84,24 +63,6 @@ class NotFinalized(OccelmError):
     """Scoring/saving an online model requires finalize first."""
 
 
-# modelsel
-class AllPointsIdentical(OccelmError):
-    """No nonzero pairwise distance exists to build a sigma grid."""
-
-
-# metrics
-class LengthMismatch(OccelmError):
-    """Decision and label vectors differ in length."""
-
-
-class EmptyRuns(OccelmError):
-    """Aggregation needs at least one run."""
-
-
-# cli / model io
-class NotTwoDimensional(OccelmError):
-    """Boundary-grid export needs a model trained on 2-D data."""
-
-
+# model io
 class ModelFormatError(OccelmError):
     """Model file is malformed or has an unsupported version."""

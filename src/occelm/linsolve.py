@@ -20,7 +20,7 @@ from .errors import (
     DimensionMismatch,
     RankDeficient,
     SingularSystem,
-    TooFewInitialSamples,
+    TooFewSamples,
 )
 
 _COND_LIMIT = 1e12
@@ -201,7 +201,7 @@ def rls_init(H0: np.ndarray, T0: np.ndarray) -> RlsState:
         raise DimensionMismatch(f"T0 is {T0.shape}, not N0 x k for H0 {H0.shape}")
     n0, m = H0.shape
     if n0 < m:
-        raise TooFewInitialSamples(f"N0={n0} < m={m}; grow the initial chunk")
+        raise TooFewSamples(f"N0={n0} < m={m}; grow the initial chunk")
     G = H0.T @ H0
     cond = np.linalg.cond(G)
     if not np.isfinite(cond) or cond > _COND_LIMIT:

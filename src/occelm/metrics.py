@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyRuns, LengthMismatch
+from .errors import DimensionMismatch, TooFewSamples
 from .threshold import Decisions
 
 
@@ -57,11 +57,11 @@ def confuse(decisions: Decisions, labels) -> ConfusionCounts:
     predicted = decisions.is_target
     actual = np.asarray(labels, dtype=bool)
     if predicted.shape != actual.shape:
-        raise LengthMismatch(
+        raise DimensionMismatch(
             f"{predicted.shape[0]} decisions vs {actual.shape[0]} labels"
         )
     if predicted.size == 0:
-        raise LengthMismatch("need at least one decision")
+        raise TooFewSamples("need at least one decision")
     return ConfusionCounts(
         tp=int(np.count_nonzero(predicted & actual)),
         fp=int(np.count_nonzero(predicted & ~actual)),
@@ -97,7 +97,7 @@ def aggregate(runs: list[EvalReport]) -> EvalReport:
     """Mean of each measure over runs (NAN-propagating) plus the sample
     standard deviation of the per-run AUC (0 for a single run)."""
     if not runs:
-        raise EmptyRuns("aggregate needs at least one run")
+        raise TooFewSamples("aggregate needs at least one run")
     std_auc = 0.0 if len(runs) == 1 else float(np.std([r.auc for r in runs], ddof=1))
     return EvalReport(
         **{f: float(np.mean([getattr(r, f) for r in runs])) for f, _ in MEASURES},

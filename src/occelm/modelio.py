@@ -24,7 +24,8 @@ random basis), an `R` other than 1, a missing, misplaced or extra line, an
 unparseable or non-finite number (except trainerr, which scoring never
 reads, and thr3's nan thresh), and shapes that disagree with each other or
 with the feature count: `basis` has one column per feature, `layerW` one
-row per `P` row.
+row per `P` row. It also refuses a boundary model whose `tspec` is thr3,
+which training refuses too: thr3 needs per-feature outputs.
 """
 
 from __future__ import annotations
@@ -212,6 +213,8 @@ def _parse_model(reader: _Reader) -> OfflineModel | OnlineModel:
     if reader.fields("R", float) != [1.0]:
         raise ModelFormatError("R: the boundary target is 1")
     tspec = ThresholdSpec(*reader.fields("tspec", str, float, float, float, float))
+    if family == BOUNDARY and tspec.kind == THR3:
+        raise ModelFormatError("tspec: thr3 needs per-feature outputs; boundary models have one")
     (thresh,) = reader.fields("thresh", float, finite=False)
     if not (tspec.kind == THR3 and np.isnan(thresh)):
         _finite("thresh", thresh)  # thr3 decides per sample and stores no cut

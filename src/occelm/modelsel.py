@@ -29,7 +29,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .dataset import as_rows, value_text, write_table
-from .errors import AllPointsIdentical, OccelmError
+from .errors import OccelmError, TooFewSamples
 from .featuremap import cpu_count
 
 C_GRID: list[float] = [10.0**e for e in range(-8, 9)]
@@ -51,11 +51,11 @@ def error_threshold(fracrej: float, sigma_thr: float, M: int) -> float:
 
 
 def nonzero_distances(X) -> np.ndarray:
-    """The rows' nonzero pairwise distances; AllPointsIdentical if none."""
+    """The rows' nonzero pairwise distances; TooFewSamples if none."""
     d = pdist(as_rows(X))
     d = d[d > 0]
     if d.size == 0:
-        raise AllPointsIdentical("all rows coincide; no nonzero distance")
+        raise TooFewSamples("all rows coincide; no nonzero distance")
     return d
 
 

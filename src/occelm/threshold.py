@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import round_half_up
-from .errors import DimensionMismatch, EmptyErrors, TooFewSamples
+from .errors import DimensionMismatch, TooFewSamples
 
 THR1 = "thr1"
 THR2 = "thr2"
@@ -83,7 +83,7 @@ def thr1_fit(errors: np.ndarray, fracrej: float) -> float:
     """Quantile threshold: the round(fracrej*N)-th largest training error."""
     errors = np.asarray(errors, dtype=float).ravel()
     if errors.size == 0:
-        raise EmptyErrors("thr1_fit needs at least one error")
+        raise TooFewSamples("thr1_fit needs at least one error")
     if not 0.0 <= fracrej < 1.0:
         raise ValueError("fracrej must lie in [0, 1)")
     ordered = np.sort(errors)[::-1]

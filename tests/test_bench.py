@@ -19,7 +19,7 @@ from occelm.bench import (
     selection_grids,
 )
 from occelm.dataset import Dataset, gen_ring, zscore_apply, zscore_fit
-from occelm.errors import MissingLabels, NoOutliers, NoTargets, TooFewSamples
+from occelm.errors import MissingLabels, TooFewSamples
 from occelm.featuremap import KERNEL_KINDS, KERNEL_PARAMS
 from occelm.modelsel import C_GRID
 from occelm.online import OnlineModel
@@ -402,7 +402,7 @@ class TestRunBenchmark:
     def test_all_targets_rejected(self):
         data = Dataset(np.random.default_rng(0).normal(0, 1, (20, 2)),
                        np.ones(20, dtype=bool))
-        with pytest.raises(NoOutliers):
+        with pytest.raises(TooFewSamples, match="needs at least one outlier row$"):
             run_benchmark(data, "ockelm_thr1", runs=2)
 
     def test_unknown_variant(self):
@@ -414,7 +414,7 @@ class TestRunBenchmark:
         """Each run trains on half of the targets, rounded half up, and
         z-scoring needs 2 rows: 2 targets left 1 and ended in zscore_fit's
         error instead."""
-        with pytest.raises(NoTargets, match="at least 3 target rows"):
+        with pytest.raises(TooFewSamples, match="at least 3 target rows"):
             run_benchmark(_separable(targets=targets, outliers=4), "ockelm_thr1", runs=2)
 
     def test_three_targets_run(self):

@@ -27,7 +27,7 @@ from occelm.errors import (
     DimensionMismatch,
     RankDeficient,
     SingularSystem,
-    TooFewInitialSamples,
+    TooFewSamples,
 )
 
 
@@ -595,7 +595,7 @@ class TestRlsInit:
         np.testing.assert_array_equal(state.P, state.P.T)
 
     def test_needs_enough_rows(self):
-        with pytest.raises(TooFewInitialSamples):
+        with pytest.raises(TooFewSamples, match="^N0=3 < m=5; grow the initial chunk$"):
             rls_init(np.zeros((3, 5)), np.zeros((3, 1)))
 
     def test_rank_deficient_chunk_refused(self):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from occelm.errors import EmptyRuns, LengthMismatch
+from occelm.errors import DimensionMismatch, TooFewSamples
 from occelm.metrics import (
     ConfusionCounts,
     EvalReport,
@@ -36,11 +36,11 @@ class TestConfuse:
         assert (c.tp, c.fn) == (1, 1)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch, match="^1 decisions vs 2 labels$"):
             confuse(_decisions([True]), [True, False])
 
     def test_empty_rejected(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(TooFewSamples, match="^need at least one decision$"):
             confuse(_decisions([]), [])
 
 
@@ -121,7 +121,7 @@ class TestAggregate:
         assert agg.recall == 75.0
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyRuns):
+        with pytest.raises(TooFewSamples, match="^aggregate needs at least one run$"):
             aggregate([])
 
     def test_twenty_run_sample_std(self):

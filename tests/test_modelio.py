@@ -481,6 +481,40 @@ class TestLoadFaults:
         with pytest.raises(ModelFormatError, match="does not fit"):
             load_model(str(path))
 
+    def _boundary_thr3_file(self, tmp_path):
+        """A boundary model whose tspec says thr3, which training refuses:
+        it once loaded and failed only at scoring, on the shapes of its
+        one output column against the rows."""
+        X = _cloud(14)
+        model = train_boundary(X, rbf_kernel(1.2), 10.0, ThresholdSpec("thr1"))
+        path = tmp_path / "b3.occ"
+        save_model(model, str(path))
+
+        def thr3(lines):
+            i = next(k for k, line in enumerate(lines) if line.startswith("tspec "))
+            lines[i] = lines[i].replace("tspec thr1", "tspec thr3")
+            lines[i + 1] = "thresh nan"  # thresh follows tspec
+
+        _edit(path, thr3)
+        return path
+
+    def test_boundary_thr3_refused(self, tmp_path):
+        path = self._boundary_thr3_file(tmp_path)
+        with pytest.raises(ModelFormatError, match=(
+            "^tspec: thr3 needs per-feature outputs; boundary models have one$"
+        )):
+            load_model(str(path))
+
+    def test_boundary_thr3_cli_score_exits_1(self, tmp_path):
+        path = self._boundary_thr3_file(tmp_path)
+        rows = tmp_path / "rows.csv"
+        rows.write_text("a,b,c\n0.1,0.2,0.3\n")
+        proc = run_cli(["score", str(path), str(rows)], tmp_path)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            "error: tspec: thr3 needs per-feature outputs; boundary models have one\n"
+        )
+
 
 def _joined_row(values):
     """The per-value writer _row replaced."""

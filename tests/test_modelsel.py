@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from occelm.errors import AllPointsIdentical, OccelmError
+from occelm.errors import OccelmError, TooFewSamples
 from occelm.modelsel import (
     C_GRID,
     error_threshold,
@@ -124,7 +124,7 @@ class TestSigmaGrid:
         assert grid[0] == 1.0
 
     def test_identical_rows_rejected(self):
-        with pytest.raises(AllPointsIdentical):
+        with pytest.raises(TooFewSamples, match="^all rows coincide; no nonzero distance$"):
             sigma_grid(np.ones((4, 2)))
 
     def test_needs_two_rows(self):

@@ -9,7 +9,6 @@ from occelm.errors import (
     DimensionMismatch,
     NotFinalized,
     Thr3NotApplicable,
-    TooFewInitialSamples,
     TooFewSamples,
 )
 from occelm.featuremap import hidden_apply, hidden_init, rbf_kernel
@@ -49,7 +48,7 @@ class TestOsInit:
 
     def test_chunk_smaller_than_layer_refused(self):
         """The initialization chunk must cover the hidden dimension."""
-        with pytest.raises(TooFewInitialSamples):
+        with pytest.raises(TooFewSamples, match="^N0=5 < m=10; grow the initial chunk$"):
             os_init("boundary", _layer(m=10), _cloud(3, count=5))
 
     def test_family_checked(self):

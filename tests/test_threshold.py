@@ -12,7 +12,7 @@ from occelm.threshold import (
     thr2_fit,
     thr3_decide,
 )
-from occelm.errors import DimensionMismatch, EmptyErrors, TooFewSamples
+from occelm.errors import DimensionMismatch, TooFewSamples
 
 
 class TestThr1:
@@ -61,7 +61,7 @@ class TestThr1:
         assert rejected == 20
 
     def test_empty_errors_rejected(self):
-        with pytest.raises(EmptyErrors):
+        with pytest.raises(TooFewSamples, match="^thr1_fit needs at least one error$"):
             thr1_fit(np.array([]), 0.1)
 
     def test_fracrej_range_checked(self):

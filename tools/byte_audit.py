@@ -10,8 +10,10 @@ directory (later commands read what earlier ones wrote). For each command
 the manifest holds the exit code and the sha256 of stdout, of stderr
 without its timing lines (`train ...s`, `run N: train ...s`) and of every
 file the command created or changed. The inputs are perfbench's 699x9
-table (perfbench/workloads.py::write_table, run from its source) and `gen`
-output. --compare prints the entries that differ and exits 1 if any do.
+table (perfbench/workloads.py::write_table, run from its source), `gen`
+output, the tiny malformed tables of INPUTS and b3.occ, a boundary model
+edited to claim thr3. --compare prints the entries that differ and exits 1
+if any do.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ KERNEL_SELECT = [(v, k) for v in ("ockelm_thr1", "aakelm_thr3")
                  for k in ("linear", "polynomial", "wavelet")]
 TABLE = ["table.csv", "--label-col", "-1", "--seed", "7"]
 COMMANDS = ("gen", "train", "score", "bench", "select", "grid")
+# tiny tables that each command line below refuses
+INPUTS = {"empty.csv": "", "header.csv": "a,b,label\n", "ragged.csv": "1,2,+1\n3,4\n",
+          "outliers.csv": "1,2,-1\n3,5,-1\n", "targets.csv": "1,2,+1\n3,5,+1\n4,1,+1\n",
+          "same.csv": "1,2\n1,2\n1,2\n"}
 
 
 def commands() -> list[list[str]]:
@@ -66,7 +72,17 @@ def commands() -> list[list[str]]:
              ["grid", "ring.occ", "--bounds", "-2e0", "2", "-2E0", "2", "--resolution", "15",
               "-o", "grid_e.csv"],
              ["score", "ring.occ", "table.csv"]]
-    return cmds
+    cmds += [["train", "ockelm_thr1", "table.csv", "--label-col", "0", "--seed", "7", "-o", "x.occ"],
+             ["train", "os_ocelm_thr1", *TABLE, "--n0", "3", "-o", "x.occ"],
+             ["grid", "ocelm_thr1.occ", "--bounds", "-1", "1", "-1", "1"],
+             ["score", "b3.occ", "table.csv", "--label-col", "-1"]]
+    cmds += [[cmd, "ockelm_thr1", name, "--label-col", "-1", "--seed", "7", *extra]
+             for cmd, name, extra in [("train", "empty.csv", ["-o", "x.occ"]),
+                                      ("train", "header.csv", ["-o", "x.occ"]),
+                                      ("train", "ragged.csv", ["-o", "x.occ"]),
+                                      ("train", "outliers.csv", ["-o", "x.occ"]),
+                                      ("bench", "outliers.csv", []), ("bench", "targets.csv", [])]]
+    return cmds + [["select", "ockelm_thr1", "same.csv", "--seed", "7"]]
 
 
 def _sha(data: bytes) -> str:
@@ -95,7 +111,13 @@ def audit(src: Path) -> dict[str, dict]:
     with tempfile.TemporaryDirectory() as tmp:
         cwd = Path(tmp)
         write_table(cwd / "table.csv")
+        for name, text in INPUTS.items():
+            (cwd / name).write_text(text)
         for argv in commands():
+            if argv[1:2] == ["b3.occ"]:  # a boundary model claiming thr3
+                text = (cwd / "ockelm_thr1.sel.occ").read_text()
+                text = re.sub(r"tspec thr1 (.*)\nthresh .*", r"tspec thr3 \1\nthresh nan", text)
+                (cwd / "b3.occ").write_text(text)
             before = _files(cwd)
             proc = subprocess.run([sys.executable, "-m", "occelm", *argv], cwd=cwd,
                                   env=env, capture_output=True, timeout=600)
