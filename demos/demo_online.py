@@ -28,11 +28,13 @@ def main() -> None:
     layer = hidden_init("additive_sigmoid", m=15, n=2, seed=3)
 
     model = os_init("boundary", layer, X[:30], zstats=stats)
-    print(f"init: {model.seen_count} rows, beta shape {model.rls.beta.shape}")
+    seen = 30
+    print(f"init: {seen} rows, beta shape {model.rls.beta.shape}")
     for start in range(30, 200, 34):
         chunk = X[start : start + 34]
         os_update(model, chunk)
-        print(f"  +{chunk.shape[0]:3d} rows -> seen {model.seen_count}")
+        seen += chunk.shape[0]
+        print(f"  +{chunk.shape[0]:3d} rows -> seen {seen}")
 
     from occelm.dataset import Dataset, zscore_apply
 

@@ -200,10 +200,9 @@ def cmd_grid(args) -> int:
         raise DimensionMismatch(
             f"grid export needs a 2-feature model, got {model.zstats.feature_count}"
         )
-    xmin, xmax, ymin, ymax = args.bounds
-    xs = np.linspace(xmin, xmax, args.resolution)
-    ys = np.linspace(ymin, ymax, args.resolution)
-    points = np.array([(x, y) for x in xs for y in ys])
+    r, (xmin, xmax, ymin, ymax) = args.resolution, args.bounds
+    xs, ys = np.linspace(xmin, xmax, r), np.linspace(ymin, ymax, r)
+    points = np.column_stack([np.repeat(xs, r), np.tile(ys, r)])  # x outer, y inner
     decisions = score_model(model, points)
 
     write_table(args.out, ["x", "y", "score", "is_target"], (

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    AlreadyFinalized,
     DimensionMismatch,
     RankDeficient,
     SingularSystem,
@@ -175,18 +176,13 @@ class RlsState:
     valid; never mutate P or beta in place while sharing them.
     """
 
-    P: np.ndarray
+    P: np.ndarray | None  # None in a loaded model's state, which only scores
     beta: np.ndarray
 
     def __post_init__(self) -> None:
-        self.P = np.asarray(self.P, dtype=float)
         self.beta = np.asarray(self.beta, dtype=float)
-        if (
-            self.P.ndim != 2
-            or self.P.shape[0] != self.P.shape[1]
-            or self.beta.ndim != 2
-            or self.beta.shape[0] != self.P.shape[0]
-        ):
+        self.P = None if self.P is None else np.asarray(self.P, dtype=float)
+        if self.beta.ndim != 2 or self.P is not None and self.P.shape != (len(self.beta),) * 2:
             raise DimensionMismatch("P must be m x m with beta m x k")
 
 
@@ -216,6 +212,8 @@ def rls_init(H0: np.ndarray, T0: np.ndarray) -> RlsState:
 def rls_update(state: RlsState, H1: np.ndarray, T1: np.ndarray) -> RlsState:
     """One chunk of the sequential update (chunk size >= 1, T1 of shape
     chunk x k)."""
+    if state.P is None:
+        raise AlreadyFinalized("a state without P only scores: no updates")
     H1 = np.atleast_2d(np.asarray(H1, dtype=float))
     T1 = np.asarray(T1, dtype=float)
     if H1.shape[1] != state.P.shape[0]:

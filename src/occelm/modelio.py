@@ -1,31 +1,33 @@
 """Versioned text serialization for trained models.
 
-Both model kinds share one layout, written and read in this order:
+A file holds what scoring reads and the training parameters, in order:
 
-1. the header "OCCELM v2", then `kind` (offline or online) and `family`;
+1. the header "OCCELM v3", then `kind` (offline or online) and `family`;
 2. the feature map. Offline: `mapping`, then the hidden layer or the
    kernel's `kparam` lines (featuremap.KERNEL_PARAMS names them, in
-   order), then `C`. Online: the hidden layer, then `n0`, `block` and
-   `seen`;
-3. `R` (always 1), `tspec`, `thresh`, `zmean`, `zstd` and `trainerr`;
-4. `basis` (offline: the normalized training rows) or `P` (online);
+   order), then `C`. Online: the hidden layer, then `n0` and `block`;
+3. `tspec`, `thresh`, `zmean` and `zstd`;
+4. offline only: `basis`, the normalized training rows;
 5. `beta`, then `end`.
 
 A hidden layer is `nodetype`, matrix `layerW` and vector `layerb`. A
 vector is one line "<name> <size> v0 v1 ...", a matrix a "<name> <rows>
 <cols>" line and that many rows, each value spelled by dataset.value_text
-(floats keep every bit in a round trip); thr3 stores thresh nan.
-Online models must be finalized to save, and load score-only. Random
+(floats keep every bit in a round trip); thr3 stores thresh nan. Random
 offline models rebuild H at load, in one hidden_apply call on all rows as
-at training, so H keeps its trained bits.
+at training, so H keeps its trained bits. No training record is kept: not
+the per-row training errors (scoring reads the stored cut), nor an online
+model's RLS matrix P. Online models must be finalized to save, and a
+loaded model only scores: its train_errors is None, and a loaded online
+model's state is RlsState(None, beta), which rls_update refuses.
 
 load_model raises ModelFormatError for another header (v1 stored H as the
-random basis), an `R` other than 1, a missing, misplaced or extra line, an
-unparseable or non-finite number (except trainerr, which scoring never
-reads, and thr3's nan thresh), and shapes that disagree with each other or
-with the feature count: `basis` has one column per feature, `layerW` one
-row per `P` row. It also refuses a boundary model whose `tspec` is thr3,
-which training refuses too: thr3 needs per-feature outputs.
+random basis, v2 the training record), a missing, misplaced or extra line,
+an unparseable or non-finite number (except thr3's nan thresh), C <= 0,
+n0 or block < 1, and shapes that disagree with each other or with the
+feature count: `basis` and `layerW` have one column per feature, an online
+`beta` one row per hidden node. It also refuses a boundary model whose
+`tspec` is thr3, which training refuses too: thr3 needs per-feature outputs.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .offline import BOUNDARY, RECONSTRUCTION, OfflineModel
 from .online import OnlineModel
 from .threshold import THR3, ThresholdSpec
 
-HEADER = "OCCELM v2"
+HEADER = "OCCELM v3"
 
 
 def _row(values: np.ndarray) -> str:
@@ -89,22 +91,18 @@ def save_model(model: OfflineModel | OnlineModel, path: str) -> None:
         for name, _ in KERNEL_PARAMS.get(mapping.kind, ()):
             out.fields(f"kparam {name}", getattr(mapping, name))
         out.fields("C", model.C)
-        matrix, beta = ("basis", model.rows), model.beta
     else:
         out.layer(model.layer)
         out.fields("n0", model.n0)
         out.fields("block", model.block)
-        out.fields("seen", model.seen_count)
-        matrix, beta = ("P", model.rls.P), model.rls.beta
-    out.fields("R", 1)
     t = model.tspec
     out.fields("tspec", t.kind, t.fracrej, t.std_mult, t.condn1, t.condn2_frac)
     out.fields("thresh", model.thresh)
     out.vector("zmean", model.zstats.mean)
     out.vector("zstd", model.zstats.std)
-    out.vector("trainerr", model.train_errors)
-    out.matrix(*matrix)
-    out.matrix("beta", beta)
+    if offline:
+        out.matrix("basis", model.rows)
+    out.matrix("beta", model.beta if offline else model.rls.beta)
     out.fields("end")
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")
@@ -146,12 +144,12 @@ class _Reader:
             _finite(name, [v for v in values if isinstance(v, float)])
         return values
 
-    def vector(self, name: str, finite: bool = True) -> np.ndarray:
+    def vector(self, name: str) -> np.ndarray:
         size, *tokens = self.keyword(name)
         v = np.fromiter(map(float, tokens), float, len(tokens))
         if v.size != int(size):
             raise ModelFormatError(f"{name}: {v.size} values, not {size}")
-        return _finite(name, v) if finite else v
+        return _finite(name, v)
 
     def row_tokens(self, name: str, rows: int, cols: int):
         for i in range(rows):
@@ -202,16 +200,14 @@ def _parse_model(reader: _Reader) -> OfflineModel | OnlineModel:
             })
         else:
             raise ModelFormatError(f"unknown mapping kind {mapping_kind!r}")
-        (C,) = reader.fields("C", float)
+        params = dict(C=reader.fields("C", float)[0])
     elif kind == "online":
         layer = reader.layer()
-        (n0,) = reader.fields("n0", int)
-        (block,) = reader.fields("block", int)
-        (seen,) = reader.fields("seen", int)
+        params = {name: reader.fields(name, int)[0] for name in ("n0", "block")}
     else:
         raise ModelFormatError(f"unknown model kind {kind!r}")
-    if reader.fields("R", float) != [1.0]:
-        raise ModelFormatError("R: the boundary target is 1")
+    if min(params.values()) <= 0:  # training refuses C <= 0 and chunks below 1 row
+        raise ModelFormatError(f"parameters must be positive: {params}")
     tspec = ThresholdSpec(*reader.fields("tspec", str, float, float, float, float))
     if family == BOUNDARY and tspec.kind == THR3:
         raise ModelFormatError("tspec: thr3 needs per-feature outputs; boundary models have one")
@@ -219,32 +215,24 @@ def _parse_model(reader: _Reader) -> OfflineModel | OnlineModel:
     if not (tspec.kind == THR3 and np.isnan(thresh)):
         _finite("thresh", thresh)  # thr3 decides per sample and stores no cut
     zstats = ZScoreStats(reader.vector("zmean"), reader.vector("zstd"))
-    train_errors = reader.vector("trainerr", finite=False)
-    matrix_name = "basis" if kind == "offline" else "P"
-    matrix = reader.matrix(matrix_name)
+    rows = reader.matrix("basis") if kind == "offline" else None
     beta = reader.matrix("beta")
     reader.fields("end")
     if reader.pos != len(reader.lines):
         raise ModelFormatError("content after 'end'")
 
-    n, rows = zstats.feature_count, matrix.shape[0]
-    m = layer.m if kind == "offline" and layer is not None else rows
+    n, m = zstats.feature_count, 0 if layer is None else layer.m
+    N = m if rows is None else rows.shape[0]  # beta: a row per hidden node or basis row
     for name, shape, want in (
         ("layerW", (m, n) if layer is None else layer.W.shape, (m, n)),
-        (matrix_name, matrix.shape, (rows, n if kind == "offline" else m)),
-        ("beta", beta.shape, (rows, 1 if family == BOUNDARY else n)),
+        ("basis", (N, n) if rows is None else rows.shape, (N, n)),
+        ("beta", beta.shape, (N, 1 if family == BOUNDARY else n)),
     ):
         if shape != want:
             raise ModelFormatError(f"{name} is {shape}, expected {want}")
 
-    common = dict(family=family, zstats=zstats, tspec=tspec, thresh=thresh)
+    common = dict(family=family, zstats=zstats, tspec=tspec, thresh=thresh, train_errors=None)
     if kind == "offline":
-        basis = matrix if layer is None else hidden_apply(layer, matrix)
-        return OfflineModel(
-            mapping=mapping, rows=matrix, basis=basis, beta=beta, C=C,
-            train_errors=train_errors, **common,
-        )
-    return OnlineModel(
-        layer=layer, rls=RlsState(matrix, beta), seen_count=seen, n0=n0,
-        block=block, train_errors=train_errors, **common,
-    )
+        basis = rows if layer is None else hidden_apply(layer, rows)
+        return OfflineModel(mapping=mapping, rows=rows, basis=basis, beta=beta, **params, **common)
+    return OnlineModel(layer=layer, rls=RlsState(None, beta), **params, **common)

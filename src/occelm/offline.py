@@ -65,7 +65,7 @@ class OfflineModel:
     tspec: ThresholdSpec
     thresh: float
     zstats: ZScoreStats
-    train_errors: np.ndarray
+    train_errors: np.ndarray | None  # None once loaded: a file keeps only the cut
 
 
 def targets(family: str, Xs: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ N0 >= m), grown chunk-by-chunk with os_update, then closed with
 os_finalize, which fits the threshold and freezes the model for scoring.
 The sequential path is intentionally unregularized. The model keeps
 every training row it has seen, so os_finalize fits the threshold on all
-of them under the final weights.
+of them under the final weights; a saved model keeps neither them nor P.
 
 Errors, threshold fitting and the columnar decisions are the offline
 models' own (offline.row_errors, fit_threshold, decide).
@@ -49,10 +49,9 @@ class OnlineModel:
     layer: HiddenLayer
     rls: RlsState
     zstats: ZScoreStats
-    seen_count: int
     n0: int
     block: int
-    train_errors: np.ndarray = field(default_factory=lambda: np.empty(0))
+    train_errors: np.ndarray | None = field(default_factory=lambda: np.empty(0))
     retained_rows: list[np.ndarray] = field(default_factory=list)
     tspec: ThresholdSpec | None = None
     thresh: float | None = None
@@ -83,7 +82,6 @@ def os_init(
         layer=layer,
         rls=rls,
         zstats=zstats,
-        seen_count=Xs.shape[0],
         n0=Xs.shape[0],
         block=block or Xs.shape[0],
         retained_rows=[Xs],
@@ -97,7 +95,6 @@ def os_update(model: OnlineModel, Xc) -> OnlineModel:
     Xs = normalized_rows(model, Xc)
     Hc = hidden_apply(model.layer, Xs)
     model.rls = rls_update(model.rls, Hc, targets(model.family, Xs))
-    model.seen_count += Xs.shape[0]
     model.retained_rows.append(Xs)
     return model
 
@@ -107,9 +104,9 @@ def os_finalize(model: OnlineModel, tspec: ThresholdSpec) -> OnlineModel:
     weights and freeze the model."""
     if model.finalized:
         raise AlreadyFinalized("finalize may run once")
-    if model.seen_count < 2:
-        raise TooFewSamples("finalize needs at least 2 seen samples")
     Xs = np.vstack(model.retained_rows)
+    if Xs.shape[0] < 2:
+        raise TooFewSamples("finalize needs at least 2 seen samples")
     O = hidden_apply(model.layer, Xs) @ model.rls.beta
     errors, model.thresh = fit_threshold(
         model.family, tspec, row_errors(model.family, Xs, O)

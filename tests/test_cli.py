@@ -14,7 +14,7 @@ from conftest import perfbench_module, run_cli
 
 from occelm.bench import NODE_NAMES, VARIANTS, parse_variant
 from occelm.cli import _resolve_run, build_parser, main
-from occelm.dataset import Dataset, gen_ring, load_csv, write_csv
+from occelm.dataset import Dataset, gen_ring, load_csv, value_text, write_csv
 from occelm.metrics import MEASURES, REPORT_COLUMNS
 from occelm.modelio import load_model
 from occelm.modelsel import error_threshold
@@ -425,6 +425,24 @@ class TestGrid:
         assert float(rows[-1][0]) == 3.0
         for r in rows[1:]:
             assert r[3] in ("0", "1")
+
+    def test_lattice_order_is_x_major(self, tmp_path, labeled_csv, capsys):
+        """The lattice is the nested loop over the two axes, x outer and
+        y inner, value for value."""
+        model_path = tmp_path / "model.occ"
+        main(["train", "ockelm_thr1", labeled_csv, "--label-col", "-1",
+             "--seed", "0", "-o", str(model_path)])
+        capsys.readouterr()
+        out = tmp_path / "grid.csv"
+        argv = ["grid", str(model_path), "--bounds", "-3", "3", "-1", "2.5",
+                "--resolution", "7", "-o", str(out)]
+        assert main(argv) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        xs, ys = np.linspace(-3, 3, 7), np.linspace(-1, 2.5, 7)
+        assert [r[:2] for r in rows] == [
+            [value_text(x), value_text(y)] for x in xs for y in ys
+        ]
 
     def test_boundary_encloses_ring(self, tmp_path, labeled_csv):
         """Points on the target ring are accepted, far corners are not."""

@@ -11,7 +11,7 @@ import occelm.cli
 import occelm.modelio
 import occelm.offline
 from occelm.dataset import Dataset, zscore_fit
-from occelm.errors import ModelFormatError, NotFinalized
+from occelm.errors import AlreadyFinalized, ModelFormatError, NotFinalized
 from occelm.featuremap import (
     NODE_TYPES,
     TILE_CELLS,
@@ -21,6 +21,7 @@ from occelm.featuremap import (
     rbf_kernel,
     wavelet_kernel,
 )
+from occelm.linsolve import rls_update
 from occelm.modelio import (
     _Reader,
     _Writer,
@@ -35,7 +36,7 @@ from occelm.offline import (
     train_boundary,
     train_reconstruction,
 )
-from occelm.online import os_finalize, os_init, os_score, os_update
+from occelm.online import OnlineModel, os_finalize, os_init, os_score, os_update
 from occelm.threshold import ThresholdSpec
 
 
@@ -65,7 +66,9 @@ class TestOfflineRoundTrip:
         np.testing.assert_array_equal(loaded.basis, model.basis)
         np.testing.assert_array_equal(loaded.zstats.mean, model.zstats.mean)
         np.testing.assert_array_equal(loaded.zstats.std, model.zstats.std)
-        np.testing.assert_array_equal(loaded.train_errors, model.train_errors)
+        # the file keeps the cut, not the per-row errors it was fitted on
+        assert isinstance(model.train_errors, np.ndarray)
+        assert loaded.train_errors is None
 
     def test_scores_identical_after_reload(self, tmp_path):
         X = _cloud(2)
@@ -157,7 +160,7 @@ class TestRandomModelRoundTrip:
         path = tmp_path / "m.occ"
         save_model(model, str(path))
         lines = path.read_text().splitlines()
-        assert lines[0] == "OCCELM v2"
+        assert lines[0] == "OCCELM v3"
         assert "basis 40 3" in lines
         assert load_model(str(path)).rows.tobytes() == X.tobytes()
 
@@ -184,7 +187,7 @@ class TestRandomModelRoundTrip:
 
     def test_v1_file_refused(self, tmp_path):
         """A v1 random file stored H as its basis. With m == n it has the
-        shape of a v2 file's rows, so only the header tells them apart."""
+        shape of a v3 file's rows, so only the header tells them apart."""
         X = _cloud(34, count=20, n=3)
         model = train_boundary(X, random_kernel(m=3), 1.0, ThresholdSpec("thr1"))
         path = tmp_path / "m.occ"
@@ -197,10 +200,20 @@ class TestRandomModelRoundTrip:
         path.write_text("\n".join(v1) + "\n")
         with pytest.raises(ModelFormatError, match="found 'OCCELM v1'"):
             load_model(str(path))
-        # read as v2, the same body loads, with H applied to H
-        path.write_text("\n".join(["OCCELM v2", *v1[1:]]) + "\n")
+        # read as v3, the same body loads, with H applied to H
+        path.write_text("\n".join(["OCCELM v3", *v1[1:]]) + "\n")
         misread = load_model(str(path))
         assert not np.array_equal(misread.basis, model.basis)
+
+    @pytest.mark.parametrize("kind", ["offline", "online"])
+    def test_v2_file_refused(self, tmp_path, kind):
+        """A v2 file also held its training record: `R`, `trainerr` and, for
+        online models, `seen` and `P`. Its header refuses it."""
+        model, path = _model_file(tmp_path, kind)
+        lines = _with_record(model, path.read_text().splitlines())
+        path.write_text("\n".join(["OCCELM v2", *lines[1:]]) + "\n")
+        with pytest.raises(ModelFormatError, match="^expected 'OCCELM v3', found 'OCCELM v2'$"):
+            load_model(str(path))
 
 
 class TestOnlineRoundTrip:
@@ -219,15 +232,13 @@ class TestOnlineRoundTrip:
         loaded = load_model(str(path))
         assert loaded.finalized
         assert loaded.family == model.family
-        assert loaded.seen_count == model.seen_count
-        assert loaded.n0 == model.n0
+        assert (loaded.n0, loaded.block) == (model.n0, model.block)
         assert loaded.thresh == model.thresh
         np.testing.assert_array_equal(loaded.rls.beta, model.rls.beta)
-        np.testing.assert_array_equal(loaded.rls.P, model.rls.P)
-        # stored as an array on both sides, as the offline models store it
+        # the file keeps the weights and the cut, not the training record
         assert isinstance(model.train_errors, np.ndarray)
-        assert isinstance(loaded.train_errors, np.ndarray)
-        np.testing.assert_array_equal(loaded.train_errors, model.train_errors)
+        assert loaded.train_errors is None
+        assert loaded.rls.P is None
         a = [(d.is_target, d.score) for d in os_score(model, X)]
         b = [(d.is_target, d.score) for d in os_score(loaded, X)]
         assert a == b
@@ -241,20 +252,32 @@ class TestOnlineRoundTrip:
         loaded = load_model(str(path))
         assert loaded.retained_rows == []
 
-    def test_p_with_extra_row_refused(self, tmp_path):
-        """P is m x m: a P and beta grown by one row each still agree
-        with each other, but not with the layer's m nodes."""
+    def test_loaded_state_refuses_updates(self, tmp_path):
+        """A loaded state has no P, so the RLS update refuses it, as
+        os_update refuses the finalized model."""
+        model, X = self._trained(seed=9)
+        path = tmp_path / "m.occ"
+        save_model(model, str(path))
+        loaded = load_model(str(path))
+        H = hidden_apply(loaded.layer, X[:3])
+        with pytest.raises(AlreadyFinalized, match="^a state without P only scores: no updates$"):
+            rls_update(loaded.rls, H, np.ones((3, 1)))
+        with pytest.raises(AlreadyFinalized, match="^no updates after finalize$"):
+            os_update(loaded, X[:3])
+
+    def test_beta_with_extra_row_refused(self, tmp_path):
+        """An online beta has one row per hidden node: one more row
+        disagrees with the layer's m nodes."""
         path = _online_file(tmp_path)
 
         def grow(lines):
-            for name in ("P", "beta"):
-                i = next(k for k, line in enumerate(lines) if line.split()[0] == name)
-                _, rows, cols = lines[i].split()
-                lines[i] = f"{name} {int(rows) + 1} {cols}"
-                lines.insert(i + 1, lines[i + 1])
+            i = next(k for k, line in enumerate(lines) if line.split()[0] == "beta")
+            _, rows, cols = lines[i].split()
+            lines[i] = f"beta {int(rows) + 1} {cols}"
+            lines.insert(i + 1, lines[i + 1])
 
         _edit(path, grow)
-        with pytest.raises(ModelFormatError, match="layerW"):
+        with pytest.raises(ModelFormatError, match=r"^beta is \(9, 1\), expected \(8, 1\)$"):
             load_model(str(path))
 
     def test_unfinalized_save_refused(self, tmp_path):
@@ -299,22 +322,105 @@ class TestMalformedFiles:
             load_model(str(path))
 
 
-def _offline_file(tmp_path, tkind="thr1"):
-    X = _cloud(12)
-    model = train_reconstruction(
-        X, random_kernel(m=6), 1.0, ThresholdSpec(tkind), seed=3,
-        zstats=zscore_fit(Dataset(X)),
-    )
-    path = tmp_path / "off.occ"
+def _model_file(tmp_path, kind, tkind="thr1"):
+    """An offline random or an online model, saved, and its file."""
+    if kind == "offline":
+        X = _cloud(12)
+        model = train_reconstruction(
+            X, random_kernel(m=6), 1.0, ThresholdSpec(tkind), seed=3,
+            zstats=zscore_fit(Dataset(X)),
+        )
+    else:
+        model, _ = TestOnlineRoundTrip()._trained()
+    path = tmp_path / ("off.occ" if kind == "offline" else "on.occ")
     save_model(model, str(path))
-    return path
+    return model, path
+
+
+def _offline_file(tmp_path, tkind="thr1"):
+    return _model_file(tmp_path, "offline", tkind)[1]
 
 
 def _online_file(tmp_path):
-    model, _ = TestOnlineRoundTrip()._trained()
-    path = tmp_path / "on.occ"
-    save_model(model, str(path))
-    return path
+    return _model_file(tmp_path, "online")[1]
+
+
+def _with_record(model, lines, names=("seen", "R", "trainerr", "P")):
+    """A v3 file's lines with the named lines of the training record that
+    v2 files held put back in their v2 places: `seen` after `block`, `R`
+    before `tspec`, `trainerr` after `zstd` and `P` before `beta`. Only
+    online models had `seen` and `P`."""
+    online = isinstance(model, OnlineModel)
+    out = _Writer()
+    for line in lines:
+        name = line.split()[0]
+        if name == "tspec" and "R" in names:
+            out.append("R 1")
+        if name == "beta" and online and "P" in names:
+            out.matrix("P", model.rls.P)
+        out.append(line)
+        if name == "block" and "seen" in names:
+            out.fields("seen", sum(map(len, model.retained_rows)))
+        if name == "zstd" and "trainerr" in names:
+            out.vector("trainerr", model.train_errors)
+    return out
+
+
+@pytest.mark.parametrize("kind,name", [
+    ("offline", "R"), ("offline", "trainerr"),
+    ("online", "seen"), ("online", "R"), ("online", "trainerr"), ("online", "P"),
+])
+def test_leftover_record_line_refused(tmp_path, kind, name):
+    """A v3 file holding one line of the old training record is refused
+    at that line."""
+    model, path = _model_file(tmp_path, kind)
+    lines = _with_record(model, path.read_text().splitlines(), names=(name,))
+    assert len(lines) > len(path.read_text().splitlines())
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFormatError, match=f"^expected '[a-z]+', found '{name} "):
+        load_model(str(path))
+
+
+# (model kind, line, value written, the parameters the error names):
+# values training never writes, since it refuses C <= 0 and chunks of no rows
+_OUT_OF_RANGE = [
+    ("offline", "C", "-1", "{'C': -1.0}"),
+    ("offline", "C", "0", "{'C': 0.0}"),
+    ("online", "n0", "-7", "{'n0': -7, 'block': 20}"),
+    ("online", "n0", "0", "{'n0': 0, 'block': 20}"),
+    ("online", "block", "0", "{'n0': 20, 'block': 0}"),
+]
+_RANGE_IDS = [f"{name}={value}" for _, name, value, _ in _OUT_OF_RANGE]
+
+
+class TestParameterRange:
+    @staticmethod
+    def _file(tmp_path, kind, name, value):
+        _, path = _model_file(tmp_path, kind)
+
+        def put(lines):
+            lines[next(k for k, line in enumerate(lines) if line.split()[0] == name)] = (
+                f"{name} {value}"
+            )
+
+        _edit(path, put)
+        return path
+
+    @pytest.mark.parametrize("kind,name,value,params", _OUT_OF_RANGE, ids=_RANGE_IDS)
+    def test_refused(self, tmp_path, kind, name, value, params):
+        path = self._file(tmp_path, kind, name, value)
+        with pytest.raises(ModelFormatError) as info:
+            load_model(str(path))
+        assert str(info.value) == f"parameters must be positive: {params}"
+
+    @pytest.mark.parametrize("kind,name,value,params", _OUT_OF_RANGE, ids=_RANGE_IDS)
+    def test_cli_score_exits_1(self, tmp_path, kind, name, value, params):
+        path = self._file(tmp_path, kind, name, value)
+        rows = tmp_path / "rows.csv"
+        rows.write_text("a,b,c\n0.1,0.2,0.3\n")
+        proc = run_cli(["score", str(path), str(rows)], tmp_path)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: parameters must be positive: {params}\n"
 
 
 def _poison(path, name, token):
@@ -322,7 +428,7 @@ def _poison(path, name, token):
     lines = path.read_text().splitlines()
     i = next(k for k, line in enumerate(lines) if line.split()[0] == name)
     parts = lines[i].split()
-    if name in ("layerW", "basis", "beta", "P"):  # matrix: values start a line below
+    if name in ("layerW", "basis", "beta"):  # matrix: values start a line below
         row = lines[i + 1].split()
         lines[i + 1] = " ".join([token] + row[1:])
     elif name in ("layerb", "zmean", "zstd"):  # vector: "name size v0 v1 ..."
@@ -338,7 +444,7 @@ class TestNonFiniteParameters:
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
-        "name", ["beta", "basis", "layerW", "layerb", "zmean", "zstd", "C", "R", "thresh"]
+        "name", ["beta", "basis", "layerW", "layerb", "zmean", "zstd", "C", "thresh"]
     )
     def test_offline_rejected(self, tmp_path, name, token):
         path = _offline_file(tmp_path)
@@ -348,7 +454,7 @@ class TestNonFiniteParameters:
 
     @pytest.mark.parametrize("token", ["nan", "inf"])
     @pytest.mark.parametrize(
-        "name", ["beta", "P", "layerW", "layerb", "zmean", "zstd", "R", "thresh"]
+        "name", ["beta", "layerW", "layerb", "zmean", "zstd", "thresh"]
     )
     def test_online_rejected(self, tmp_path, name, token):
         path = _online_file(tmp_path)
@@ -417,7 +523,8 @@ def _short_beta(lines):
 
 
 def _r_two(lines):
-    lines[lines.index("R 1")] = "R 2"
+    """An `R 2` line where v2 files kept the boundary target R."""
+    lines.insert(next(k for k, line in enumerate(lines) if line.startswith("tspec ")), "R 2")
 
 
 # (edit, threshold kind of the edited file, text the error names)
@@ -426,14 +533,15 @@ _LOAD_FAULTS = {
     "inf_kparam": (_inf_kparam, "thr1", "kparam sigma"),
     "nan_condn1": (_nan_condn1, "thr3", "tspec"),
     "short_beta": (_short_beta, "thr1", "beta"),
-    "r_not_one": (_r_two, "thr1", "R: the boundary target is 1"),
+    "r_not_one": (_r_two, "thr1", "^expected 'tspec', found 'R 2'$"),
 }
 
 
 class TestLoadFaults:
     """Files that once loaded, or escaped as another exception: a missing
     kernel parameter, a non-finite kernel or threshold parameter, a beta
-    with fewer rows than the basis, and a boundary target R other than 1."""
+    with fewer rows than the basis, and a boundary target R (files keep
+    none since v3)."""
 
     @pytest.mark.parametrize("fault", list(_LOAD_FAULTS))
     def test_refused(self, tmp_path, fault):
@@ -606,19 +714,20 @@ class TestRowCodec:
             load_model(str(path))
 
 
-_V2_MODELS = Path(__file__).parent / "data" / "v2_models"
+_V3_MODELS = Path(__file__).parent / "data" / "v3_models"
 
 
 @pytest.mark.parametrize(
-    "name", sorted(p.stem for p in _V2_MODELS.glob("*.occ"))
+    "name", sorted(p.stem for p in _V3_MODELS.glob("*.occ"))
 )
 def test_earlier_files_load_score_and_resave_bitwise(tmp_path, name):
-    """Files written while R was still a keyword (each says R 1) score
-    the probes to the bytes they gave then and are saved back unchanged."""
-    model_path = _V2_MODELS / f"{name}.occ"
+    """Stored files score the probes to the bytes that their v2 originals,
+    written while R was still a keyword, gave then, and are saved back
+    unchanged."""
+    model_path = _V3_MODELS / f"{name}.occ"
     out = tmp_path / "score.csv"
-    argv = ["score", str(model_path), str(_V2_MODELS / "probes.csv"), "-o", str(out)]
+    argv = ["score", str(model_path), str(_V3_MODELS / "probes.csv"), "-o", str(out)]
     assert occelm.cli.main(argv) == 0
-    assert out.read_bytes() == (_V2_MODELS / f"{name}.score.csv").read_bytes()
+    assert out.read_bytes() == (_V3_MODELS / f"{name}.score.csv").read_bytes()
     save_model(load_model(str(model_path)), str(tmp_path / "again.occ"))
     assert (tmp_path / "again.occ").read_bytes() == model_path.read_bytes()

@@ -73,7 +73,7 @@ def saved(tmp_path_factory):
 _MATRICES_OF = {
     "kernel": ("basis", "beta"),
     "random": ("layerW", "basis", "beta"),
-    "online": ("layerW", "P", "beta"),
+    "online": ("layerW", "beta"),
 }
 _KEY_NAMES = [f"{kind}_{tkind}" for kind in _MATRICES_OF for tkind in ("thr1", "thr3")]
 _KEYS = st.sampled_from(_KEY_NAMES)
@@ -85,14 +85,11 @@ def _load(lines, path):
 
 
 def _numeric_tokens(lines):
-    """(line, token) positions of every value a float parse accepts,
-    except the trainerr values, which scoring never reads."""
+    """(line, token) positions of every value a float parse accepts."""
     out = []
     for i, line in enumerate(lines):
         tokens = line.split()
         for j, token in enumerate(tokens):
-            if tokens[0] == "trainerr" and j >= 2:
-                continue
             try:
                 float(token)
             except ValueError:

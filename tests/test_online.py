@@ -35,7 +35,7 @@ class TestOsInit:
         H0 = hidden_apply(layer, X0)
         expected, *_ = np.linalg.lstsq(H0, np.ones((20, 1)), rcond=None)
         np.testing.assert_allclose(model.rls.beta, expected, atol=1e-9)
-        assert model.seen_count == 20
+        assert sum(map(len, model.retained_rows)) == 20
         assert model.n0 == 20
 
     def test_reconstruction_targets_are_inputs(self):
@@ -79,7 +79,7 @@ class TestOsUpdate:
         H = hidden_apply(layer, X)
         expected, *_ = np.linalg.lstsq(H, np.ones((50, 1)), rcond=None)
         np.testing.assert_allclose(model.rls.beta, expected, atol=1e-8)
-        assert model.seen_count == 50
+        assert sum(map(len, model.retained_rows)) == 50
 
     def test_single_row_chunks(self):
         layer = _layer(m=4)

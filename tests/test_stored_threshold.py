@@ -1,8 +1,9 @@
 """The threshold has one owner: ThresholdSpec carries the rejection
 fraction, and offline.fit_threshold alone fits the cut and gives the
-training errors a model stores. So a saved model file reproduces its own
-cut from its own `tspec` and `trainerr` lines, for offline and online
-models alike."""
+training errors a trained model holds. So a trained model reproduces its
+own cut from its own `tspec` and training errors, for offline and online
+models alike, and its file keeps that cut to the bit. The file keeps no
+training errors: scoring reads only the cut."""
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from occelm.threshold import THR1, THR3, ThresholdSpec, thr1_fit, thr2_fit
 
 CUT_VARIANTS = [vid for vid, v in VARIANTS.items() if v.tkind != THR3]
 
-# trainerr comes from the training solve's outputs (Omega @ beta, or the
+# train_errors come from the training solve's outputs (Omega @ beta, or the
 # final RLS weights), the scores from scoring the same rows afresh
 SCORE_RTOL = 1e-9
 SCORE_ATOL = 1e-12
@@ -38,17 +39,21 @@ def test_saved_file_reproduces_its_cut(vid, tmp_path):
         VARIANTS[vid], _params(vid), rows, fracrej=0.15,
         layer_seed=[1, 0, 7], zstats=zscore_fit(Dataset(rows)),
     )
-    path = str(tmp_path / "m.occ")
-    save_model(model, path)
-    loaded = load_model(path)
-    tspec = loaded.tspec
+    tspec = model.tspec
     assert (tspec.kind, tspec.fracrej) == (VARIANTS[vid].tkind, 0.15)
-    errors = np.asarray(loaded.train_errors)
+    errors = np.asarray(model.train_errors)
+    assert errors.shape == (60,)
     if tspec.kind == THR1:
         refit = thr1_fit(errors, tspec.fracrej)
     else:
         refit = thr2_fit(errors, tspec.std_mult)
-    assert np.float64(refit).tobytes() == np.float64(loaded.thresh).tobytes()
+    assert np.float64(refit).tobytes() == np.float64(model.thresh).tobytes()
+    path = str(tmp_path / "m.occ")
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.tspec == tspec
+    assert np.float64(loaded.thresh).tobytes() == np.float64(model.thresh).tobytes()
+    assert loaded.train_errors is None
     np.testing.assert_allclose(
         score_model(loaded, rows).score, errors, rtol=SCORE_RTOL, atol=SCORE_ATOL
     )

@@ -12,8 +12,9 @@ without its timing lines (`train ...s`, `run N: train ...s`) and of every
 file the command created or changed. The inputs are perfbench's 699x9
 table (perfbench/workloads.py::write_table, run from its source), `gen`
 output, the tiny malformed tables of INPUTS and b3.occ, a boundary model
-edited to claim thr3. --compare prints the entries that differ and exits 1
-if any do.
+edited to claim thr3. --compare prints each command whose entries differ,
+with the parts that differ (exit, stdout, stderr, or `file <name>`), and
+exits 1 if any do.
 """
 
 from __future__ import annotations
@@ -71,7 +72,12 @@ def commands() -> list[list[str]]:
              ["grid", "ring.occ", "--bounds", "nan", "1", "0", "1"],
              ["grid", "ring.occ", "--bounds", "-2e0", "2", "-2E0", "2", "--resolution", "15",
               "-o", "grid_e.csv"],
-             ["score", "ring.occ", "table.csv"]]
+             ["score", "ring.occ", "table.csv"],
+             # a loaded online model: the grid scores it without its RLS matrix P
+             ["train", "os_ocelm_thr1", "ring.csv", "--seed", "3", "--hidden", "5",
+              "-o", "ring_os.occ"],
+             ["grid", "ring_os.occ", "--bounds", "-2", "2", "-2", "2", "--resolution", "15",
+              "-o", "grid_os.csv"]]
     cmds += [["train", "ockelm_thr1", "table.csv", "--label-col", "0", "--seed", "7", "-o", "x.occ"],
              ["train", "os_ocelm_thr1", *TABLE, "--n0", "3", "-o", "x.occ"],
              ["grid", "ocelm_thr1.occ", "--bounds", "-1", "1", "-1", "1"],
@@ -133,6 +139,16 @@ def audit(src: Path) -> dict[str, dict]:
     return manifest
 
 
+def differing_parts(x: dict | None, y: dict | None) -> list[str]:
+    """What differs between one command's two entries: its exit code,
+    stdout, stderr and the names of the files it wrote."""
+    if x is None or y is None:
+        return ["only in " + ("B" if x is None else "A")]
+    parts = [k for k in ("exit", "stdout", "stderr") if x[k] != y[k]]
+    files = sorted(set(x["files"]) | set(y["files"]))
+    return parts + [f"file {f}" for f in files if x["files"].get(f) != y["files"].get(f)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path)
@@ -143,7 +159,8 @@ def main(argv=None) -> int:
         a, b = (json.loads(p.read_text()) for p in args.compare)
         differ = [name for name in sorted(set(a) | set(b)) if a.get(name) != b.get(name)]
         for name in differ:
-            print(f"differs: {name}")
+            parts = differing_parts(a.get(name), b.get(name))
+            print(f"differs: {name}: {', '.join(parts)}")
         print(f"{len(set(a) | set(b))} commands, {len(differ)} differ")
         return 1 if differ else 0
     if args.src is None or args.out is None:
