@@ -33,6 +33,7 @@ from .dataset import (
 )
 from .errors import (
     AlreadyFinalized,
+    BadArgument,
     DimensionMismatch,
     MissingLabels,
     ModelFormatError,
@@ -44,6 +45,7 @@ from .errors import (
     SingularSystem,
     Thr3NotApplicable,
     TooFewSamples,
+    UsageError,
 )
 from .featuremap import (
     ADDITIVE_SIGMOID,

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import modelsel
 from .dataset import Dataset, as_rows, occ_split, zscore_apply, zscore_fit
-from .errors import TooFewSamples
+from .errors import BadArgument, TooFewSamples, UsageError
 from .featuremap import (
     ADDITIVE_SIGMOID,
     KERNEL_PARAMS,
@@ -132,7 +132,7 @@ def parse_variant(
 ) -> Variant:
     """Resolve a variant id and its feature map: a hidden node type from a
     _sig/_rbf suffix or node_type (they must agree), or a kernel. Raises
-    KeyError for an unknown id, node type or kernel, and for a map the
+    UsageError for an unknown id, node type or kernel, and for a map the
     variant's engine does not read."""
     vid = text.lower()
     suffix_type = None
@@ -140,20 +140,20 @@ def parse_variant(
     if name in NODE_NAMES and stem in VARIANTS:
         vid, suffix_type = stem, NODE_NAMES[name]
     if vid not in VARIANTS:
-        raise KeyError(f"unknown variant id {text!r}")
+        raise UsageError(f"unknown variant id {text!r}")
     if node_type is not None and node_type not in NODE_TYPES:
-        raise KeyError(f"unknown node type {node_type!r}")
+        raise UsageError(f"unknown node type {node_type!r}")
     if kernel is not None and kernel not in KERNELS:
-        raise KeyError(f"unknown kernel {kernel!r}")
+        raise UsageError(f"unknown kernel {kernel!r}")
     if suffix_type is not None and node_type is not None and suffix_type != node_type:
-        raise KeyError(f"{text!r} conflicts with node type {node_type!r}")
+        raise UsageError(f"{text!r} conflicts with node type {node_type!r}")
     variant, node_type = VARIANTS[vid], suffix_type or node_type
     if variant.engine == KERNEL_ENGINE:
         if node_type is not None:
-            raise KeyError(f"{text!r}: kernel variants take no hidden node type")
+            raise UsageError(f"{text!r}: kernel variants take no hidden node type")
         return replace(variant, kernel=kernel or variant.kernel)
     if kernel is not None:
-        raise KeyError(f"{text!r}: only kernel variants take a kernel")
+        raise UsageError(f"{text!r}: only kernel variants take a kernel")
     return replace(variant, node_type=node_type or variant.node_type)
 
 
@@ -164,7 +164,7 @@ def median_pairwise(X) -> float:
 
 def fixed_params(variant: Variant, select: bool, given: Mapping) -> dict:
     """The values in given (named as in FIXED_PARAMS) that are not None.
-    Raises KeyError for one the run does not read: kernel variants read
+    Raises UsageError for one the run does not read: kernel variants read
     kern_par (not under the linear kernel) and c_reg, random ones c_reg and
     hidden, online ones hidden, n0 and block. Selection chooses all but the
     online n0 and block, the chunks its final fit streams."""
@@ -179,7 +179,7 @@ def fixed_params(variant: Variant, select: bool, given: Mapping) -> dict:
     fixed = {name: value for name, value in given.items() if value is not None}
     for name in fixed:
         if name not in reads:
-            raise KeyError(
+            raise UsageError(
                 f"{variant.classifier} {'with' if select else 'without'} --select "
                 f"does not read --{name.replace('_', '-')}"
             )
@@ -296,7 +296,7 @@ def _offline_mapping(variant: Variant, params: dict) -> KernelSpec:
         return polynomial_kernel(params["degree"])
     b_w = float(params["b_w"])
     if not 0 < b_w <= MAX_WIDTH:
-        raise ValueError(f"wavelet kernel needs 0 < b_w <= {MAX_WIDTH:g}")
+        raise BadArgument(f"wavelet kernel needs 0 < b_w <= {MAX_WIDTH:g}")
     return wavelet_kernel(1.0, b_w, b_w**2)
 
 
@@ -382,7 +382,7 @@ def run_benchmark(
         variant = parse_variant(variant)
     fixed = fixed_params(variant, select_params, fixed or {})
     if runs < 1:
-        raise ValueError("runs must be >= 1")
+        raise BadArgument("runs must be >= 1")
 
     chosen: dict | None = None
     diagnostics: SelectionDiagnostics | None = None

@@ -31,7 +31,7 @@ from .bench import (
 )
 from .dataset import Dataset, gen_banana, gen_ring, label_text, load_csv, value_text
 from .dataset import write_csv, write_table, zscore_apply, zscore_fit
-from .errors import DimensionMismatch, OccelmError, TooFewSamples
+from .errors import BadArgument, DimensionMismatch, OccelmError, TooFewSamples, UsageError
 from .metrics import MEASURES, REPORT_COLUMNS, confuse, measures, render_value
 from .modelio import load_model, save_model
 from .modelsel import write_diagnostics
@@ -66,14 +66,14 @@ def _resolve_seed(args) -> int:
 def _resolve_run(args):
     """The variant with its feature map, its fixed parameters and the
     selection flags given (--folds, --sigma-thr), before any file is read.
-    A flag the run does not read raises KeyError, a usage error."""
+    A flag the run does not read raises UsageError."""
     select = getattr(args, "select", True)  # the select command always selects
     variant = parse_variant(args.variant, NODE_NAMES.get(args.node_type), args.kernel)
     fixed = fixed_params(variant, select, {k: getattr(args, k, None) for k in FIXED_PARAMS})
     scan = {"folds": args.folds, "sigma_thr": args.sigma_thr}
     scan = {name: value for name, value in scan.items() if value is not None}
     if scan and not select:
-        raise KeyError(f"--{next(iter(scan)).replace('_', '-')} needs --select")
+        raise UsageError(f"--{next(iter(scan)).replace('_', '-')} needs --select")
     return variant, fixed, scan
 
 
@@ -99,7 +99,7 @@ def _print_params(params: dict, consistent: bool | None) -> None:
 def cmd_gen(args) -> int:
     given = {k: getattr(args, k) for k in ("noise_std", "radius") if getattr(args, k) is not None}
     if args.shape == "banana" and "radius" in given:
-        raise KeyError("banana does not read --radius")
+        raise UsageError("banana does not read --radius")
     seed = _resolve_seed(args)
     data = (gen_banana if args.shape == "banana" else gen_ring)(args.count, seed=seed, **given)
     write_csv(data, args.out)
@@ -194,7 +194,7 @@ def cmd_select(args) -> int:
 
 def cmd_grid(args) -> int:
     if not np.isfinite(args.bounds).all():
-        raise ValueError("bounds must be finite")
+        raise BadArgument("bounds must be finite")
     model = load_model(args.model)
     if model.zstats.feature_count != 2:
         raise DimensionMismatch(
@@ -293,12 +293,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except KeyError as exc:
+    except UsageError as exc:
         print(f"usage error: {exc.args[0]}", file=sys.stderr)
         return 2
-    except (OccelmError, OSError, ValueError) as exc:
-        # ValueError: a flag value the library refuses (numpy's LinAlgError
-        # is one too)
+    except (OccelmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadArgument,
     DimensionMismatch,
     MissingLabels,
     NonFiniteOutput,
@@ -51,7 +52,7 @@ class Dataset:
         if self.samples.ndim != 2 or self.samples.size == 0:
             raise DimensionMismatch("samples must form a nonempty 2-D matrix")
         if not np.all(np.isfinite(self.samples)):
-            raise ValueError("samples contain non-finite values")
+            raise BadArgument("samples contain non-finite values")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=bool)
             if self.labels.shape != (self.samples.shape[0],):
@@ -89,7 +90,7 @@ class ZScoreStats:
         if self.mean.shape != self.std.shape:
             raise DimensionMismatch("mean and std lengths differ")
         if np.any(self.std < 0):
-            raise ValueError("std entries must be >= 0")
+            raise BadArgument("std entries must be >= 0")
 
     @property
     def feature_count(self) -> int:
@@ -119,26 +120,25 @@ def load_csv(path: str, label_column: int | None = None) -> Dataset:
     auto-detection: if any feature cell of the first line fails numeric
     parsing, the line is treated as column names.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        # each non-blank row with the number of the file line it ends on
-        rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
+    try:  # the codec's and csv's own messages: bytes that are no UTF-8, a cell over 128 KiB
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            # each non-blank row with the number of the file line it ends on
+            rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(str(exc)) from None
     if not rows:
         raise ParseError(f"{path}: no rows")
 
     width = len(rows[0][1])
     for lineno, row in rows:
         if len(row) != width:
-            raise ParseError(
-                f"{path}: line {lineno} has {len(row)} cells, expected {width}"
-            )
+            raise ParseError(f"{path}: line {lineno} has {len(row)} cells, expected {width}")
     label_idx = None
     if label_column is not None:
         label_idx = label_column if label_column >= 0 else width + label_column
         if not 0 <= label_idx < width:
-            raise DimensionMismatch(
-                f"label column {label_column} outside 0..{width - 1}"
-            )
+            raise DimensionMismatch(f"label column {label_column} outside 0..{width - 1}")
 
     feature_cols = [j for j in range(width) if j != label_idx]
     if not feature_cols:
@@ -171,9 +171,7 @@ def load_csv(path: str, label_column: int | None = None) -> Dataset:
                     f"cannot parse {row[j]!r} as a number"
                 ) from None
             if not math.isfinite(value):
-                raise ParseError(
-                    f"{path}: line {lineno}, column {j + 1}: non-finite value"
-                )
+                raise ParseError(f"{path}: line {lineno}, column {j + 1}: non-finite value")
             samples[i, out_j] = value
         if labels is not None:
             labels[i] = _parse_label(row[label_idx], lineno)
@@ -290,7 +288,7 @@ def occ_split(data: Dataset, seed: int, run: int) -> tuple[Dataset, Dataset]:
 def _check_noise_std(noise_std: float) -> None:
     # NAN fails every comparison, so it would pass a plain `< 0` check
     if not 0 <= noise_std < math.inf:
-        raise ValueError(
+        raise BadArgument(
             "noise_std must be >= 0" if noise_std < 0 else "noise_std must be finite"
         )
 
@@ -299,7 +297,7 @@ def gen_banana(count: int, noise_std: float = 1.0, seed: int = 0) -> Dataset:
     """Banana-shaped 2-D data: a half-annulus arc of radius 5 with angles
     uniform in [-pi/2, pi/2], plus isotropic Gaussian noise."""
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise BadArgument("count must be >= 1")
     _check_noise_std(noise_std)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-np.pi / 2, np.pi / 2, count)
@@ -314,9 +312,9 @@ def gen_ring(
     """Ring-shaped 2-D data: angles uniform in [0, 2*pi), radii
     radius + Normal(0, noise_std)."""
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise BadArgument("count must be >= 1")
     if not 0 < radius < math.inf:
-        raise ValueError("radius must be > 0" if radius <= 0 else "radius must be finite")
+        raise BadArgument("radius must be > 0" if radius <= 0 else "radius must be finite")
     _check_noise_std(noise_std)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * np.pi, count)

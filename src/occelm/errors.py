@@ -1,11 +1,16 @@
-"""Exception hierarchy for the toolbox: one class per failure kind.
+"""Exception hierarchy for the toolbox: one class per failure kind, 14 in all.
 
-Toolbox refusals derive from OccelmError (CLI exit 1). Three kinds stay
-builtins: an argument out of range is a ValueError (exit 1; the selection
-scan counts an OccelmError as a failed grid point, and a bad grid value
-must not become a NAN point), an unknown variant or a flag the run does
-not read a KeyError (exit 2), and a dead selection worker a
-ChildProcessError (exit 1).
+Every refusal derives from OccelmError. A BadArgument is also a ValueError
+and a UsageError also a KeyError, so callers that catch the builtins keep
+working. The CLI exits 2 for a UsageError and 1 for any other OccelmError or
+an OSError. FIT_FAILURES are the failures a fit can meet at a valid grid
+point: selection records that point as NAN, and any other error ends it.
+
+Three builtins stay: save_model's TypeError for an object that is no model
+(a caller's programming error), a dead selection worker's ChildProcessError
+(an OSError) and the RuntimeError carrying a worker's error that pickle
+cannot send. Anything else ends in a traceback: a defect, or a refused
+allocation (MemoryError), which is a limit of the machine, not a bad input.
 """
 
 
@@ -13,7 +18,14 @@ class OccelmError(Exception):
     """Base class for all toolbox errors."""
 
 
-# dataset
+class BadArgument(OccelmError, ValueError):
+    """An argument is out of range (the message names it and its range)."""
+
+
+class UsageError(OccelmError, KeyError):
+    """An unknown variant, node type or kernel, or a flag the run does not read."""
+
+
 class ParseError(OccelmError):
     """A CSV file failed to parse: a bad cell (the message names row and
     column), ragged rows, no rows, a header only or an unknown label token."""
@@ -33,7 +45,6 @@ class MissingLabels(OccelmError):
     """A labeled dataset was required."""
 
 
-# linsolve
 class SingularSystem(OccelmError):
     """Neither Cholesky nor the eigen fallback met the residual bound; the
     message states the 2-norm condition of Omega + I/C (nan for a NaN)."""
@@ -43,18 +54,15 @@ class RankDeficient(OccelmError):
     """H0'H0 is numerically singular (condition number reported)."""
 
 
-# threshold
 class Thr3NotApplicable(OccelmError):
     """Thr3 is defined only for reconstruction-based models."""
 
 
-# scoring
 class NonFiniteOutput(OccelmError):
     """Finite rows overflowed to inf or NAN in the z-score stats, a z-scored
     value or a model output (the message names the first such row)."""
 
 
-# online
 class AlreadyFinalized(OccelmError):
     """Sequential updates are closed once a model is finalized."""
 
@@ -63,6 +71,8 @@ class NotFinalized(OccelmError):
     """Scoring/saving an online model requires finalize first."""
 
 
-# model io
 class ModelFormatError(OccelmError):
     """Model file is malformed or has an unsupported version."""
+
+
+FIT_FAILURES = (SingularSystem, RankDeficient, NonFiniteOutput, TooFewSamples)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DimensionMismatch
+from .errors import BadArgument, DimensionMismatch
 
 ADDITIVE_SIGMOID = "additive_sigmoid"
 RBF_NODE = "rbf"
@@ -57,13 +57,13 @@ class HiddenLayer:
 
     def __post_init__(self) -> None:
         if self.node_type not in NODE_TYPES:
-            raise ValueError(f"node_type must be one of {NODE_TYPES}")
+            raise BadArgument(f"node_type must be one of {NODE_TYPES}")
         object.__setattr__(self, "W", np.asarray(self.W, dtype=float))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float).ravel())
         if self.W.ndim != 2 or self.b.shape[0] != self.W.shape[0]:
             raise DimensionMismatch("W must be m x n with b of length m")
         if self.node_type == RBF_NODE and np.any(self.b <= 0):
-            raise ValueError("rbf impact factors must be positive")
+            raise BadArgument("rbf impact factors must be positive")
 
     @property
     def m(self) -> int:
@@ -78,7 +78,7 @@ def hidden_init(node_type: str, m: int, n: int, seed) -> HiddenLayer:
     """Draw a hidden layer: additive nodes use W, b ~ Uniform(-1, 1); rbf
     nodes use centres Uniform(-1, 1) and impact factors Uniform(0.05, 1)."""
     if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
+        raise BadArgument("m and n must be >= 1")
     rng = np.random.default_rng(seed)
     W = rng.uniform(-1.0, 1.0, (m, n))
     if node_type == ADDITIVE_SIGMOID:
@@ -94,9 +94,7 @@ def hidden_apply(layer: HiddenLayer, X: np.ndarray) -> np.ndarray:
     caller's thread; the rest runs in place over row tiles of H."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != layer.n:
-        raise DimensionMismatch(
-            f"X has {X.shape[1]} features, layer expects {layer.n}"
-        )
+        raise DimensionMismatch(f"X has {X.shape[1]} features, layer expects {layer.n}")
     sigmoid = layer.node_type == ADDITIVE_SIGMOID
     H = X @ layer.W.T if sigmoid else np.empty((X.shape[0], layer.m))
 
@@ -143,24 +141,24 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"kind must be one of {KERNEL_KINDS}")
+            raise BadArgument(f"kind must be one of {KERNEL_KINDS}")
         if self.kind == "rbf" and not 0 < (self.sigma or 0) <= MAX_WIDTH:
-            raise ValueError(f"rbf kernel needs 0 < sigma <= {MAX_WIDTH:g}")
+            raise BadArgument(f"rbf kernel needs 0 < sigma <= {MAX_WIDTH:g}")
         if self.kind == "polynomial":
             # a fractional power of a negative 1 + x.y is nan
             degree = self.degree
             if degree is None or not float(degree).is_integer() or degree < 1:
-                raise ValueError("polynomial kernel needs an integer degree >= 1")
+                raise BadArgument("polynomial kernel needs an integer degree >= 1")
             object.__setattr__(self, "degree", int(degree))
             if self.offset is None or not 0 <= self.offset < np.inf:
-                raise ValueError("polynomial kernel needs a finite offset >= 0")
+                raise BadArgument("polynomial kernel needs a finite offset >= 0")
         if self.kind == "wavelet":
             for name in ("a", "b_w", "c_w"):
                 value = getattr(self, name)
                 if value is None or not 0 < value < np.inf:
-                    raise ValueError(f"wavelet kernel needs a finite {name} > 0")
+                    raise BadArgument(f"wavelet kernel needs a finite {name} > 0")
         if self.kind == "random" and self.node_type not in NODE_TYPES:
-            raise ValueError(f"node_type must be one of {NODE_TYPES}")
+            raise BadArgument(f"node_type must be one of {NODE_TYPES}")
 
 
 def rbf_kernel(sigma: float) -> KernelSpec:
@@ -250,13 +248,11 @@ def kernel_gram(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     did).
     """
     if spec.kind == "random":
-        raise ValueError("random kernels use hidden_apply + random_kernel_gram")
+        raise BadArgument("random kernels use hidden_apply + random_kernel_gram")
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
-        raise DimensionMismatch(
-            f"feature counts differ: {A.shape[1]} vs {B.shape[1]}"
-        )
+        raise DimensionMismatch(f"feature counts differ: {A.shape[1]} vs {B.shape[1]}")
     if spec.kind == "linear":
         return A @ B.T
     K = A @ B.T if spec.kind == "polynomial" else np.empty((A.shape[0], B.shape[0]))

@@ -18,6 +18,7 @@ import scipy.linalg
 
 from .errors import (
     AlreadyFinalized,
+    BadArgument,
     DimensionMismatch,
     RankDeficient,
     SingularSystem,
@@ -48,15 +49,13 @@ def solve_regularized(omega: np.ndarray, T: np.ndarray, C: float) -> np.ndarray:
     with T, is copied once.
     """
     if not 0 < C < np.inf:  # also refuses a NaN C
-        raise ValueError("C must be finite and > 0")
+        raise BadArgument("C must be finite and > 0")
     omega = np.asarray(omega, dtype=float)
     if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
         raise DimensionMismatch("omega must be square")
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != omega.shape[0]:
-        raise DimensionMismatch(
-            f"T is {T.shape}, not N x k for omega {omega.shape[0]} square"
-        )
+        raise DimensionMismatch(f"T is {T.shape}, not N x k for omega {omega.shape[0]} square")
     n = omega.shape[0]
     if n == 0:  # potrs refuses an empty system
         return T.copy()
@@ -201,9 +200,7 @@ def rls_init(H0: np.ndarray, T0: np.ndarray) -> RlsState:
     G = H0.T @ H0
     cond = np.linalg.cond(G)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise RankDeficient(
-            f"H0'H0 condition number {cond:.3e} exceeds {_COND_LIMIT:.0e}"
-        )
+        raise RankDeficient(f"H0'H0 condition number {cond:.3e} exceeds {_COND_LIMIT:.0e}")
     P0 = np.linalg.inv(G)
     P0 = (P0 + P0.T) / 2.0
     return RlsState(P0, P0 @ (H0.T @ T0))

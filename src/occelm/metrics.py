@@ -57,9 +57,7 @@ def confuse(decisions: Decisions, labels) -> ConfusionCounts:
     predicted = decisions.is_target
     actual = np.asarray(labels, dtype=bool)
     if predicted.shape != actual.shape:
-        raise DimensionMismatch(
-            f"{predicted.shape[0]} decisions vs {actual.shape[0]} labels"
-        )
+        raise DimensionMismatch(f"{predicted.shape[0]} decisions vs {actual.shape[0]} labels")
     if predicted.size == 0:
         raise TooFewSamples("need at least one decision")
     return ConfusionCounts(

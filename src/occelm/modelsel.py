@@ -29,7 +29,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .dataset import as_rows, value_text, write_table
-from .errors import OccelmError, TooFewSamples
+from .errors import FIT_FAILURES, BadArgument, OccelmError, TooFewSamples
 from .featuremap import cpu_count
 
 C_GRID: list[float] = [10.0**e for e in range(-8, 9)]
@@ -40,11 +40,11 @@ DEFAULT_SIGMA_COUNT = 20
 def error_threshold(fracrej: float, sigma_thr: float, M: int) -> float:
     """Maximum tolerated target-rejection fraction for fold size M."""
     if M < 1:
-        raise ValueError("M must be >= 1")
+        raise BadArgument("M must be >= 1")
     if not 0.0 <= fracrej < 1.0:
-        raise ValueError("fracrej must lie in [0, 1)")
+        raise BadArgument("fracrej must lie in [0, 1)")
     if not 0.0 <= sigma_thr < math.inf:  # NAN fails this too
-        raise ValueError(
+        raise BadArgument(
             "sigma_thr must be >= 0" if sigma_thr < 0 else "sigma_thr must be finite"
         )
     return fracrej + sigma_thr * math.sqrt(fracrej * (1.0 - fracrej) / M)
@@ -64,17 +64,17 @@ def sigma_grid(X, count: int = DEFAULT_SIGMA_COUNT) -> np.ndarray:
     nonzero pairwise distances of the rows."""
     rows = as_rows(X)
     if rows.shape[0] < 2:
-        raise ValueError("sigma_grid needs at least 2 rows")
+        raise BadArgument("sigma_grid needs at least 2 rows")
     if count < 2:
-        raise ValueError("count must be >= 2")
+        raise BadArgument("count must be >= 2")
     d = nonzero_distances(rows)
     return np.geomspace(d.min(), d.max(), count)
 
 
 def check_folds(folds: int) -> None:
-    """ValueError unless there are at least 2 folds."""
+    """BadArgument unless there are at least 2 folds."""
     if folds < 2:
-        raise ValueError("folds must be >= 2")
+        raise BadArgument("folds must be >= 2")
 
 
 @dataclass
@@ -120,7 +120,7 @@ def _scan_share(scan, groups, Cs, splits, share):
                     break
                 try:
                     verdicts = scan({**groups[i], "C": alive} if Cs else dict(groups[i]), fold)
-                except OccelmError:
+                except FIT_FAILURES:
                     verdicts = [None] * len(alive)
                 for C, is_target in zip(alive, verdicts, strict=True):
                     if is_target is None:
@@ -214,24 +214,24 @@ def select(
     scan(params, (train_rows, val_rows)) once; params["C"] lists the C
     values not yet failed (absent when the grid has no C). scan returns per
     C, in order, the is-target array of the validation rows or None for a
-    fit that failed with a toolbox error (one item without C); an
-    OccelmError from scan fails every C of the call. A failed C records
-    rejection NAN, is not fitted again and is never selectable; if nothing
-    is consistent the minimum-rejection combination is returned with
-    diagnostics.consistent False.
+    fit that failed with one of FIT_FAILURES (one item without C); one that
+    scan raises fails every C of the call, any other error ends select. A
+    failed C records rejection NAN, is not fitted again and is never
+    selectable; if nothing is consistent the minimum-rejection combination
+    is returned with diagnostics.consistent False.
 
     scan may run in a forked child (_scan_groups): only its return value
     reaches select. The result does not depend on the CPU count.
     """
     check_folds(folds)
     if not grids or any(len(v) == 0 for v in grids.values()):
-        raise ValueError("every grid must be nonempty")
+        raise BadArgument("every grid must be nonempty")
     if not 0.0 < fracrej < 1.0:
-        raise ValueError("fracrej must lie in (0, 1)")
+        raise BadArgument("fracrej must lie in (0, 1)")
     rows = as_rows(X)
     N = rows.shape[0]
     if N < folds:
-        raise ValueError(f"need at least folds={folds} rows, got {N}")
+        raise BadArgument(f"need at least folds={folds} rows, got {N}")
     M = N // folds
     err_thr = error_threshold(fracrej, sigma_thr, M)
     fold_of = fold_assignment(N, folds, seed)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, ZScoreStats, as_rows, identity_stats, require_finite, zscore_apply
-from .errors import OccelmError, Thr3NotApplicable
+from .errors import FIT_FAILURES, Thr3NotApplicable
 from .featuremap import (
     KernelSpec,
     hidden_apply,
@@ -103,9 +103,7 @@ def fit_threshold(
     its training errors, and the fitted cut (NAN for thr3, which decides
     per sample at score time)."""
     if family == BOUNDARY and tspec.kind == THR3:
-        raise Thr3NotApplicable(
-            "thr3 needs per-feature outputs; boundary models have one"
-        )
+        raise Thr3NotApplicable("thr3 needs per-feature outputs; boundary models have one")
     errors = _compared(family, tspec.kind, base)
     if tspec.kind == THR1:
         return errors, thr1_fit(errors, tspec.fracrej)
@@ -211,7 +209,7 @@ def scan_c(
 ) -> list[np.ndarray | None]:
     """The selection scan at one fold: per C, the is-target verdicts on rows
     Ys of a model trained on rows Xs, both normalized, or None if its fit
-    raised a toolbox error (not kept: it would pin its traceback's frames).
+    raised one of FIT_FAILURES (not kept: it would pin its traceback's frames).
     Bit-identical to _train and score per C."""
     zstats = identity_stats(Xs.shape[1])
     mapping, basis, fit = _feature_stage(family, Xs, mapping, tspec, seed, zstats)
@@ -221,7 +219,7 @@ def scan_c(
         try:
             model = fit(float(C))
             verdicts.append(decide(model, Ys, cross @ model.beta).is_target)
-        except OccelmError:
+        except FIT_FAILURES:
             verdicts.append(None)
     return verdicts
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, ZScoreStats, as_rows, identity_stats, zscore_apply
-from .errors import AlreadyFinalized, NotFinalized, TooFewSamples
+from .errors import AlreadyFinalized, BadArgument, NotFinalized, TooFewSamples
 from .featuremap import HiddenLayer, hidden_apply
 from .linsolve import RlsState, rls_init, rls_update
 from .offline import (
@@ -68,9 +68,11 @@ def os_init(
     zstats: ZScoreStats | None = None,
     block: int | None = None,
 ) -> OnlineModel:
-    """Initialization phase on the first chunk (N0 >= layer.m rows)."""
+    """Initialization phase on the first chunk (N0 >= layer.m rows); block defaults to N0."""
     if family not in (BOUNDARY, RECONSTRUCTION):
-        raise ValueError(f"family must be {BOUNDARY!r} or {RECONSTRUCTION!r}")
+        raise BadArgument(f"family must be {BOUNDARY!r} or {RECONSTRUCTION!r}")
+    if block is not None and block < 1:
+        raise BadArgument("block must be >= 1")
     raw = as_rows(X0)
     if zstats is None:
         zstats = identity_stats(raw.shape[1])
@@ -83,7 +85,7 @@ def os_init(
         rls=rls,
         zstats=zstats,
         n0=Xs.shape[0],
-        block=block or Xs.shape[0],
+        block=Xs.shape[0] if block is None else block,
         retained_rows=[Xs],
     )
 

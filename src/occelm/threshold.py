@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import round_half_up
-from .errors import DimensionMismatch, TooFewSamples
+from .errors import BadArgument, DimensionMismatch, TooFewSamples
 
 THR1 = "thr1"
 THR2 = "thr2"
@@ -42,9 +42,9 @@ class ThresholdSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in THRESHOLD_KINDS:
-            raise ValueError(f"kind must be one of {THRESHOLD_KINDS}")
+            raise BadArgument(f"kind must be one of {THRESHOLD_KINDS}")
         if not 0.0 <= self.fracrej < 1.0:
-            raise ValueError("fracrej must lie in [0, 1)")
+            raise BadArgument("fracrej must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def thr1_fit(errors: np.ndarray, fracrej: float) -> float:
     if errors.size == 0:
         raise TooFewSamples("thr1_fit needs at least one error")
     if not 0.0 <= fracrej < 1.0:
-        raise ValueError("fracrej must lie in [0, 1)")
+        raise BadArgument("fracrej must lie in [0, 1)")
     ordered = np.sort(errors)[::-1]
     index = round_half_up(fracrej * errors.size)
     index = min(max(index, 1), errors.size)
@@ -106,9 +106,7 @@ def relative_errors(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     actual = np.atleast_1d(np.asarray(actual, dtype=float))
     predicted = np.atleast_1d(np.asarray(predicted, dtype=float))
     if actual.shape != predicted.shape:
-        raise DimensionMismatch(
-            f"shapes differ: {actual.shape} vs {predicted.shape}"
-        )
+        raise DimensionMismatch(f"shapes differ: {actual.shape} vs {predicted.shape}")
     num = np.abs(actual - predicted)
     den = np.abs(actual + predicted)
     err = np.where(num < _SINGULAR_EPS, 0.0, 1.0)

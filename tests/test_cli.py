@@ -12,6 +12,8 @@ import pytest
 
 from conftest import perfbench_module, run_cli
 
+import occelm.cli
+
 from occelm.bench import NODE_NAMES, VARIANTS, parse_variant
 from occelm.cli import _resolve_run, build_parser, main
 from occelm.dataset import Dataset, gen_ring, load_csv, value_text, write_csv
@@ -851,12 +853,44 @@ class TestBadFlagValues:
         assert proc.stdout == ""
 
 
+class TestDefectsPropagate:
+    """Only a toolbox refusal or an OSError becomes an `error:` line. Any
+    other exception raised inside a command is a defect: it leaves main
+    with its traceback. numpy's LinAlgError, a ValueError, once exited 1
+    as if the input were at fault, and a builtin KeyError exited 2."""
+
+    @pytest.mark.parametrize("error", [
+        np.linalg.LinAlgError("injected"), ValueError("injected"), KeyError("injected"),
+    ], ids=["LinAlgError", "ValueError", "KeyError"])
+    def test_propagates(self, tmp_path, monkeypatch, capsys, error):
+        def write_csv(data, path):
+            raise error
+
+        monkeypatch.setattr(occelm.cli, "write_csv", write_csv)
+        with pytest.raises(type(error), match="injected"):
+            main(["gen", "ring", "--seed", "1", "-o", str(tmp_path / "r.csv")])
+        assert capsys.readouterr() == ("", "")
+
+
 def _refused(argv, capsys, message):
     """argv exits 1 with nothing on stdout and exactly one error line."""
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"1,2\n\xff,3\n", "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
+    (b"1," + b"2" * 140_000 + b"\n", "field larger than field limit (131072)"),
+], ids=["not-utf-8", "long-cell"])
+def test_unreadable_table(tmp_path, capsys, raw, message):
+    """A table that is no UTF-8, or holds a cell past csv's 128 KiB limit,
+    is a ParseError; the long cell once ended in a csv.Error traceback."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(raw)
+    argv = ["train", "ockelm_thr1", str(path), "--seed", "1", "-o", str(tmp_path / "m.occ")]
+    _refused(argv, capsys, message)
 
 
 class TestErrorMessages:

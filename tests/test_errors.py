@@ -20,7 +20,7 @@ from occelm.threshold import apply_threshold, thr1_fit
 CLASSES = {
     "OccelmError", "ParseError", "TooFewSamples", "DimensionMismatch", "MissingLabels",
     "SingularSystem", "RankDeficient", "Thr3NotApplicable", "NonFiniteOutput",
-    "AlreadyFinalized", "NotFinalized", "ModelFormatError",
+    "AlreadyFinalized", "NotFinalized", "ModelFormatError", "BadArgument", "UsageError",
 }
 
 

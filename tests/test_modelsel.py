@@ -7,7 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from occelm.errors import OccelmError, TooFewSamples
+import occelm.offline
+from occelm.errors import (
+    FIT_FAILURES,
+    BadArgument,
+    DimensionMismatch,
+    NonFiniteOutput,
+    OccelmError,
+    RankDeficient,
+    SingularSystem,
+    TooFewSamples,
+)
+from occelm.featuremap import rbf_kernel
 from occelm.modelsel import (
     C_GRID,
     error_threshold,
@@ -16,12 +27,14 @@ from occelm.modelsel import (
     sigma_grid,
     write_diagnostics,
 )
+from occelm.offline import BOUNDARY, scan_c
+from occelm.threshold import ThresholdSpec
 
 
 def _scanner(point):
     """Scanner (see select) from point(params, train_rows, val_rows), which
-    gives the validation verdicts of one grid point; a point raising a
-    toolbox error gives None for its C, as the library scanner does."""
+    gives the validation verdicts of one grid point; a point raising one
+    of FIT_FAILURES gives None for its C, as the library scanner does."""
 
     def scan(params, fold):
         train, val = fold
@@ -31,7 +44,7 @@ def _scanner(point):
         for C in params["C"]:
             try:
                 out.append(point({**params, "C": C}, train, val))
-            except OccelmError:
+            except FIT_FAILURES:
                 out.append(None)
         return out
 
@@ -233,7 +246,7 @@ class TestSelect:
         @_scanner
         def trainer(params, train_rows, val):
             if params["C"] == 1.0:
-                raise OccelmError("unstable")
+                raise SingularSystem("unstable")
             return np.ones(len(val), dtype=bool)
 
         params, diag = _select(trainer, self._rows(), {"C": [1.0, 10.0]})
@@ -244,9 +257,9 @@ class TestSelect:
 
     def test_all_failures_raise(self):
         def trainer(params, fold):
-            raise OccelmError("nope")
+            raise SingularSystem("nope")
 
-        with pytest.raises(OccelmError):
+        with pytest.raises(OccelmError, match="every grid point failed"):
             _select(trainer, self._rows(), {"C": [1.0, 2.0]})
 
     def test_folds_are_paired_across_grid(self, tmp_path):
@@ -334,7 +347,7 @@ class TestScannerContract:
         def scan(params, fold):
             log.add(params["m"])
             if params["m"] == 5:
-                raise OccelmError("rank deficient")
+                raise RankDeficient("rank deficient")
             return [np.ones(len(fold[1]), dtype=bool)]
 
         params, diag = _select(scan, self._rows(), {"m": [5, 9]}, folds=4)
@@ -345,7 +358,7 @@ class TestScannerContract:
     def test_raising_scanner_fails_every_c_of_its_group(self):
         def scan(params, fold):
             if params["sigma"] == 0.5 and fold[1].shape[0] == 13:
-                raise OccelmError("feature stage failed")
+                raise NonFiniteOutput("feature stage failed")
             return [np.ones(len(fold[1]), dtype=bool) for _ in params["C"]]
 
         grids = {"sigma": [0.5, 1.0], "C": [1.0, 2.0]}
@@ -371,6 +384,60 @@ class TestScannerContract:
                 lambda params, fold: [np.ones(len(fold[1]), bool)],
                 self._rows(), {"C": [1.0, 2.0]},
             )
+
+
+class TestFitFailures:
+    """Only errors.FIT_FAILURES make a NAN point; any other error, a shape
+    bug or a bad grid value, ends the selection."""
+
+    X = np.random.default_rng(8).normal(0.0, 1.0, (30, 2))
+
+    @staticmethod
+    def _failing_at_m5(error):
+        def scan(params, fold):
+            if params["m"] == 5:
+                raise error
+            return [np.ones(len(fold[1]), dtype=bool)]
+
+        return scan
+
+    def test_the_tuple(self):
+        assert FIT_FAILURES == (SingularSystem, RankDeficient, NonFiniteOutput, TooFewSamples)
+
+    @pytest.mark.parametrize("cls", FIT_FAILURES, ids=lambda cls: cls.__name__)
+    def test_fit_failure_records_nan(self, cls):
+        params, diag = _select(self._failing_at_m5(cls("injected")), self.X, {"m": [5, 9]})
+        assert params == {"m": 9}
+        assert [math.isnan(p.rejection) for p in diag.points] == [True, False]
+
+    @pytest.mark.parametrize("error", [
+        DimensionMismatch("injected shape bug"), BadArgument("injected bad grid value"),
+    ], ids=["DimensionMismatch", "BadArgument"])
+    def test_other_error_ends_the_selection(self, error):
+        with pytest.raises(type(error), match="injected"):
+            _select(self._failing_at_m5(error), self.X, {"m": [5, 9]})
+
+    @pytest.mark.parametrize("cls", [*FIT_FAILURES, DimensionMismatch],
+                             ids=lambda cls: cls.__name__)
+    def test_offline_scan_c(self, monkeypatch, cls):
+        """scan_c gives None for a C whose solve raises a fit failure and
+        passes any other error on."""
+        real = occelm.offline.solve_regularized
+
+        def solve(omega, T, C):
+            if C == 10.0:
+                raise cls("injected")
+            return real(omega, T, C)
+
+        monkeypatch.setattr(occelm.offline, "solve_regularized", solve)
+        args = (BOUNDARY, self.X[:20], self.X[20:], rbf_kernel(1.0), [1.0, 10.0],
+                ThresholdSpec("thr1"), 0)
+        if cls is DimensionMismatch:
+            with pytest.raises(DimensionMismatch, match="injected"):
+                scan_c(*args)
+        else:
+            verdicts = scan_c(*args)
+            assert verdicts[0].shape == (10,) and verdicts[1] is None
 
 
 class TestSelectionConfig:
@@ -408,7 +475,7 @@ class TestWriteDiagnostics:
         @_scanner
         def trainer(params, train_rows, val):
             if params["C"] == 2.0:
-                raise OccelmError("fails")
+                raise SingularSystem("fails")
             return np.ones(len(val), dtype=bool)
 
         rng = np.random.default_rng(5)

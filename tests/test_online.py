@@ -6,6 +6,7 @@ import pytest
 from occelm.dataset import zscore_fit, Dataset
 from occelm.errors import (
     AlreadyFinalized,
+    BadArgument,
     DimensionMismatch,
     NotFinalized,
     Thr3NotApplicable,
@@ -50,6 +51,17 @@ class TestOsInit:
         """The initialization chunk must cover the hidden dimension."""
         with pytest.raises(TooFewSamples, match="^N0=5 < m=10; grow the initial chunk$"):
             os_init("boundary", _layer(m=10), _cloud(3, count=5))
+
+    @pytest.mark.parametrize("block", [0, -5])
+    def test_block_below_one_refused(self, block):
+        """block=0 once became N0 without a word; block=-5 was kept, saved,
+        and refused only when the file was loaded."""
+        with pytest.raises(BadArgument, match="^block must be >= 1$"):
+            os_init("boundary", _layer(), _cloud(4, count=20), block=block)
+
+    def test_block_defaults_to_n0(self):
+        assert os_init("boundary", _layer(), _cloud(4, count=20)).block == 20
+        assert os_init("boundary", _layer(), _cloud(4, count=20), block=3).block == 3
 
     def test_family_checked(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from occelm.bench import (
     score_model,
     selection_grids,
 )
-from occelm.errors import DimensionMismatch, OccelmError
+from occelm.errors import FIT_FAILURES, NonFiniteOutput, OccelmError
 from occelm.modelsel import error_threshold, fold_assignment, select
 
 _C = [1e-2, 1.0, 1e8, 1e16]
@@ -77,7 +77,7 @@ def _reference(case, X, grids, fold_seed, seed):
                 is_target = score_model(model, X[fold_of == j]).is_target
                 rejections.append(1.0 - float(is_target.mean()))
             rejection = float(np.mean(rejections))
-        except OccelmError:
+        except FIT_FAILURES:
             rejection = math.nan
         points.append((params, rejection, not math.isnan(rejection) and rejection <= err_thr))
 
@@ -152,7 +152,7 @@ def test_some_c_fail_and_others_do_not():
 
 
 def test_feature_stage_failing_at_one_fold(monkeypatch):
-    """A feature stage that raises a toolbox error at one (sigma, fold)
+    """A feature stage that raises a fit failure at one (sigma, fold)
     fails every C of that sigma, in the scan as in the reference."""
     real = occelm.offline.kernel_gram
     X = _rows(5, 30, 3, 0)
@@ -161,7 +161,7 @@ def test_feature_stage_failing_at_one_fold(monkeypatch):
         # the Gram matrix of the one fold that validates on row 0
         gram = A.shape[0] > 10 and not (A == X[0]).all(axis=1).any()
         if spec.sigma == 2.0 and gram:
-            raise DimensionMismatch("injected feature-stage failure")
+            raise NonFiniteOutput("injected feature-stage failure")
         return real(spec, A, B)
 
     monkeypatch.setattr(occelm.offline, "kernel_gram", flaky)

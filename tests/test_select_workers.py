@@ -15,7 +15,7 @@ from conftest import run_code
 
 import occelm.modelsel
 from occelm.dataset import Dataset, write_csv
-from occelm.errors import OccelmError
+from occelm.errors import NonFiniteOutput
 from occelm.featuremap import kernel_gram, polynomial_kernel
 from occelm.modelsel import select
 
@@ -108,15 +108,15 @@ def test_select_bytes_match_one_cpu(vid, tmp_path):
 
 def _toolbox_error_at_sigma_1(sigma):
     if sigma == 1.0:
-        raise OccelmError("feature stage failed")
+        raise NonFiniteOutput("feature stage failed")
 
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("fail", [None, _toolbox_error_at_sigma_1], ids=["ok", "toolbox-error"])
 def test_children_give_the_result_of_one_loop(workers, k, fail):
-    """The points of 1, 2 or 3 workers agree; an OccelmError in a child's
-    group fails that group's points (NAN), as in one loop, and is not
-    raised."""
+    """The points of 1, 2 or 3 workers agree; a fit failure (one of
+    errors.FIT_FAILURES) in a child's group fails that group's points
+    (NAN), as in one loop, and is not raised."""
     scan = _scan(fail) if fail else _scan()
     workers(1)
     expected = _outcome(_select(scan))

@@ -11,8 +11,8 @@ the manifest holds the exit code and the sha256 of stdout, of stderr
 without its timing lines (`train ...s`, `run N: train ...s`) and of every
 file the command created or changed. The inputs are perfbench's 699x9
 table (perfbench/workloads.py::write_table, run from its source), `gen`
-output, the tiny malformed tables of INPUTS and b3.occ, a boundary model
-edited to claim thr3. --compare prints each command whose entries differ,
+output, the tiny malformed tables of INPUTS and the edited models of
+EDITED. --compare prints each command whose entries differ,
 with the parts that differ (exit, stdout, stderr, or `file <name>`), and
 exits 1 if any do.
 """
@@ -44,6 +44,37 @@ COMMANDS = ("gen", "train", "score", "bench", "select", "grid")
 INPUTS = {"empty.csv": "", "header.csv": "a,b,label\n", "ragged.csv": "1,2,+1\n3,4\n",
           "outliers.csv": "1,2,-1\n3,5,-1\n", "targets.csv": "1,2,+1\n3,5,+1\n4,1,+1\n",
           "same.csv": "1,2\n1,2\n1,2\n"}
+# models that commands below refuse: name -> (model it is edited from, pattern, replacement)
+EDITED = {"b3.occ": ("ockelm_thr1.sel.occ",  # a boundary model claiming thr3
+                     r"tspec thr1 (.*)\nthresh .*", r"tspec thr3 \1\nthresh nan"),
+          "sigma.occ": ("ring.occ", r"kparam sigma .*", "kparam sigma -1")}
+# one command per argument or usage refusal the CLI reaches
+REFUSALS = [
+    ["train", "ockelm_thr1", *TABLE, "--node-type", "sig", "-o", "x.occ"],
+    ["train", "os_ocelm_thr1", *TABLE, "--kernel", "rbf", "-o", "x.occ"],
+    ["train", "ockelm_thr1_sig", *TABLE, "-o", "x.occ"],
+    ["train", "ocelm_thr1_rbf", *TABLE, "--node-type", "sig", "-o", "x.occ"],
+    ["train", "ockelm_thr1", *TABLE, "--folds", "3", "-o", "x.occ"],
+    ["train", "ockelm_thr1", *TABLE, "--select", "--c-reg", "1", "-o", "x.occ"],
+    ["select", "ockelm_thr1", *TABLE, "--c-reg", "1"],
+    ["train", "ockelm_thr1", *TABLE, "--kernel", "wavelet", "--kern-par", "1e200", "-o", "x.occ"],
+    ["train", "ockelm_thr1", *TABLE, "--kernel", "wavelet", "--kern-par", "1e-300", "-o", "x.occ"],
+    ["train", "ockelm_thr1", *TABLE, "--kernel", "polynomial", "--kern-par", "2.5", "-o", "x.occ"],
+    ["train", "ockelm_thr1", *TABLE, "--kern-par", "0", "-o", "x.occ"],
+    ["train", "ockelm_thr1", *TABLE, "--c-reg", "-1", "-o", "x.occ"],
+    ["train", "ockelm_thr1", *TABLE, "--fracrej", "1.5", "-o", "x.occ"],
+    ["bench", "ocelm_thr1", *TABLE, "--fracrej", "-0.5", "--runs", "1"],
+    ["select", "ockelm_thr1", *TABLE, "--fracrej", "0"],
+    ["select", "ockelm_thr1", *TABLE, "--sigma-thr", "-1"],
+    ["select", "ockelm_thr1", *TABLE, "--sigma-thr", "nan"],
+    ["select", "ockelm_thr1", *TABLE, "--folds", "1"],
+    ["select", "ocelm_thr1", "same.csv", "--seed", "7", "--folds", "9"],
+    ["gen", "ring", "--radius", "0", "--seed", "1", "-o", "r0.csv"],
+    ["gen", "ring", "--radius", "inf", "--seed", "1", "-o", "r0.csv"],
+    ["gen", "banana", "--noise-std", "nan", "--seed", "1", "-o", "r0.csv"],
+    ["gen", "ring", "--noise-std", "-1", "--seed", "1", "-o", "r0.csv"],
+    ["score", "sigma.occ", "table.csv"],
+]
 
 
 def commands() -> list[list[str]]:
@@ -88,7 +119,7 @@ def commands() -> list[list[str]]:
                                       ("train", "ragged.csv", ["-o", "x.occ"]),
                                       ("train", "outliers.csv", ["-o", "x.occ"]),
                                       ("bench", "outliers.csv", []), ("bench", "targets.csv", [])]]
-    return cmds + [["select", "ockelm_thr1", "same.csv", "--seed", "7"]]
+    return cmds + [["select", "ockelm_thr1", "same.csv", "--seed", "7"], *REFUSALS]
 
 
 def _sha(data: bytes) -> str:
@@ -120,10 +151,10 @@ def audit(src: Path) -> dict[str, dict]:
         for name, text in INPUTS.items():
             (cwd / name).write_text(text)
         for argv in commands():
-            if argv[1:2] == ["b3.occ"]:  # a boundary model claiming thr3
-                text = (cwd / "ockelm_thr1.sel.occ").read_text()
-                text = re.sub(r"tspec thr1 (.*)\nthresh .*", r"tspec thr3 \1\nthresh nan", text)
-                (cwd / "b3.occ").write_text(text)
+            for name in EDITED.keys() & argv:  # an edited model the command reads
+                source, pattern, replacement = EDITED[name]
+                text = re.sub(pattern, replacement, (cwd / source).read_text())
+                (cwd / name).write_text(text)
             before = _files(cwd)
             proc = subprocess.run([sys.executable, "-m", "occelm", *argv], cwd=cwd,
                                   env=env, capture_output=True, timeout=600)
