@@ -193,15 +193,18 @@ def cmd_select(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    r, (xmin, xmax, ymin, ymax) = args.resolution, args.bounds
     if not np.isfinite(args.bounds).all():
         raise BadArgument("bounds must be finite")
+    with np.errstate(all="ignore"):  # judged just below
+        xs, ys = np.linspace(xmin, xmax, r), np.linspace(ymin, ymax, r)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise BadArgument("--bounds make the lattice overflow")
     model = load_model(args.model)
     if model.zstats.feature_count != 2:
         raise DimensionMismatch(
             f"grid export needs a 2-feature model, got {model.zstats.feature_count}"
         )
-    r, (xmin, xmax, ymin, ymax) = args.resolution, args.bounds
-    xs, ys = np.linspace(xmin, xmax, r), np.linspace(ymin, ymax, r)
     points = np.column_stack([np.repeat(xs, r), np.tile(ys, r)])  # x outer, y inner
     decisions = score_model(model, points)
 

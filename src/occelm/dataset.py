@@ -219,7 +219,7 @@ def zscore_fit(train: Dataset) -> ZScoreStats:
     """Per-feature mean and sample std (ddof=1) of the training rows."""
     if train.sample_count < 2:
         raise TooFewSamples("zscore_fit needs at least 2 rows for a sample std")
-    with np.errstate(over="ignore", invalid="ignore"):  # judged just below
+    with np.errstate(all="ignore"):  # judged just below
         mean, std = train.samples.mean(axis=0), train.samples.std(axis=0, ddof=1)
     if not (np.isfinite(mean).all() and np.isfinite(std).all()):
         raise NonFiniteOutput("a feature's mean or sample std overflowed to inf")
@@ -293,6 +293,12 @@ def _check_noise_std(noise_std: float) -> None:
         )
 
 
+def _drawn(pts: np.ndarray, noise_std: float) -> Dataset:
+    if not np.isfinite(pts).all():  # Dataset would refuse them naming no parameter
+        raise BadArgument(f"noise_std {noise_std:g} makes the drawn rows overflow")
+    return Dataset(pts, None, ["x", "y"])
+
+
 def gen_banana(count: int, noise_std: float = 1.0, seed: int = 0) -> Dataset:
     """Banana-shaped 2-D data: a half-annulus arc of radius 5 with angles
     uniform in [-pi/2, pi/2], plus isotropic Gaussian noise."""
@@ -303,7 +309,7 @@ def gen_banana(count: int, noise_std: float = 1.0, seed: int = 0) -> Dataset:
     theta = rng.uniform(-np.pi / 2, np.pi / 2, count)
     pts = np.column_stack([5.0 * np.cos(theta), 5.0 * np.sin(theta)])
     pts += rng.normal(0.0, noise_std, (count, 2)) if noise_std > 0 else 0.0
-    return Dataset(pts, None, ["x", "y"])
+    return _drawn(pts, noise_std)
 
 
 def gen_ring(
@@ -319,6 +325,4 @@ def gen_ring(
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * np.pi, count)
     r = radius + (rng.normal(0.0, noise_std, count) if noise_std > 0 else 0.0)
-    return Dataset(
-        np.column_stack([r * np.cos(theta), r * np.sin(theta)]), None, ["x", "y"]
-    )
+    return _drawn(np.column_stack([r * np.cos(theta), r * np.sin(theta)]), noise_std)

@@ -6,11 +6,9 @@ working. The CLI exits 2 for a UsageError and 1 for any other OccelmError or
 an OSError. FIT_FAILURES are the failures a fit can meet at a valid grid
 point: selection records that point as NAN, and any other error ends it.
 
-Three builtins stay: save_model's TypeError for an object that is no model
-(a caller's programming error), a dead selection worker's ChildProcessError
-(an OSError) and the RuntimeError carrying a worker's error that pickle
-cannot send. Anything else ends in a traceback: a defect, or a refused
-allocation (MemoryError), which is a limit of the machine, not a bad input.
+One builtin stays: save_model's TypeError for an object that is no model
+(a caller's programming error). Anything else ends in a traceback: a defect,
+or a refused allocation (MemoryError), a limit of the machine, not a bad input.
 """
 
 

@@ -212,8 +212,8 @@ if hasattr(os, "register_at_fork"):
 
 def _each_tile(work, rows: int, cells_per_row: int) -> None:
     """Call work(slice) on consecutive row slices of at most TILE_CELLS cells
-    (at least one row), worker k taking every k-th; pool threads run in a copy
-    of the caller's context (np.errstate holds) and their errors raise here."""
+    (at least one row), worker k taking every k-th; pool threads run in a copy of
+    the caller's context (np.errstate holds, numpy >= 2) and their errors raise here."""
     step = max(1, TILE_CELLS // max(1, cells_per_row))
     tiles = [slice(start, start + step) for start in range(0, rows, step)]
     pool, workers = _tile_pool()

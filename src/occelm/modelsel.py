@@ -17,6 +17,7 @@ combination of the other grid values and fold.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -108,92 +109,81 @@ def fold_assignment(N: int, folds: int, rng_seed: int) -> np.ndarray:
 
 
 def _scan_share(scan, groups, Cs, splits, share):
-    """(index, {C: mean fold rejection, NAN once a fit failed}, None) for
-    each group of share in order; a group that raises ends it with (index,
-    None, error). C is None without a C grid."""
+    """{C: mean fold rejection, NAN once a fit failed} for each group of share
+    in order, C None without a C grid; any other error raises here."""
     for i in share:
         runs = {C: [] for C in Cs or [None]}  # per-fold rejections or None
-        try:
-            for fold in splits:
-                alive = [C for C, r in runs.items() if r is not None]
-                if not alive:
-                    break
-                try:
-                    verdicts = scan({**groups[i], "C": alive} if Cs else dict(groups[i]), fold)
-                except FIT_FAILURES:
-                    verdicts = [None] * len(alive)
-                for C, is_target in zip(alive, verdicts, strict=True):
-                    if is_target is None:
-                        runs[C] = None
-                    else:
-                        runs[C].append(1.0 - float(np.asarray(is_target, bool).mean()))
-        except Exception as exc:  # _scan_groups raises it, in grid order
-            yield i, None, exc
-            return
-        yield i, {C: math.nan if r is None else float(np.mean(r)) for C, r in runs.items()}, None
-
-
-def _portable(record) -> bytes:
-    """The pickled record; its error becomes a RuntimeError naming its class
-    and message when pickle cannot send or rebuild it."""
-    try:
-        pickle.loads(data := pickle.dumps(record))
-        return data
-    except Exception:
-        i, _, exc = record
-        return pickle.dumps((i, None, RuntimeError(f"{type(exc).__qualname__}: {exc}")))
+        for fold in splits:
+            alive = [C for C, r in runs.items() if r is not None]
+            if not alive:
+                break
+            try:
+                verdicts = scan({**groups[i], "C": alive} if Cs else dict(groups[i]), fold)
+            except FIT_FAILURES:
+                verdicts = [None] * len(alive)
+            for C, is_target in zip(alive, verdicts, strict=True):
+                if is_target is None:
+                    runs[C] = None
+                else:
+                    runs[C].append(1.0 - float(np.asarray(is_target, bool).mean()))
+        yield {C: math.nan if r is None else float(np.mean(r)) for C, r in runs.items()}
 
 
 def _scan_groups(scan, groups: list[dict], Cs, splits) -> list[dict]:
     """Each group's rejections (_scan_share): the caller scans every k-th
-    group, and a forked child per further CPU one share each (the caller
-    runs a share whose fork fails). The first group in grid order that
-    raised raises here; every child is reaped before this returns."""
+    group, and a forked child per further CPU one share each, pickling its
+    rejections in order up to a group that raises. The caller scans a share
+    itself from its first missing record, so every error, the first in grid
+    order, is raised by its own scan; every child is reaped before this returns."""
     workers = min(cpu_count(), len(groups)) if hasattr(os, "fork") else 1
-    mine, children, done, errors = list(range(0, len(groups), workers)), [], {}, {}
+    children, done, errors = [], {}, {}
+
+    def run(share):  # on the caller; a group's error waits for any earlier group's
+        records = _scan_share(scan, groups, Cs, splits, share)
+        for i in share:
+            try:
+                done[i] = next(records)
+            except Exception as exc:
+                errors[i] = exc
+                return
+
     try:
         for k in range(1, workers):
-            share, (read_fd, write_fd) = range(k, len(groups), workers), os.pipe()
-            try:
-                with warnings.catch_warnings():  # Python 3.12+ warns when a threaded process forks
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                mine += share
-                continue
+            share, (read_fd, write_fd), pid = range(k, len(groups), workers), os.pipe(), None
+            # a failed fork leaves the pipe empty; Python 3.12+ warns when a threaded process forks
+            with contextlib.suppress(OSError), warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
             if pid == 0:  # pickle the records, leave without flushing inherited buffers
                 try:
                     with open(write_fd, "wb") as out:
-                        for record in _scan_share(scan, groups, Cs, splits, share):
-                            out.write(_portable(record))
+                        for rejections in _scan_share(scan, groups, Cs, splits, share):
+                            pickle.dump(rejections, out)
                 finally:
                     os._exit(0)
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb"), share))
-        for i, rejections, exc in _scan_share(scan, groups, Cs, splits, sorted(mine)):
-            done[i] = rejections
-            errors.update({i: exc} if exc is not None else {})
-        for pid, reader, share in children:
-            for i in share:
+        run(range(0, len(groups), workers))
+        for _, reader, share in children:
+            rest = range(0)
+            for n, i in enumerate(share):
                 if errors and i > min(errors):
                     break  # an earlier group raised; the child is killed below
                 try:
-                    _, done[i], exc = pickle.load(reader)
-                except (EOFError, pickle.UnpicklingError):
-                    raise ChildProcessError(
-                        f"selection worker {pid} sent no result for group {i}"
-                    ) from None
-                errors.update({i: exc} if exc is not None else {})
+                    done[i] = pickle.load(reader)
+                except (EOFError, pickle.UnpicklingError):  # it raised, died or never forked
+                    rest = share[n:]
+                    break
+            run(rest)  # outside the except, so no EOFError is chained to its error
         if errors:
             raise errors[min(errors)]
         return [done[i] for i in range(len(groups))]
     finally:
         for pid, reader, _ in children:
             reader.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def select(
@@ -221,7 +211,8 @@ def select(
     is returned with diagnostics.consistent False.
 
     scan may run in a forked child (_scan_groups): only its return value
-    reaches select. The result does not depend on the CPU count.
+    reaches select, and an error it raises is raised again by the caller's
+    own scan of that group. The result does not depend on the CPU count.
     """
     check_folds(folds)
     if not grids or any(len(v) == 0 for v in grids.values()):

@@ -193,7 +193,7 @@ def _train(
     if zstats is None:
         zstats = identity_stats(raw.shape[1])
     Xs = zscore_apply(Dataset(raw), zstats).samples
-    with np.errstate(over="ignore", invalid="ignore"):  # the solver judges
+    with np.errstate(all="ignore"):  # the solver judges
         _, _, fit = _feature_stage(family, Xs, mapping, tspec, seed, zstats)
         return fit(C)
 
@@ -257,6 +257,6 @@ def train_reconstruction(
 
 def score(model: OfflineModel, Y) -> Decisions:
     """Score rows given in the original (pre-normalization) feature space."""
-    with np.errstate(over="ignore", invalid="ignore"):  # require_finite judges
+    with np.errstate(all="ignore"):  # require_finite judges
         Ys = normalized_rows(model, Y)
         return decide(model, Ys, _cross(model.mapping, model.basis, Ys) @ model.beta)

@@ -122,6 +122,6 @@ def os_score(model: OnlineModel, Y) -> Decisions:
     """Score rows (original feature space) against the finalized model."""
     if not model.finalized:
         raise NotFinalized("call os_finalize before scoring")
-    with np.errstate(over="ignore", invalid="ignore"):  # require_finite judges
+    with np.errstate(all="ignore"):  # require_finite judges
         Ys = normalized_rows(model, Y)
         return decide(model, Ys, hidden_apply(model.layer, Ys) @ model.rls.beta)

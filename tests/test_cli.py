@@ -981,3 +981,56 @@ class TestErrorMessages:
         argv = ["gen", shape, "--count", "4", "--seed", "1", flag, value, "-o", str(out)]
         _refused(argv, capsys, message)
         assert not out.exists()
+
+
+class TestOverflowRefusals:
+    """A finite flag value whose derived numbers overflow: one "error:" line
+    naming the flag or the overflow, and no numpy RuntimeWarning before it,
+    run as a fresh interpreter would. The grid span and the drawn rows once
+    failed as "samples contain non-finite values", after a warning from
+    np.linspace for the grid; a tiny rbf width, whose -2 sigma^2 underflows
+    to -0.0, printed a divide-by-zero warning from the Gram tiles."""
+
+    @staticmethod
+    def _model(tmp_path, labeled_csv, sigma=None) -> str:
+        path = tmp_path / "m.occ"
+        main(["train", "ockelm_thr1", labeled_csv, "--label-col", "-1", "--seed", "0",
+              "-o", str(path)])
+        if sigma is not None:
+            text = re.sub(r"kparam sigma .*", f"kparam sigma {sigma}", path.read_text())
+            path.write_text(text)
+        return str(path)
+
+    @staticmethod
+    def _one_error_line(argv, cwd, message):
+        proc = run_cli(argv, cwd)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("bounds, message", [
+        (["-1e308", "1e308", "-1e308", "1e308"], "--bounds make the lattice overflow"),
+        (["-5", "-5", "-5", "1.7976931348623157e308"],
+         "row 3: a z-scored value overflowed to inf or nan"),
+    ], ids=["span", "last-step"])
+    def test_grid_lattice(self, tmp_path, labeled_csv, bounds, message):
+        """The span overflows; or only linspace's last step does, before it
+        sets the last point to the bound, and the finite lattice overflows
+        the model's z-score (the fuzz test found this warning)."""
+        model = self._model(tmp_path, labeled_csv)
+        argv = ["grid", model, "--bounds", *bounds, "--resolution", "4"]
+        self._one_error_line(argv, tmp_path, message)
+
+    @pytest.mark.parametrize("shape", ["ring", "banana"])
+    def test_gen_noise(self, tmp_path, shape):
+        argv = ["gen", shape, "--noise-std", "1e308", "--seed", "1", "-o", "g.csv"]
+        self._one_error_line(argv, tmp_path, "noise_std 1e+308 makes the drawn rows overflow")
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_tiny_rbf_width_at_training(self, tmp_path, labeled_csv):
+        argv = ["train", "ockelm_thr1", labeled_csv, "--label-col", "-1", "--seed", "1",
+                "--kern-par", "1e-300", "-o", "m.occ"]
+        self._one_error_line(argv, tmp_path, "row 0: the Gram matrix overflowed to inf or nan")
+
+    def test_tiny_rbf_width_in_a_model_file(self, tmp_path, labeled_csv):
+        model = self._model(tmp_path, labeled_csv, sigma="1e-300")
+        argv = ["score", model, labeled_csv, "--label-col", "-1"]
+        self._one_error_line(argv, tmp_path, "row 0: the model output overflowed to inf or nan")

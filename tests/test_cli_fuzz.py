@@ -1,15 +1,19 @@
 """Fuzz test of the command line: argv drawn from the parser's own flag
 table, with negative, zero, NAN, infinite, huge and non-numeric values, and
 malformed CSV and model-file bytes. Every run ends in exit 0, 1 or 2 (an
-argparse exit included); no exception leaves main. The sizes that allocate
-(rows, hidden nodes, grid points, runs) are drawn small, so no run can ask
-for more memory than a few MB.
+argparse exit included); no exception leaves main, and no RuntimeWarning
+(numpy's floating-point warnings) is issued: a refusal prints its one error
+line and nothing else. Selection runs on one worker, so its scan's warnings
+are issued in this process. The sizes that allocate (rows, hidden nodes,
+grid points, runs) are drawn small, so no run can ask for more memory than
+a few MB.
 """
 
 import argparse
 import contextlib
 import io
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import occelm.modelsel
 from occelm.cli import build_parser, main
 from occelm.dataset import Dataset, gen_ring, write_csv
 
@@ -97,6 +102,13 @@ def mutations(draw, text: str) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+@pytest.fixture(scope="module", autouse=True)
+def one_selection_worker():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(occelm.modelsel, "cpu_count", lambda: 1)
+        yield
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """Two small tables, a model of each engine and their texts."""
@@ -117,14 +129,21 @@ def workdir(tmp_path_factory):
 
 def run(argv, cwd: Path) -> int:
     """main's exit code for argv with file names in cwd; an argparse exit
-    counts as its code. Any other exception propagates."""
+    counts as its code. Any other exception propagates, and a RuntimeWarning
+    fails the run."""
     names = {*TABLES, *MODELS, "out"}
     argv = [str(cwd / a) if a in names else a for a in argv]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
-            return main(argv)
+            code = main(argv)
         except SystemExit as exc:
-            return exc.code
+            code = exc.code
+    leaks = [f"{w.filename}:{w.lineno}: {w.message}" for w in caught
+             if issubclass(w.category, RuntimeWarning)]
+    assert not leaks, leaks
+    return code
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -152,8 +152,10 @@ def test_forked_child_scores_with_the_parents_bits():
 
 
 def test_numpy_error_state_holds_on_every_tile():
-    """offline runs the Gram under np.errstate(over="ignore"); a tile on a
-    pool thread must honour it as the caller's thread does."""
+    """offline runs the Gram under np.errstate(all="ignore"); a tile on a
+    pool thread must honour it as the caller's thread does, which holds
+    since numpy 2.0 keeps the error state in a context variable (the
+    pyproject floor)."""
     X = np.random.default_rng(2).normal(0.0, 30.0, (300, 3))
     assert TILE_CELLS // X.shape[0] < X.shape[0]  # several tiles
     with warnings.catch_warnings():
