@@ -324,5 +324,6 @@ def gen_ring(
     _check_noise_std(noise_std)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * np.pi, count)
-    r = radius + (rng.normal(0.0, noise_std, count) if noise_std > 0 else 0.0)
+    with np.errstate(over="ignore"):  # _drawn judges
+        r = radius + (rng.normal(0.0, noise_std, count) if noise_std > 0 else 0.0)
     return _drawn(np.column_stack([r * np.cos(theta), r * np.sin(theta)]), noise_std)

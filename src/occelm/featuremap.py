@@ -144,6 +144,8 @@ class KernelSpec:
             raise BadArgument(f"kind must be one of {KERNEL_KINDS}")
         if self.kind == "rbf" and not 0 < (self.sigma or 0) <= MAX_WIDTH:
             raise BadArgument(f"rbf kernel needs 0 < sigma <= {MAX_WIDTH:g}")
+        if self.kind == "rbf" and self.sigma**2 == 0:  # below about 1.5e-162
+            raise BadArgument(f"rbf kernel needs sigma**2 > 0, sigma {self.sigma:g} squares to 0")
         if self.kind == "polynomial":
             # a fractional power of a negative 1 + x.y is nan
             degree = self.degree

@@ -86,10 +86,9 @@ def thr1_fit(errors: np.ndarray, fracrej: float) -> float:
         raise TooFewSamples("thr1_fit needs at least one error")
     if not 0.0 <= fracrej < 1.0:
         raise BadArgument("fracrej must lie in [0, 1)")
-    ordered = np.sort(errors)[::-1]
     index = round_half_up(fracrej * errors.size)
-    index = min(max(index, 1), errors.size)
-    return float(ordered[index - 1])
+    at = errors.size - min(max(index, 1), errors.size)  # ascending, NAN last
+    return float(np.partition(errors, at)[at])
 
 
 def thr2_fit(errors: np.ndarray, std_mult: float = 0.2) -> float:

@@ -989,7 +989,11 @@ class TestOverflowRefusals:
     run as a fresh interpreter would. The grid span and the drawn rows once
     failed as "samples contain non-finite values", after a warning from
     np.linspace for the grid; a tiny rbf width, whose -2 sigma^2 underflows
-    to -0.0, printed a divide-by-zero warning from the Gram tiles."""
+    to -0.0, printed a divide-by-zero warning from the Gram tiles, then
+    failed as an overflowed Gram matrix or model output. KernelSpec now
+    refuses that width by name."""
+
+    TINY = "rbf kernel needs sigma**2 > 0, sigma 1e-300 squares to 0"
 
     @staticmethod
     def _model(tmp_path, labeled_csv, sigma=None) -> str:
@@ -1019,18 +1023,22 @@ class TestOverflowRefusals:
         argv = ["grid", model, "--bounds", *bounds, "--resolution", "4"]
         self._one_error_line(argv, tmp_path, message)
 
-    @pytest.mark.parametrize("shape", ["ring", "banana"])
-    def test_gen_noise(self, tmp_path, shape):
-        argv = ["gen", shape, "--noise-std", "1e308", "--seed", "1", "-o", "g.csv"]
+    @pytest.mark.parametrize("shape, extra", [
+        ("ring", ["--seed", "1"]), ("banana", ["--seed", "1"]),
+        # radius plus noise overflowed in numpy's add, which warned
+        ("ring", ["--radius", "1e308", "--count", "2", "--seed", "4"]),
+    ], ids=["ring", "banana", "ring-radius"])
+    def test_gen_noise(self, tmp_path, shape, extra):
+        argv = ["gen", shape, "--noise-std", "1e308", *extra, "-o", "g.csv"]
         self._one_error_line(argv, tmp_path, "noise_std 1e+308 makes the drawn rows overflow")
         assert not (tmp_path / "g.csv").exists()
 
     def test_tiny_rbf_width_at_training(self, tmp_path, labeled_csv):
         argv = ["train", "ockelm_thr1", labeled_csv, "--label-col", "-1", "--seed", "1",
                 "--kern-par", "1e-300", "-o", "m.occ"]
-        self._one_error_line(argv, tmp_path, "row 0: the Gram matrix overflowed to inf or nan")
+        self._one_error_line(argv, tmp_path, self.TINY)
 
     def test_tiny_rbf_width_in_a_model_file(self, tmp_path, labeled_csv):
         model = self._model(tmp_path, labeled_csv, sigma="1e-300")
         argv = ["score", model, labeled_csv, "--label-col", "-1"]
-        self._one_error_line(argv, tmp_path, "row 0: the model output overflowed to inf or nan")
+        self._one_error_line(argv, tmp_path, f"malformed model file: {self.TINY}")

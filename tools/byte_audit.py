@@ -103,7 +103,10 @@ def commands(full: bool = True) -> list[list[str]]:
     replays: all but the selections over an rbf or wavelet grid or of a
     random-feature id, about 37 of the 42 s all take in one process."""
     cmds = [["--help"]] + [[name, "--help"] for name in COMMANDS]
+    # ring.csv and ring62.csv hold 1770 and 1891 pairwise distances: the
+    # default width is the median of an even and of an odd count
     cmds += [["gen", "ring", "--count", "60", "--seed", "1", "-o", "ring.csv"],
+             ["gen", "ring", "--count", "62", "--seed", "1", "-o", "ring62.csv"],
              ["gen", "banana", "--count", "60", "--seed", "2", "-o", "banana.csv"],
              ["gen", "banana", "--radius", "5", "--count", "3", "--seed", "1", "-o", "b.csv"]]
     for v in dict.fromkeys(ALL_IDS + RUN_IDS):
@@ -124,6 +127,7 @@ def commands(full: bool = True) -> list[list[str]]:
     cmds += [["select", "os_ocelm_thr1", *TABLE, "-o", "os_ocelm_thr1.sel.csv"],  # no C grid
              ["train", "os_ocelm_thr1", *TABLE, "--select", "-o", "os_ocelm_thr1.sel.occ"]]
     cmds += [["train", "ockelm_thr1", "ring.csv", "--seed", "3", "-o", "ring.occ"],
+             ["train", "ockelm_thr1", "ring62.csv", "--seed", "3", "-o", "ring62.occ"],
              ["grid", "ring.occ", "--bounds", "-2", "2", "-2", "2", "--resolution", "15",
               "-o", "grid.csv"],
              ["grid", "ring.occ", "--bounds", "nan", "1", "0", "1"],
