@@ -32,7 +32,7 @@ feature count: `basis` and `layerW` have one column per feature, an online
 
 from __future__ import annotations
 
-from itertools import chain
+import contextlib
 
 import numpy as np
 
@@ -151,21 +151,29 @@ class _Reader:
             raise ModelFormatError(f"{name}: {v.size} values, not {size}")
         return _finite(name, v)
 
-    def row_tokens(self, name: str, rows: int, cols: int):
-        for i in range(rows):
-            tokens = self.next().split()
-            if len(tokens) != cols:
-                raise ModelFormatError(f"{name} row {i}: {len(tokens)} values, not {cols}")
-            yield tokens
-
     def matrix(self, name: str) -> np.ndarray:
         rows, cols = (int(token) for token in self.keyword(name))
         if min(rows, cols) < 0 or rows * cols > self.size:
             raise ModelFormatError(f"{name}: {rows} x {cols} does not fit the file")
-        # rows are read as the parse reaches them, so a bad number is
-        # reported before a later short row; no list of floats is built
-        values = map(float, chain.from_iterable(self.row_tokens(name, rows, cols)))
-        return _finite(name, np.fromiter(values, float, rows * cols).reshape(rows, cols))
+        # One C-level parse: numpy splits on str.split's whitespace and reads a
+        # number to float's bits or refuses it. A refusal, another shape or a
+        # blank first row (loadtxt would warn of no data) goes to the row check.
+        block = self.lines[self.pos : self.pos + rows]
+        if rows * cols and len(block) == rows and block[0].split():
+            with contextlib.suppress(ValueError):
+                M = np.loadtxt(block, dtype=float, comments=None, ndmin=2)
+                if M.shape == (rows, cols):
+                    self.pos += rows
+                    return _finite(name, M)
+        # Row by row with float: names the first short or long row, a bad number
+        # before a later short row, and reads `1_0` and `١`; an empty matrix reads no line.
+        M = np.empty((rows, cols))
+        for i in range(rows if cols else 0):
+            tokens = self.next().split()
+            if len(tokens) != cols:
+                raise ModelFormatError(f"{name} row {i}: {len(tokens)} values, not {cols}")
+            M[i] = [float(token) for token in tokens]
+        return _finite(name, M)
 
     def layer(self) -> HiddenLayer:
         (node_type,) = self.fields("nodetype", str)

@@ -146,7 +146,11 @@ def run(argv, cwd: Path) -> int:
     return code
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# derandomize (which also drops the example database, and overrides
+# --hypothesis-seed): every run draws the same 300 examples, so the verdict
+# repeats; explore with a copy that drops it, at other seeds
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(argv=argvs(), data=st.data())
 def test_every_argv_exits_0_1_or_2(workdir, argv, data):
     for bad, sources in [("bad.csv", TABLES[:2]), ("bad.occ", MODELS[:3])]:

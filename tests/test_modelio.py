@@ -629,15 +629,17 @@ def _joined_row(values):
     return " ".join(f"{v:.17g}" for v in values.tolist())
 
 
-# rows per block of 4096 tokens, by column count, of the block-wise parser
-# that _Reader.matrix's single pass replaced; the shapes below straddle them
+# rows per block of 4096 tokens, by column count, of a block-wise parser
+# that _Reader.matrix once used; the shapes below straddle them
 _OLD_BLOCK_ROWS = {1: 4096, 3: 1365, 100: 40, 4097: 1}
 
 
 class TestRowCodec:
-    """_row formats a whole row in one call and _Reader.matrix parses the
-    rows in one pass; the bytes written and the bits read are those of the
-    per-value codec."""
+    """_row formats a whole row in one call, and _Reader.matrix parses a
+    whole block in one np.loadtxt call; a block that call refuses or reads
+    to another shape goes row by row through float, which names the bad
+    row. The bytes written, the bits read and the refusal texts are those
+    of the per-value codec (test_modelio_property holds the parse to it)."""
 
     def test_row_matches_per_value_join(self):
         rng = np.random.default_rng(40)

@@ -2,7 +2,12 @@
 load with ModelFormatError or loads a model that scores with finite values.
 
 The files cover offline kernel, offline random and online models, each
-with thr1 (boundary) and thr3 (reconstruction)."""
+with thr1 (boundary) and thr3 (reconstruction). A last test holds
+_Reader.matrix to the per-value parse it replaced, on bits and on refusal
+text."""
+
+import warnings
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -19,7 +24,7 @@ from occelm.featuremap import (
     random_kernel,
     rbf_kernel,
 )
-from occelm.modelio import load_model, save_model
+from occelm.modelio import _Reader, _Writer, _finite, load_model, save_model
 from occelm.offline import train_boundary, train_reconstruction
 from occelm.online import os_finalize, os_init, os_update
 from occelm.threshold import ThresholdSpec
@@ -163,3 +168,95 @@ def test_matrix_missing_last_row_refused(saved, key, name):
     del mutated[i + int(rows)]
     with pytest.raises(ModelFormatError):
         _load(mutated, path)
+
+
+def _float_matrix(reader, name):
+    """The per-value parse _Reader.matrix replaced: each row is split and
+    length-checked as the parse reaches it, and every value read by float."""
+    rows, cols = (int(token) for token in reader.keyword(name))
+    if min(rows, cols) < 0 or rows * cols > reader.size:
+        raise ModelFormatError(f"{name}: {rows} x {cols} does not fit the file")
+
+    def row_tokens():
+        for i in range(rows):
+            tokens = reader.next().split()
+            if len(tokens) != cols:
+                raise ModelFormatError(f"{name} row {i}: {len(tokens)} values, not {cols}")
+            yield tokens
+
+    values = map(float, chain.from_iterable(row_tokens()))
+    return _finite(name, np.fromiter(values, float, rows * cols).reshape(rows, cols))
+
+
+def _outcome(parse, path):
+    """parse's result on the file: the matrix's shape, bits and the reader's
+    position after it, or the refusal's type and text; and any warning."""
+    reader = _Reader(str(path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            M = parse(reader, "basis")
+            result = ("loaded", M.shape, M.tobytes(), reader.pos)
+        except (ValueError, ModelFormatError) as exc:
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.integers(0, 2**64 - 1).map(
+    lambda bits: float(np.uint64(bits).view(np.float64))
+).filter(np.isfinite)
+# tokens that float reads and numpy's parser refuses, then tokens both refuse
+_FLOAT_ONLY = ["1_0", "\u0661", " +1.5", "1e5_0", "\uff11", "-\u0663.5"]
+_BAD = ["abc", "1.5.5", "0x10", "nan(1)", "1,5", "--1", "\x00", "\u0661\u066b\u0665", "nan", "-inf"]
+_FAULTS = ["none", "short", "long", "blank", "spaces", "bad", "float_only", "separator",
+           "into_keyword", "cut", "bad_then_short", "all_blank"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(0, 5),
+    cols=st.sampled_from([1, 9, 100]),
+    fault=st.sampled_from(_FAULTS),
+    data=st.data(),
+)
+def test_matrix_parse_matches_float_parse(tmp_path_factory, rows, cols, fault, data):
+    """_Reader.matrix gives the per-value parse's bits and reader position,
+    or its refusal with the same text, with no warning: for finite values of
+    any bit pattern, and for blocks with one fault."""
+    values = data.draw(st.lists(_FINITE, min_size=rows * cols, max_size=rows * cols))
+    out = _Writer()
+    out.matrix("basis", np.array(values, dtype=float).reshape(rows, cols))
+    out.fields("beta", 1, 1)
+    out.append("0")
+    lines = list(out)
+    i = 1 + data.draw(st.integers(0, max(rows - 1, 0)))  # a row's line, or the next keyword
+    tokens = lines[i].split()
+    j = data.draw(st.integers(0, max(len(tokens) - 1, 0)))
+    if fault == "short":
+        lines[i] = " ".join(tokens[:-1])
+    elif fault == "long":
+        lines[i] += " 1"
+    elif fault == "blank":
+        lines[i] = ""
+    elif fault == "spaces":
+        lines[i] = " \t  "
+    elif fault in ("bad", "float_only"):
+        tokens[j] = data.draw(st.sampled_from(_BAD if fault == "bad" else _FLOAT_ONLY))
+        lines[i] = " ".join(tokens)
+    elif fault == "separator":
+        lines[i] = data.draw(st.sampled_from(["\t", "  ", "\xa0", "\u3000"])).join(tokens)
+    elif fault == "into_keyword":
+        lines[0] = f"basis {rows + data.draw(st.integers(1, 2))} {cols}"
+    elif fault == "cut":
+        lines = lines[:i]
+    elif fault == "bad_then_short":
+        tokens[j] = "abc"
+        lines[i] = " ".join(tokens)
+        if i + 1 <= rows:
+            lines[i + 1] = " ".join(lines[i + 1].split()[:-1])
+    elif fault == "all_blank":
+        lines[1 : 1 + rows] = [""] * rows
+    path = tmp_path_factory.getbasetemp() / "parity.occ"
+    path.write_text("\n".join(lines) + "\n")
+    got, warned = _outcome(_Reader.matrix, path)
+    assert (got, warned) == (_outcome(_float_matrix, path)[0], [])

@@ -60,7 +60,13 @@ INPUTS = {"empty.csv": "", "header.csv": "a,b,label\n", "ragged.csv": "1,2,+1\n3
 EDITED = {"b3.occ": ("ockelm_thr1.occ",  # a boundary model claiming thr3
                      r"tspec thr1 (.*)\nthresh .*", r"tspec thr3 \1\nthresh nan"),
           "sigma.occ": ("ring.occ", r"kparam sigma .*", "kparam sigma -1"),
-          "tiny.occ": ("ring.occ", r"kparam sigma .*", "kparam sigma 1e-300")}
+          "tiny.occ": ("ring.occ", r"kparam sigma .*", "kparam sigma 1e-300"),
+          # matrix blocks: a short first row, a bad number, the file cut after 100
+          # rows, and a value spelled with `_`, which float reads (this one scores)
+          "short.occ": ("ockelm_thr1.occ", r"(basis \d+ \d+\n)\S+ ", r"\1"),
+          "abc.occ": ("ockelm_thr1.occ", r"(beta \d+ \d+\n)\S+", r"\1abc"),
+          "cut.occ": ("ockelm_thr1.occ", r"(basis \d+ \d+\n(?:.*\n){100})[\s\S]*", r"\1"),
+          "under.occ": ("ockelm_thr1.occ", r"(basis \d+ \d+\n\S*?\d)(\d)", r"\1_\2")}
 # one command per argument or usage refusal the CLI reaches
 REFUSALS = [
     ["train", "ockelm_thr1", *TABLE, "--node-type", "sig", "-o", "x.occ"],
@@ -143,6 +149,8 @@ def commands(full: bool = True) -> list[list[str]]:
              ["train", "os_ocelm_thr1", *TABLE, "--n0", "3", "-o", "x.occ"],
              ["grid", "ocelm_thr1.occ", "--bounds", "-1", "1", "-1", "1"],
              ["score", "b3.occ", "table.csv", "--label-col", "-1"]]
+    cmds += [["score", name, "table.csv", "--label-col", "-1"]
+             for name in ("short.occ", "abc.occ", "cut.occ", "under.occ")]
     cmds += [[cmd, "ockelm_thr1", name, "--label-col", "-1", "--seed", "7", *extra]
              for cmd, name, extra in [("train", "empty.csv", ["-o", "x.occ"]),
                                       ("train", "header.csv", ["-o", "x.occ"]),
