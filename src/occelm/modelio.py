@@ -1,38 +1,44 @@
-"""Versioned text serialization for trained models.
+"""Versioned serialization for trained models.
 
 A file holds what scoring reads and the training parameters, in order:
 
-1. the header "OCCELM v3", then `kind` (offline or online) and `family`;
+1. the header "OCCELM v4", then `kind` (offline or online) and `family`;
 2. the feature map. Offline: `mapping`, then the hidden layer or the
    kernel's `kparam` lines (featuremap.KERNEL_PARAMS names them, in
    order), then `C`. Online: the hidden layer, then `n0` and `block`;
-3. `tspec`, `thresh`, `zmean` and `zstd`;
-4. offline only: `basis`, the normalized training rows;
-5. `beta`, then `end`.
+3. `tspec`, `thresh` and the vectors `zmean` and `zstd`;
+4. offline only: the matrix `basis`, the normalized training rows;
+5. the matrix `beta`, then `end`.
 
-A hidden layer is `nodetype`, matrix `layerW` and vector `layerb`. A
-vector is one line "<name> <size> v0 v1 ...", a matrix a "<name> <rows>
-<cols>" line and that many rows, each value spelled by dataset.value_text
-(floats keep every bit in a round trip); thr3 stores thresh nan. Random
-offline models rebuild H at load, in one hidden_apply call on all rows as
-at training, so H keeps its trained bits. No training record is kept: not
-the per-row training errors (scoring reads the stored cut), nor an online
-model's RLS matrix P. Online models must be finalized to save, and a
-loaded model only scores: its train_errors is None, and a loaded online
-model's state is RlsState(None, beta), which rls_update refuses.
+A hidden layer is `nodetype`, matrix `layerW` and vector `layerb`.
+Keywords and scalars are text, each float spelled by dataset.value_text
+(17 significant digits keep every bit); thr3 stores thresh nan. An array
+is a "<name> <size>..." line with one size per dimension, then one line of
+RFC 4648 base64 holding its values as little-endian float64 ('<f8') in C
+order, so it loads with the bits it was saved with. Random offline models
+rebuild H at load, in one hidden_apply call on all rows as at training, so
+H keeps its trained bits. No training record is kept: not the per-row
+training errors (scoring reads the stored cut), nor an online model's RLS
+matrix P. Online models must be finalized to save, and a loaded model only
+scores: its train_errors is None, and a loaded online model's state is
+RlsState(None, beta), which rls_update refuses.
 
 load_model raises ModelFormatError for another header (v1 stored H as the
-random basis, v2 the training record), a missing, misplaced or extra line,
-an unparseable or non-finite number (except thr3's nan thresh), C <= 0,
-n0 or block < 1, and shapes that disagree with each other or with the
-feature count: `basis` and `layerW` have one column per feature, an online
-`beta` one row per hidden node. It also refuses a boundary model whose
-`tspec` is thr3, which training refuses too: thr3 needs per-feature outputs.
+random basis, v2 the training record, v3 arrays as decimal text), a
+missing, misplaced or extra line, an unparseable or non-finite number
+(except thr3's nan thresh), C <= 0, n0 or block < 1, an array whose shape
+line has another number of sizes or a negative one, whose payload is not
+base64 or holds another byte count than 8 per value, and shapes that
+disagree with each other or with the feature count: `basis` and `layerW`
+have one column per feature, an online `beta` one row per hidden node. It
+also refuses a boundary model whose `tspec` is thr3, which training refuses
+too: thr3 needs per-feature outputs.
 """
 
 from __future__ import annotations
 
-import contextlib
+import base64
+import math
 
 import numpy as np
 
@@ -44,12 +50,7 @@ from .offline import BOUNDARY, RECONSTRUCTION, OfflineModel
 from .online import OnlineModel
 from .threshold import THR3, ThresholdSpec
 
-HEADER = "OCCELM v3"
-
-
-def _row(values: np.ndarray) -> str:
-    # value_text in bulk: one format call per row, the same bytes value by value
-    return ("%.17g " * values.size)[:-1] % tuple(values.tolist())
+HEADER = "OCCELM v4"
 
 
 class _Writer(list):
@@ -58,19 +59,15 @@ class _Writer(list):
     def fields(self, name: str, *values) -> None:
         self.append(" ".join([name, *map(value_text, values)]))
 
-    def vector(self, name: str, v) -> None:
-        v = np.asarray(v, dtype=float).ravel()
-        self.append(f"{name} {v.size} " + _row(v))
-
-    def matrix(self, name: str, M: np.ndarray) -> None:
-        M = np.atleast_2d(np.asarray(M, dtype=float))
-        self.append(f"{name} {M.shape[0]} {M.shape[1]}")
-        self.extend(map(_row, M))
+    def array(self, name: str, a: np.ndarray) -> None:
+        a = np.asarray(a, dtype="<f8")
+        self.fields(name, *a.shape)
+        self.append(base64.b64encode(a.tobytes()).decode("ascii"))
 
     def layer(self, layer: HiddenLayer) -> None:
         self.fields("nodetype", layer.node_type)
-        self.matrix("layerW", layer.W)
-        self.vector("layerb", layer.b)
+        self.array("layerW", layer.W)
+        self.array("layerb", layer.b)
 
 
 def save_model(model: OfflineModel | OnlineModel, path: str) -> None:
@@ -98,11 +95,11 @@ def save_model(model: OfflineModel | OnlineModel, path: str) -> None:
     t = model.tspec
     out.fields("tspec", t.kind, t.fracrej, t.std_mult, t.condn1, t.condn2_frac)
     out.fields("thresh", model.thresh)
-    out.vector("zmean", model.zstats.mean)
-    out.vector("zstd", model.zstats.std)
+    out.array("zmean", model.zstats.mean)
+    out.array("zstd", model.zstats.std)
     if offline:
-        out.matrix("basis", model.rows)
-    out.matrix("beta", model.beta if offline else model.rls.beta)
+        out.array("basis", model.rows)
+    out.array("beta", model.beta if offline else model.rls.beta)
     out.fields("end")
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")
@@ -118,7 +115,6 @@ class _Reader:
     def __init__(self, path: str) -> None:
         with open(path) as fh:
             self.lines = fh.read().splitlines()
-        self.size = sum(map(len, self.lines))  # bounds a matrix's value count
         self.pos = 0
 
     def next(self) -> str:
@@ -144,40 +140,19 @@ class _Reader:
             _finite(name, [v for v in values if isinstance(v, float)])
         return values
 
-    def vector(self, name: str) -> np.ndarray:
-        size, *tokens = self.keyword(name)
-        v = np.fromiter(map(float, tokens), float, len(tokens))
-        if v.size != int(size):
-            raise ModelFormatError(f"{name}: {v.size} values, not {size}")
-        return _finite(name, v)
-
-    def matrix(self, name: str) -> np.ndarray:
-        rows, cols = (int(token) for token in self.keyword(name))
-        if min(rows, cols) < 0 or rows * cols > self.size:
-            raise ModelFormatError(f"{name}: {rows} x {cols} does not fit the file")
-        # One C-level parse: numpy splits on str.split's whitespace and reads a
-        # number to float's bits or refuses it. A refusal, another shape or a
-        # blank first row (loadtxt would warn of no data) goes to the row check.
-        block = self.lines[self.pos : self.pos + rows]
-        if rows * cols and len(block) == rows and block[0].split():
-            with contextlib.suppress(ValueError):
-                M = np.loadtxt(block, dtype=float, comments=None, ndmin=2)
-                if M.shape == (rows, cols):
-                    self.pos += rows
-                    return _finite(name, M)
-        # Row by row with float: names the first short or long row, a bad number
-        # before a later short row, and reads `1_0` and `١`; an empty matrix reads no line.
-        M = np.empty((rows, cols))
-        for i in range(rows if cols else 0):
-            tokens = self.next().split()
-            if len(tokens) != cols:
-                raise ModelFormatError(f"{name} row {i}: {len(tokens)} values, not {cols}")
-            M[i] = [float(token) for token in tokens]
-        return _finite(name, M)
+    def array(self, name: str, ndim: int) -> np.ndarray:
+        shape = tuple(int(token) for token in self.keyword(name))
+        if len(shape) != ndim or min(shape) < 0:
+            raise ModelFormatError(f"{name}: shape {shape} is not {ndim} sizes >= 0")
+        raw = base64.b64decode(self.next(), validate=True)  # binascii.Error is a ValueError
+        if len(raw) != 8 * math.prod(shape):  # Python ints: a lying shape allocates nothing
+            raise ModelFormatError(f"{name}: shape {shape} does not fit {len(raw)} bytes")
+        # a bytearray's buffer keeps the array writeable, aligned and C-ordered
+        return _finite(name, np.frombuffer(bytearray(raw), "<f8").reshape(shape))
 
     def layer(self) -> HiddenLayer:
         (node_type,) = self.fields("nodetype", str)
-        return HiddenLayer(node_type, self.matrix("layerW"), self.vector("layerb"))
+        return HiddenLayer(node_type, self.array("layerW", 2), self.array("layerb", 1))
 
 
 def load_model(path: str) -> OfflineModel | OnlineModel:
@@ -222,9 +197,9 @@ def _parse_model(reader: _Reader) -> OfflineModel | OnlineModel:
     (thresh,) = reader.fields("thresh", float, finite=False)
     if not (tspec.kind == THR3 and np.isnan(thresh)):
         _finite("thresh", thresh)  # thr3 decides per sample and stores no cut
-    zstats = ZScoreStats(reader.vector("zmean"), reader.vector("zstd"))
-    rows = reader.matrix("basis") if kind == "offline" else None
-    beta = reader.matrix("beta")
+    zstats = ZScoreStats(reader.array("zmean", 1), reader.array("zstd", 1))
+    rows = reader.array("basis", 2) if kind == "offline" else None
+    beta = reader.array("beta", 2)
     reader.fields("end")
     if reader.pos != len(reader.lines):
         raise ModelFormatError("content after 'end'")

@@ -1,5 +1,7 @@
-"""Tests for the plain-text model save/load format."""
+"""Tests for the model save/load format."""
 
+import base64
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,6 @@ from occelm.linsolve import rls_update
 from occelm.modelio import (
     _Reader,
     _Writer,
-    _row,
     load_model,
     save_model,
 )
@@ -160,7 +161,7 @@ class TestRandomModelRoundTrip:
         path = tmp_path / "m.occ"
         save_model(model, str(path))
         lines = path.read_text().splitlines()
-        assert lines[0] == "OCCELM v3"
+        assert lines[0] == "OCCELM v4"
         assert "basis 40 3" in lines
         assert load_model(str(path)).rows.tobytes() == X.tobytes()
 
@@ -187,33 +188,34 @@ class TestRandomModelRoundTrip:
 
     def test_v1_file_refused(self, tmp_path):
         """A v1 random file stored H as its basis. With m == n it has the
-        shape of a v3 file's rows, so only the header tells them apart."""
+        shape of a v4 file's rows, so only the header tells them apart."""
         X = _cloud(34, count=20, n=3)
         model = train_boundary(X, random_kernel(m=3), 1.0, ThresholdSpec("thr1"))
         path = tmp_path / "m.occ"
         save_model(model, str(path))
         lines = path.read_text().splitlines()
-        i = lines.index("basis 20 3")
-        v1 = _Writer(["OCCELM v1", *lines[1:i]])
-        v1.matrix("basis", model.basis)
-        v1.extend(lines[i + 21:])
-        path.write_text("\n".join(v1) + "\n")
-        with pytest.raises(ModelFormatError, match="found 'OCCELM v1'"):
-            load_model(str(path))
-        # read as v3, the same body loads, with H applied to H
-        path.write_text("\n".join(["OCCELM v3", *v1[1:]]) + "\n")
+        v1 = ["OCCELM v1", *lines[1:]]
+        _rewrite(v1, "basis", lambda rows: model.basis)
+        for header in ("OCCELM v1", "OCCELM v3"):
+            path.write_text("\n".join([header, *v1[1:]]) + "\n")
+            with pytest.raises(ModelFormatError, match=f"found '{header}'"):
+                load_model(str(path))
+        # read as v4, the same body loads, with H applied to H
+        path.write_text("\n".join(["OCCELM v4", *v1[1:]]) + "\n")
         misread = load_model(str(path))
         assert not np.array_equal(misread.basis, model.basis)
 
     @pytest.mark.parametrize("kind", ["offline", "online"])
     def test_v2_file_refused(self, tmp_path, kind):
         """A v2 file also held its training record: `R`, `trainerr` and, for
-        online models, `seen` and `P`. Its header refuses it."""
+        online models, `seen` and `P`; a v3 file held no record, but its
+        arrays as decimal text. Their headers refuse them."""
         model, path = _model_file(tmp_path, kind)
-        lines = _with_record(model, path.read_text().splitlines())
-        path.write_text("\n".join(["OCCELM v2", *lines[1:]]) + "\n")
-        with pytest.raises(ModelFormatError, match="^expected 'OCCELM v3', found 'OCCELM v2'$"):
-            load_model(str(path))
+        lines = path.read_text().splitlines()
+        for header, body in [("OCCELM v2", _with_record(model, lines)), ("OCCELM v3", lines)]:
+            path.write_text("\n".join([header, *body[1:]]) + "\n")
+            with pytest.raises(ModelFormatError, match=f"^expected 'OCCELM v4', found '{header}'$"):
+                load_model(str(path))
 
 
 class TestOnlineRoundTrip:
@@ -270,13 +272,7 @@ class TestOnlineRoundTrip:
         disagrees with the layer's m nodes."""
         path = _online_file(tmp_path)
 
-        def grow(lines):
-            i = next(k for k, line in enumerate(lines) if line.split()[0] == "beta")
-            _, rows, cols = lines[i].split()
-            lines[i] = f"beta {int(rows) + 1} {cols}"
-            lines.insert(i + 1, lines[i + 1])
-
-        _edit(path, grow)
+        _edit(path, lambda lines: _rewrite(lines, "beta", lambda beta: beta[[*range(8), 0]]))
         with pytest.raises(ModelFormatError, match=r"^beta is \(9, 1\), expected \(8, 1\)$"):
             load_model(str(path))
 
@@ -291,9 +287,10 @@ class TestOnlineRoundTrip:
 class TestMalformedFiles:
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "bad.occ"
-        path.write_text("SOMETHING ELSE\n")
-        with pytest.raises(ModelFormatError):
-            load_model(str(path))
+        for header in ("SOMETHING ELSE", "OCCELM v3", "OCCELM v5"):
+            path.write_text(header + "\n")
+            with pytest.raises(ModelFormatError, match=f"^expected 'OCCELM v4', found '{header}'$"):
+                load_model(str(path))
 
     def test_truncated_file(self, tmp_path):
         X = _cloud(10)
@@ -345,24 +342,35 @@ def _online_file(tmp_path):
     return _model_file(tmp_path, "online")[1]
 
 
+def _rewrite(lines, name, change):
+    """Put the lines of array change(a) in place of array name's two lines,
+    a being the array they hold."""
+    i = next(k for k, line in enumerate(lines) if line.split()[0] == name)
+    shape = [int(size) for size in lines[i].split()[1:]]
+    out = _Writer()
+    out.array(name, change(np.frombuffer(base64.b64decode(lines[i + 1]), "<f8").reshape(shape)))
+    lines[i : i + 2] = out
+
+
 def _with_record(model, lines, names=("seen", "R", "trainerr", "P")):
-    """A v3 file's lines with the named lines of the training record that
+    """A v4 file's lines with the named lines of the training record that
     v2 files held put back in their v2 places: `seen` after `block`, `R`
-    before `tspec`, `trainerr` after `zstd` and `P` before `beta`. Only
-    online models had `seen` and `P`."""
+    before `tspec`, `trainerr` after `zstd` (before `basis`, or online
+    before `P`) and `P` before `beta`. Only online models had `seen` and
+    `P`."""
     online = isinstance(model, OnlineModel)
     out = _Writer()
     for line in lines:
         name = line.split()[0]
         if name == "tspec" and "R" in names:
             out.append("R 1")
+        if name == ("beta" if online else "basis") and "trainerr" in names:
+            out.array("trainerr", model.train_errors)
         if name == "beta" and online and "P" in names:
-            out.matrix("P", model.rls.P)
+            out.array("P", model.rls.P)
         out.append(line)
         if name == "block" and "seen" in names:
             out.fields("seen", sum(map(len, model.retained_rows)))
-        if name == "zstd" and "trainerr" in names:
-            out.vector("trainerr", model.train_errors)
     return out
 
 
@@ -371,7 +379,7 @@ def _with_record(model, lines, names=("seen", "R", "trainerr", "P")):
     ("online", "seen"), ("online", "R"), ("online", "trainerr"), ("online", "P"),
 ])
 def test_leftover_record_line_refused(tmp_path, kind, name):
-    """A v3 file holding one line of the old training record is refused
+    """A v4 file holding one line of the old training record is refused
     at that line."""
     model, path = _model_file(tmp_path, kind)
     lines = _with_record(model, path.read_text().splitlines(), names=(name,))
@@ -425,16 +433,17 @@ class TestParameterRange:
 
 def _poison(path, name, token):
     """Put token in place of the first value stored under name."""
+
+    def first(a):
+        a = a.copy()
+        a.flat[0] = float(token)
+        return a
+
     lines = path.read_text().splitlines()
-    i = next(k for k, line in enumerate(lines) if line.split()[0] == name)
-    parts = lines[i].split()
-    if name in ("layerW", "basis", "beta"):  # matrix: values start a line below
-        row = lines[i + 1].split()
-        lines[i + 1] = " ".join([token] + row[1:])
-    elif name in ("layerb", "zmean", "zstd"):  # vector: "name size v0 v1 ..."
-        lines[i] = " ".join(parts[:2] + [token] + parts[3:])
+    if name in ("layerW", "basis", "beta", "layerb", "zmean", "zstd"):
+        _rewrite(lines, name, first)
     else:  # scalar keyword
-        lines[i] = f"{name} {token}"
+        lines[next(k for k, line in enumerate(lines) if line.split()[0] == name)] = f"{name} {token}"
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -516,10 +525,7 @@ def _nan_condn1(lines):
 
 
 def _short_beta(lines):
-    i = next(k for k, line in enumerate(lines) if line.startswith("beta "))
-    _, rows, cols = lines[i].split()
-    lines[i] = f"beta {int(rows) - 1} {cols}"
-    del lines[i + int(rows)]
+    _rewrite(lines, "beta", lambda beta: beta[:-1])
 
 
 def _r_two(lines):
@@ -624,24 +630,52 @@ class TestLoadFaults:
         )
 
 
-def _joined_row(values):
-    """The per-value writer _row replaced."""
-    return " ".join(f"{v:.17g}" for v in values.tolist())
+def _array_file(tmp_path, lines):
+    path = tmp_path / "array.occ"
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
-# rows per block of 4096 tokens, by column count, of a block-wise parser
-# that _Reader.matrix once used; the shapes below straddle them
-_OLD_BLOCK_ROWS = {1: 4096, 3: 1365, 100: 40, 4097: 1}
+def _payload(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+# rows of about 4096 values, by column count: the shapes below run from one
+# column to one 4097-wide row, with row counts on both sides of these
+_BLOCK_ROWS = {1: 4096, 3: 1365, 100: 40, 4097: 1}
+_SIX = _payload(np.arange(6.0))
+# (file lines, error class, error text) of a read of array "basis"
+_PAYLOAD_FAULTS = {
+    "bad_character": (["basis 3 2", _SIX[:5] + "*" + _SIX[6:], "end"],
+                      ValueError, "^Only base64 data is allowed$"),
+    "one_value_short": (["basis 3 2", _payload(np.arange(5.0)), "end"],
+                        ModelFormatError, r"^basis: shape \(3, 2\) does not fit 40 bytes$"),
+    "one_value_long": (["basis 3 2", _payload(np.arange(7.0)), "end"],
+                       ModelFormatError, r"^basis: shape \(3, 2\) does not fit 56 bytes$"),
+    "nan": (["basis 3 2", _payload([0, 1, 2, 3, 4, np.nan]), "end"],
+            ModelFormatError, "^basis: non-finite value$"),
+    "inf": (["basis 3 2", _payload([-np.inf, 1, 2, 3, 4, 5]), "end"],
+            ModelFormatError, "^basis: non-finite value$"),
+    "three_sizes": (["basis 3 2 1", _SIX, "end"],
+                    ModelFormatError, r"^basis: shape \(3, 2, 1\) is not 2 sizes >= 0$"),
+    "one_size": (["basis 6", _SIX, "end"],
+                 ModelFormatError, r"^basis: shape \(6,\) is not 2 sizes >= 0$"),
+    "negative_size": (["basis -3 -2", _SIX, "end"],
+                      ModelFormatError, r"^basis: shape \(-3, -2\) is not 2 sizes >= 0$"),
+    "missing_payload": (["basis 3 2", "end"], ValueError, "^Incorrect padding$"),
+    "missing_payload_at_end": (["basis 3 2"], ModelFormatError, "^unexpected end of model file$"),
+}
 
 
 class TestRowCodec:
-    """_row formats a whole row in one call, and _Reader.matrix parses a
-    whole block in one np.loadtxt call; a block that call refuses or reads
-    to another shape goes row by row through float, which names the bad
-    row. The bytes written, the bits read and the refusal texts are those
-    of the per-value codec (test_modelio_property holds the parse to it)."""
+    """_Writer.array writes an array's rows in C order as one line of
+    base64 holding little-endian float64 ('<f8') bytes, after a shape line;
+    _Reader.array reads them back bit for bit, or refuses the line.
+    test_modelio_property round-trips arrays of any bit pattern."""
 
     def test_row_matches_per_value_join(self):
+        """The payload is each value packed alone as '<d', joined in C
+        order, whatever the array's memory layout."""
         rng = np.random.default_rng(40)
         patterns = rng.integers(0, 2**64, 20_000, dtype=np.uint64)
         special = np.array(
@@ -655,23 +689,27 @@ class TestRowCodec:
             ],
             dtype=np.uint64,
         )
-        for bits in (patterns, special, special[:1], special[:0]):
-            values = bits.view(np.float64)
-            assert _row(values) == _joined_row(values)
+        matrix = np.asfortranarray(patterns.view(np.float64).reshape(200, 100))
+        for values in (patterns.view(np.float64), special.view(np.float64), matrix, matrix[:0]):
+            out = _Writer()
+            out.array("a", values)
+            packed = b"".join(struct.pack("<d", v) for v in values.ravel().tolist())
+            assert out == [" ".join(["a", *map(str, values.shape)]),
+                           base64.b64encode(packed).decode()]
 
     @staticmethod
     def _round_trip(tmp_path, M):
         out = _Writer()
-        out.matrix("basis", M)
+        out.array("basis", M)
         path = tmp_path / "matrix.occ"
         path.write_text("\n".join(out) + "\n")
-        return _Reader(str(path)).matrix("basis")
+        return _Reader(str(path)).array("basis", 2)
 
     @pytest.mark.parametrize("cols", [1, 3, 100, 4097])
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("edge", [-1, 0, 1])
     def test_block_edges_load_bitwise(self, tmp_path, cols, k, edge):
-        rows = k * _OLD_BLOCK_ROWS[cols] + edge
+        rows = k * _BLOCK_ROWS[cols] + edge
         bits = np.random.default_rng(rows + cols).integers(
             0, 2**64, (rows, cols), dtype=np.uint64
         )
@@ -679,57 +717,54 @@ class TestRowCodec:
         M[~np.isfinite(M)] = -0.0
         assert self._round_trip(tmp_path, M).tobytes() == M.tobytes()
 
-    def test_short_row_in_later_block_names_global_index(self, tmp_path):
-        cols = 3
-        row = 2 * _OLD_BLOCK_ROWS[cols] + 5
-        M = np.arange(3.0 * 4096).reshape(-1, cols)
-        out = _Writer()
-        out.matrix("basis", M)
-        out[1 + row] = " ".join(out[1 + row].split()[:2])
-        path = tmp_path / "short.occ"
-        path.write_text("\n".join(out) + "\n")
-        with pytest.raises(ModelFormatError) as info:
-            _Reader(str(path)).matrix("basis")
-        assert str(info.value) == f"basis row {row}: 2 values, not 3"
+    @pytest.mark.parametrize("fault", list(_PAYLOAD_FAULTS))
+    def test_payload_refused(self, tmp_path, fault):
+        lines, error, text = _PAYLOAD_FAULTS[fault]
+        with pytest.raises(error, match=text):
+            _Reader(str(_array_file(tmp_path, lines))).array("basis", 2)
 
     def test_bad_number_before_short_row_is_reported_first(self, tmp_path):
-        """Each row is parsed as it is read: a bad number in a row before
-        a short one is the error reported."""
-        out = _Writer()
-        out.matrix("basis", np.ones((6, 2)))
-        out[2] = "1 abc"
-        out[5] = "1"
-        path = tmp_path / "two_faults.occ"
-        path.write_text("\n".join(out) + "\n")
-        with pytest.raises(ValueError, match="abc"):
-            _Reader(str(path)).matrix("basis")
+        """A payload that is short and holds a bad character is refused for
+        the character: it is decoded before its byte count is checked, and
+        load_model names it a malformed file."""
+        path = _array_file(tmp_path, ["basis 3 2", "*" + _payload(np.arange(5.0))[1:]])
+        with pytest.raises(ValueError, match="^Only base64 data is allowed$"):
+            _Reader(str(path)).array("basis", 2)
+        model = _rbf_file(tmp_path)
+        _edit(model, lambda lines: _rewrite(lines, "beta", lambda beta: beta[:-1]))
+        _edit(model, lambda lines: lines.__setitem__(-2, "*" + lines[-2][1:]))
+        with pytest.raises(ModelFormatError, match=(
+            "^malformed model file: Only base64 data is allowed$"
+        )):
+            load_model(str(model))
 
     def test_file_cut_inside_matrix(self, tmp_path):
+        """A file cut right after the `basis` shape line."""
         X = _cloud(13, count=40)
         model = train_boundary(X, rbf_kernel(1.0), 1.0, ThresholdSpec("thr1"))
         path = tmp_path / "m.occ"
         save_model(model, str(path))
         lines = path.read_text().splitlines()
-        i = next(k for k, line in enumerate(lines) if line.startswith("basis "))
-        path.write_text("\n".join(lines[: i + 20]) + "\n")
-        with pytest.raises(ModelFormatError, match="unexpected end of model file"):
+        i = lines.index("basis 40 3")
+        path.write_text("\n".join(lines[: i + 1]) + "\n")
+        with pytest.raises(ModelFormatError, match="^unexpected end of model file$"):
             load_model(str(path))
 
 
-_V3_MODELS = Path(__file__).parent / "data" / "v3_models"
+_V4_MODELS = Path(__file__).parent / "data" / "v4_models"
 
 
 @pytest.mark.parametrize(
-    "name", sorted(p.stem for p in _V3_MODELS.glob("*.occ"))
+    "name", sorted(p.stem for p in _V4_MODELS.glob("*.occ"))
 )
 def test_earlier_files_load_score_and_resave_bitwise(tmp_path, name):
     """Stored files score the probes to the bytes that their v2 originals,
     written while R was still a keyword, gave then, and are saved back
     unchanged."""
-    model_path = _V3_MODELS / f"{name}.occ"
+    model_path = _V4_MODELS / f"{name}.occ"
     out = tmp_path / "score.csv"
-    argv = ["score", str(model_path), str(_V3_MODELS / "probes.csv"), "-o", str(out)]
+    argv = ["score", str(model_path), str(_V4_MODELS / "probes.csv"), "-o", str(out)]
     assert occelm.cli.main(argv) == 0
-    assert out.read_bytes() == (_V3_MODELS / f"{name}.score.csv").read_bytes()
+    assert out.read_bytes() == (_V4_MODELS / f"{name}.score.csv").read_bytes()
     save_model(load_model(str(model_path)), str(tmp_path / "again.occ"))
     assert (tmp_path / "again.occ").read_bytes() == model_path.read_bytes()

@@ -2,12 +2,11 @@
 load with ModelFormatError or loads a model that scores with finite values.
 
 The files cover offline kernel, offline random and online models, each
-with thr1 (boundary) and thr3 (reconstruction). A last test holds
-_Reader.matrix to the per-value parse it replaced, on bits and on refusal
-text."""
+with thr1 (boundary) and thr3 (reconstruction). A last test round-trips
+arrays of any finite bit pattern through _Writer.array and _Reader.array."""
 
-import warnings
-from itertools import chain
+import base64
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from occelm.featuremap import (
     random_kernel,
     rbf_kernel,
 )
-from occelm.modelio import _Reader, _Writer, _finite, load_model, save_model
+from occelm.modelio import _Reader, _Writer, load_model, save_model
 from occelm.offline import train_boundary, train_reconstruction
 from occelm.online import os_finalize, os_init, os_update
 from occelm.threshold import ThresholdSpec
@@ -158,105 +157,46 @@ def test_line_damage_refused_or_scores_finite(saved, key, op, data):
     [(key, name) for key in _KEY_NAMES for name in _MATRICES_OF[key.split("_")[0]]],
 )
 def test_matrix_missing_last_row_refused(saved, key, name):
-    """A matrix one row short, its header cut to match, disagrees with the
-    shapes around it."""
+    """A matrix one row short, its shape line cut to match, disagrees with
+    the shapes around it."""
     lines, path = saved
     mutated = list(lines[key])
     i = next(k for k, line in enumerate(mutated) if line.split()[0] == name)
     _, rows, cols = mutated[i].split()
-    mutated[i] = f"{name} {int(rows) - 1} {cols}"
-    del mutated[i + int(rows)]
+    M = np.frombuffer(base64.b64decode(mutated[i + 1]), "<f8").reshape(int(rows), int(cols))
+    out = _Writer()
+    out.array(name, M[:-1])
+    mutated[i : i + 2] = out
     with pytest.raises(ModelFormatError):
         _load(mutated, path)
 
 
-def _float_matrix(reader, name):
-    """The per-value parse _Reader.matrix replaced: each row is split and
-    length-checked as the parse reaches it, and every value read by float."""
-    rows, cols = (int(token) for token in reader.keyword(name))
-    if min(rows, cols) < 0 or rows * cols > reader.size:
-        raise ModelFormatError(f"{name}: {rows} x {cols} does not fit the file")
-
-    def row_tokens():
-        for i in range(rows):
-            tokens = reader.next().split()
-            if len(tokens) != cols:
-                raise ModelFormatError(f"{name} row {i}: {len(tokens)} values, not {cols}")
-            yield tokens
-
-    values = map(float, chain.from_iterable(row_tokens()))
-    return _finite(name, np.fromiter(values, float, rows * cols).reshape(rows, cols))
-
-
-def _outcome(parse, path):
-    """parse's result on the file: the matrix's shape, bits and the reader's
-    position after it, or the refusal's type and text; and any warning."""
-    reader = _Reader(str(path))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            M = parse(reader, "basis")
-            result = ("loaded", M.shape, M.tobytes(), reader.pos)
-        except (ValueError, ModelFormatError) as exc:
-            result = (type(exc), str(exc))
-    return result, [str(w.message) for w in caught]
-
-
-_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.integers(0, 2**64 - 1).map(
-    lambda bits: float(np.uint64(bits).view(np.float64))
-).filter(np.isfinite)
-# tokens that float reads and numpy's parser refuses, then tokens both refuse
-_FLOAT_ONLY = ["1_0", "\u0661", " +1.5", "1e5_0", "\uff11", "-\u0663.5"]
-_BAD = ["abc", "1.5.5", "0x10", "nan(1)", "1,5", "--1", "\x00", "\u0661\u066b\u0665", "nan", "-inf"]
-_FAULTS = ["none", "short", "long", "blank", "spaces", "bad", "float_only", "separator",
-           "into_keyword", "cut", "bad_then_short", "all_blank"]
+_BITS = st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+_MAX = float(np.finfo(float).max)
+# -0.0, the smallest subnormals, +-max, and finite values of any bit pattern
+_FINITE = (st.sampled_from([-0.0, 5e-324, -5e-324, 2.225073858507201e-308, _MAX, -_MAX])
+           | st.floats(allow_nan=False, allow_infinity=False) | _BITS.filter(math.isfinite))
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    rows=st.integers(0, 5),
-    cols=st.sampled_from([1, 9, 100]),
-    fault=st.sampled_from(_FAULTS),
+    shape=st.lists(st.integers(0, 5), min_size=1, max_size=2).map(tuple),
+    transpose=st.booleans(),
     data=st.data(),
 )
-def test_matrix_parse_matches_float_parse(tmp_path_factory, rows, cols, fault, data):
-    """_Reader.matrix gives the per-value parse's bits and reader position,
-    or its refusal with the same text, with no warning: for finite values of
-    any bit pattern, and for blocks with one fault."""
-    values = data.draw(st.lists(_FINITE, min_size=rows * cols, max_size=rows * cols))
+def test_array_round_trip_bitwise(tmp_path_factory, shape, transpose, data):
+    """_Reader.array gives back the bits _Writer.array wrote, from any
+    memory layout, as a writeable, aligned, C-ordered float64 array."""
+    values = data.draw(st.lists(_FINITE, min_size=math.prod(shape), max_size=math.prod(shape)))
+    a = np.array(values, dtype=float).reshape(shape)
+    a = a.T if transpose else a  # a Fortran-ordered view of a matrix
     out = _Writer()
-    out.matrix("basis", np.array(values, dtype=float).reshape(rows, cols))
-    out.fields("beta", 1, 1)
-    out.append("0")
-    lines = list(out)
-    i = 1 + data.draw(st.integers(0, max(rows - 1, 0)))  # a row's line, or the next keyword
-    tokens = lines[i].split()
-    j = data.draw(st.integers(0, max(len(tokens) - 1, 0)))
-    if fault == "short":
-        lines[i] = " ".join(tokens[:-1])
-    elif fault == "long":
-        lines[i] += " 1"
-    elif fault == "blank":
-        lines[i] = ""
-    elif fault == "spaces":
-        lines[i] = " \t  "
-    elif fault in ("bad", "float_only"):
-        tokens[j] = data.draw(st.sampled_from(_BAD if fault == "bad" else _FLOAT_ONLY))
-        lines[i] = " ".join(tokens)
-    elif fault == "separator":
-        lines[i] = data.draw(st.sampled_from(["\t", "  ", "\xa0", "\u3000"])).join(tokens)
-    elif fault == "into_keyword":
-        lines[0] = f"basis {rows + data.draw(st.integers(1, 2))} {cols}"
-    elif fault == "cut":
-        lines = lines[:i]
-    elif fault == "bad_then_short":
-        tokens[j] = "abc"
-        lines[i] = " ".join(tokens)
-        if i + 1 <= rows:
-            lines[i + 1] = " ".join(lines[i + 1].split()[:-1])
-    elif fault == "all_blank":
-        lines[1 : 1 + rows] = [""] * rows
-    path = tmp_path_factory.getbasetemp() / "parity.occ"
-    path.write_text("\n".join(lines) + "\n")
-    got, warned = _outcome(_Reader.matrix, path)
-    assert (got, warned) == (_outcome(_float_matrix, path)[0], [])
+    out.array("basis", a)
+    out.fields("end")
+    path = tmp_path_factory.getbasetemp() / "array.occ"
+    path.write_text("\n".join(out) + "\n")
+    reader = _Reader(str(path))
+    got = reader.array("basis", a.ndim)
+    assert (got.dtype, got.shape, got.tobytes()) == (np.float64, a.shape, a.tobytes())
+    assert got.flags.writeable and got.flags.aligned and got.flags.c_contiguous
+    assert reader.next() == "end"

@@ -26,13 +26,16 @@ one process (audit(..., here=True)) and compares them with that manifest.
 from __future__ import annotations
 
 import argparse
+import base64
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -56,17 +59,26 @@ COMMANDS = ("gen", "train", "score", "bench", "select", "grid")
 INPUTS = {"empty.csv": "", "header.csv": "a,b,label\n", "ragged.csv": "1,2,+1\n3,4\n",
           "outliers.csv": "1,2,-1\n3,5,-1\n", "targets.csv": "1,2,+1\n3,5,+1\n4,1,+1\n",
           "same.csv": "1,2\n1,2\n1,2\n"}
+
+
+def _payload(match: re.Match, edit) -> str:
+    """match's shape line, then its base64 payload with edit applied to the bytes."""
+    return match[1] + base64.b64encode(edit(base64.b64decode(match[2]))).decode()
+
+
 # models that commands below refuse: name -> (model it is edited from, pattern, replacement)
 EDITED = {"b3.occ": ("ockelm_thr1.occ",  # a boundary model claiming thr3
                      r"tspec thr1 (.*)\nthresh .*", r"tspec thr3 \1\nthresh nan"),
           "sigma.occ": ("ring.occ", r"kparam sigma .*", "kparam sigma -1"),
           "tiny.occ": ("ring.occ", r"kparam sigma .*", "kparam sigma 1e-300"),
-          # matrix blocks: a short first row, a bad number, the file cut after 100
-          # rows, and a value spelled with `_`, which float reads (this one scores)
-          "short.occ": ("ockelm_thr1.occ", r"(basis \d+ \d+\n)\S+ ", r"\1"),
-          "abc.occ": ("ockelm_thr1.occ", r"(beta \d+ \d+\n)\S+", r"\1abc"),
-          "cut.occ": ("ockelm_thr1.occ", r"(basis \d+ \d+\n(?:.*\n){100})[\s\S]*", r"\1"),
-          "under.occ": ("ockelm_thr1.occ", r"(basis \d+ \d+\n\S*?\d)(\d)", r"\1_\2")}
+          # array payloads: a character outside base64, one value short, a NaN,
+          # and the file cut right after a shape line
+          "char.occ": ("ockelm_thr1.occ", r"(beta \d+ \d+\n)\S", r"\1*"),
+          "short.occ": ("ockelm_thr1.occ", r"(basis \d+ \d+\n)(\S+)",
+                        lambda m: _payload(m, lambda raw: raw[:-8])),
+          "nan.occ": ("ockelm_thr1.occ", r"(beta \d+ \d+\n)(\S+)",
+                      lambda m: _payload(m, lambda raw: struct.pack("<d", math.nan) + raw[8:])),
+          "cut.occ": ("ockelm_thr1.occ", r"(basis \d+ \d+\n)[\s\S]*", r"\1")}
 # one command per argument or usage refusal the CLI reaches
 REFUSALS = [
     ["train", "ockelm_thr1", *TABLE, "--node-type", "sig", "-o", "x.occ"],
@@ -150,7 +162,7 @@ def commands(full: bool = True) -> list[list[str]]:
              ["grid", "ocelm_thr1.occ", "--bounds", "-1", "1", "-1", "1"],
              ["score", "b3.occ", "table.csv", "--label-col", "-1"]]
     cmds += [["score", name, "table.csv", "--label-col", "-1"]
-             for name in ("short.occ", "abc.occ", "cut.occ", "under.occ")]
+             for name in ("char.occ", "short.occ", "nan.occ", "cut.occ")]
     cmds += [[cmd, "ockelm_thr1", name, "--label-col", "-1", "--seed", "7", *extra]
              for cmd, name, extra in [("train", "empty.csv", ["-o", "x.occ"]),
                                       ("train", "header.csv", ["-o", "x.occ"]),
