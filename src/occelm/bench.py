@@ -7,7 +7,8 @@ happens on run 0 only and the chosen values are reused for the remaining
 runs. Training wall-clock covers the final model fit only, never the
 selection scan, and is returned in BenchResult.train_seconds, never
 written to an output file, so written outputs stay byte-deterministic
-under a fixed seed.
+under a fixed seed. Runs 1..R-1 may run in forked children
+(modelsel.fork_map), which measure their own training seconds.
 
 One path serves the protocol, the selection scan and `occelm train`:
 fit builds any variant, choose_params runs the selection scan, and
@@ -383,7 +384,10 @@ def run_benchmark(
     variant is a Variant from parse_variant, or an id resolved with the
     default feature map; fixed holds the fixed parameters (fixed_params).
     runs repeats the split/train/score cycle with run-indexed seed streams;
-    run 0's occ_split refuses data the protocol cannot split.
+    run 0's occ_split refuses data the protocol cannot split. Run 0, with
+    any selection, runs here; runs 1..R-1 go through modelsel.fork_map, so
+    they may run, and time their fits, in forked children, and the first
+    error in run order is raised here.
     """
     if isinstance(variant, str):
         variant = parse_variant(variant)
@@ -393,35 +397,29 @@ def run_benchmark(
 
     chosen: dict | None = None
     diagnostics: SelectionDiagnostics | None = None
-    run_reports: list[EvalReport] = []
-    train_seconds: list[float] = []
-    run_params: list[dict] = []
 
-    for r in range(runs):
+    def run(r: int) -> tuple[EvalReport, float, dict]:
+        nonlocal chosen, diagnostics
         train, test = occ_split(data, seed, r)
         zstats = zscore_fit(train)
         Xz = zscore_apply(train, zstats).samples
-
         if r == 0 and select_params:
             chosen, diagnostics = choose_params(
                 variant, Xz, fracrej=fracrej, folds=folds, sigma_thr=sigma_thr, seed=seed
             )
-
-        if chosen is not None:
-            params = dict(chosen)
-        else:
-            params = default_params(variant, Xz, fixed)
-        run_params.append(dict(params))
-
+        params = dict(chosen) if chosen is not None else default_params(variant, Xz, fixed)
         start = time.perf_counter()
         model = fit(
             variant, params, train, fracrej=fracrej,
             layer_seed=run_seed(seed, r), zstats=zstats,
             n0=fixed.get("n0"), block=fixed.get("block"),
         )
-        train_seconds.append(time.perf_counter() - start)
+        seconds = time.perf_counter() - start
         decisions = score_model(model, test.samples)
-        run_reports.append(measures(confuse(decisions, test.labels)))
+        return measures(confuse(decisions, test.labels)), seconds, params
+
+    outcomes = [run(0), *modelsel.fork_map(lambda i: run(i + 1), runs - 1)]
+    run_reports, train_seconds, run_params = (list(column) for column in zip(*outcomes))
 
     return BenchResult(
         dataset_name=dataset_name,

@@ -113,67 +113,48 @@ def fold_assignment(N: int, folds: int, rng_seed: int) -> np.ndarray:
     return fold_of
 
 
-def _scan_share(scan, groups, Cs, splits, share):
-    """{C: mean fold rejection, NAN once a fit failed} for each group of share
-    in order, C None without a C grid; any other error raises here."""
-    for i in share:
-        runs = {C: [] for C in Cs or [None]}  # per-fold rejections or None
-        for fold in splits:
-            alive = [C for C, r in runs.items() if r is not None]
-            if not alive:
-                break
-            try:
-                verdicts = scan({**groups[i], "C": alive} if Cs else dict(groups[i]), fold)
-            except FIT_FAILURES:
-                verdicts = [None] * len(alive)
-            for C, is_target in zip(alive, verdicts, strict=True):
-                if is_target is None:
-                    runs[C] = None
-                else:
-                    runs[C].append(1.0 - float(np.asarray(is_target, bool).mean()))
-        yield {C: math.nan if r is None else float(np.mean(r)) for C, r in runs.items()}
-
-
-def _scan_groups(scan, groups: list[dict], Cs, splits) -> list[dict]:
-    """Each group's rejections (_scan_share): the caller scans every k-th
-    group, and a forked child per further CPU one share each, pickling its
-    rejections in order up to a group that raises. The caller scans a share
-    itself from its first missing record, so every error, the first in grid
-    order, is raised by its own scan; every child is reaped before this returns."""
-    workers = min(cpu_count(), len(groups)) if hasattr(os, "fork") else 1
+def fork_map(fn, count: int) -> list:
+    """[fn(i) for i in range(count)] on every CPU: the caller computes every
+    k-th item, and a forked child per further CPU one share each, pickling
+    its results in order up to an item that raises. The caller computes a
+    share itself from its first missing record, so every error, the first in
+    item order, is raised by its own call; every child is reaped before this
+    returns. One CPU, at most one item or no os.fork runs the plain loop."""
+    workers = min(cpu_count(), count) if hasattr(os, "fork") else 1
+    if workers < 2:
+        return [fn(i) for i in range(count)]
     children, done, errors = [], {}, {}
 
-    def run(share):  # on the caller; a group's error waits for any earlier group's
-        records = _scan_share(scan, groups, Cs, splits, share)
+    def run(share):  # on the caller; an item's error waits for any earlier item's
         for i in share:
             try:
-                done[i] = next(records)
+                done[i] = fn(i)
             except Exception as exc:
                 errors[i] = exc
                 return
 
     try:
         for k in range(1, workers):
-            share, (read_fd, write_fd), pid = range(k, len(groups), workers), os.pipe(), None
+            share, (read_fd, write_fd), pid = range(k, count, workers), os.pipe(), None
             # a failed fork leaves the pipe empty; Python 3.12+ warns when a threaded process forks
             with contextlib.suppress(OSError), warnings.catch_warnings():
                 warnings.simplefilter("ignore", DeprecationWarning)
                 pid = os.fork()
-            if pid == 0:  # pickle the records, leave without flushing inherited buffers
+            if pid == 0:  # pickle the results, leave without flushing inherited buffers
                 try:
                     with open(write_fd, "wb") as out:
-                        for rejections in _scan_share(scan, groups, Cs, splits, share):
-                            pickle.dump(rejections, out)
+                        for i in share:
+                            pickle.dump(fn(i), out)
                 finally:
                     os._exit(0)
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb"), share))
-        run(range(0, len(groups), workers))
+        run(range(0, count, workers))
         for _, reader, share in children:
             rest = range(0)
             for n, i in enumerate(share):
                 if errors and i > min(errors):
-                    break  # an earlier group raised; the child is killed below
+                    break  # an earlier item raised; the child is killed below
                 try:
                     done[i] = pickle.load(reader)
                 except (EOFError, pickle.UnpicklingError):  # it raised, died or never forked
@@ -182,7 +163,7 @@ def _scan_groups(scan, groups: list[dict], Cs, splits) -> list[dict]:
             run(rest)  # outside the except, so no EOFError is chained to its error
         if errors:
             raise errors[min(errors)]
-        return [done[i] for i in range(len(groups))]
+        return [done[i] for i in range(count)]
     finally:
         for pid, reader, _ in children:
             reader.close()
@@ -215,9 +196,10 @@ def select(
     selectable; if nothing is consistent the minimum-rejection combination
     is returned with diagnostics.consistent False.
 
-    scan may run in a forked child (_scan_groups): only its return value
-    reaches select, and an error it raises is raised again by the caller's
-    own scan of that group. The result does not depend on the CPU count.
+    scan may run in a forked child (fork_map, one item per group): only its
+    return value reaches select, and an error it raises is raised again by
+    the caller's own scan of that group. The result does not depend on the
+    CPU count.
     """
     check_folds(folds)
     if not grids or any(len(v) == 0 for v in grids.values()):
@@ -236,8 +218,26 @@ def select(
     Cs = grids.get("C")
     names = [k for k in grids if k != "C"]
     groups = [dict(zip(names, v)) for v in itertools.product(*(grids[k] for k in names))]
+
+    def group_rejections(i: int) -> dict:  # {C: mean fold rejection, NAN once a fit failed}
+        runs = {C: [] for C in Cs or [None]}  # per-fold rejections or None
+        for fold in splits:
+            alive = [C for C, r in runs.items() if r is not None]
+            if not alive:
+                break
+            try:
+                verdicts = scan({**groups[i], "C": alive} if Cs else dict(groups[i]), fold)
+            except FIT_FAILURES:
+                verdicts = [None] * len(alive)
+            for C, is_target in zip(alive, verdicts, strict=True):
+                if is_target is None:
+                    runs[C] = None
+                else:
+                    runs[C].append(1.0 - float(np.asarray(is_target, bool).mean()))
+        return {C: math.nan if r is None else float(np.mean(r)) for C, r in runs.items()}
+
     diag = SelectionDiagnostics(err_thr=err_thr, fold_size=M)
-    for group, rejections in zip(groups, _scan_groups(scan, groups, Cs, splits)):
+    for group, rejections in zip(groups, fork_map(group_rejections, len(groups))):
         for C, rej in rejections.items():  # NAN fails the bound
             diag.points.append(GridPoint({**group, "C": C} if Cs else group, rej, rej <= err_thr))
 

@@ -65,7 +65,7 @@ class OfflineModel:
     tspec: ThresholdSpec
     thresh: float
     zstats: ZScoreStats
-    train_errors: np.ndarray | None  # None once loaded: a file keeps only the cut
+    train_errors: np.ndarray | None  # None once loaded (a file keeps only the cut) or scanned thr3
 
 
 def targets(family: str, Xs: np.ndarray) -> np.ndarray:
@@ -97,11 +97,11 @@ def _compared(family: str, kind: str, base: np.ndarray) -> np.ndarray:
 
 
 def fit_threshold(
-    family: str, tspec: ThresholdSpec, base: np.ndarray
-) -> tuple[np.ndarray, float]:
+    family: str, tspec: ThresholdSpec, base: np.ndarray | None
+) -> tuple[np.ndarray | None, float]:
     """The errors the threshold rule compares, which the model stores as
     its training errors, and the fitted cut (NAN for thr3, which decides
-    per sample at score time)."""
+    per sample at score time and so takes base None as well)."""
     if family == BOUNDARY and tspec.kind == THR3:
         raise Thr3NotApplicable("thr3 needs per-feature outputs; boundary models have one")
     errors = _compared(family, tspec.kind, base)
@@ -141,8 +141,8 @@ def _feature_stage(
     """The one offline training path on normalized rows Xs. Builds the
     C-independent half once: the mapping (a random one gets its hidden
     layer drawn from seed), the basis and the Gram matrix Omega. Returns
-    the mapping, the basis and fit(C), which solves and fits the threshold
-    for one C."""
+    the mapping, the basis and fit(C, outputs=True), which solves and fits
+    the threshold for one C."""
     if mapping.kind == "random":
         layer = mapping.layer
         if layer is None:
@@ -158,12 +158,12 @@ def _feature_stage(
         require_finite(omega, "the Gram matrix")
     T = targets(family, Xs)
 
-    def fit(C) -> OfflineModel:
+    def fit(C, outputs: bool = True) -> OfflineModel:
         # C-order so scoring is bitwise identical before and after save/load
         beta = np.ascontiguousarray(solve_regularized(omega, T, C))
-        errors, thresh = fit_threshold(
-            family, tspec, row_errors(family, Xs, omega @ beta)
-        )
+        # thr3 reads no training errors: without outputs it forms none (train_errors None)
+        base = row_errors(family, Xs, omega @ beta) if outputs or tspec.kind != THR3 else None
+        errors, thresh = fit_threshold(family, tspec, base)
         return OfflineModel(
             family=family,
             mapping=mapping,
@@ -210,14 +210,17 @@ def scan_c(
     """The selection scan at one fold: per C, the is-target verdicts on rows
     Ys of a model trained on rows Xs, both normalized, or None if its fit
     raised one of FIT_FAILURES (not kept: it would pin its traceback's frames).
-    Bit-identical to _train and score per C."""
+    Bit-identical to _train and score per C, in the caller or in a child
+    select forked (modelsel.fork_map). Under thr3, whose cut is NAN by rule,
+    it forms no training outputs (Omega @ beta) and no training errors; a
+    boundary thr3 scan still raises Thr3NotApplicable."""
     zstats = identity_stats(Xs.shape[1])
     mapping, basis, fit = _feature_stage(family, Xs, mapping, tspec, seed, zstats)
     cross = _cross(mapping, basis, Ys)
     verdicts: list[np.ndarray | None] = []
     for C in Cs:
         try:
-            model = fit(float(C))
+            model = fit(float(C), outputs=False)
             verdicts.append(decide(model, Ys, cross @ model.beta).is_target)
         except FIT_FAILURES:
             verdicts.append(None)

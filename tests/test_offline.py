@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import occelm.offline
 from occelm.dataset import Dataset, gen_banana, zscore_apply, zscore_fit
 from occelm.errors import DimensionMismatch, Thr3NotApplicable
 from occelm.featuremap import (
@@ -19,6 +20,7 @@ from occelm.offline import (
     BOUNDARY,
     DEFAULT_HIDDEN,
     RECONSTRUCTION,
+    scan_c,
     score,
     train_boundary,
     train_reconstruction,
@@ -248,3 +250,28 @@ def test_training_peak_memory(train, mapping):
     finally:
         tracemalloc.stop()
     assert peak <= 1.35 * n * n * 8
+
+
+@pytest.mark.parametrize("kind, per_c", [("thr1", 1), ("thr2", 1), ("thr3", 0)])
+def test_scan_forms_training_outputs_only_for_a_cut(monkeypatch, kind, per_c):
+    """A reconstruction thr3 scan decides per validation row and never reads
+    the training errors, so it forms no training outputs (row_errors of the
+    training rows); thr1 and thr2 fit their cut from one per C. _train keeps
+    its training errors under every rule."""
+    X, Y, Cs = _cloud(31, count=30), _cloud(32, count=12), [0.1, 1.0, 10.0]
+    training_rows = []
+    real = occelm.offline.row_errors
+
+    def counted(family, Xs, O):
+        training_rows.append(Xs.shape[0] == X.shape[0])
+        return real(family, Xs, O)
+
+    monkeypatch.setattr(occelm.offline, "row_errors", counted)
+    tspec = ThresholdSpec(kind)
+    verdicts = scan_c(RECONSTRUCTION, X, Y, rbf_kernel(1.0), Cs, tspec, 0)
+    assert [v.shape for v in verdicts] == [(12,)] * len(Cs)
+    assert sum(training_rows) == per_c * len(Cs)
+    model = train_reconstruction(X, rbf_kernel(1.0), 1.0, tspec)
+    assert isinstance(model.train_errors, np.ndarray) and model.train_errors.shape == (30,)
+    with pytest.raises(Thr3NotApplicable):
+        scan_c(BOUNDARY, X, Y, rbf_kernel(1.0), Cs, ThresholdSpec("thr3"), 0)

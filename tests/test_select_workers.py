@@ -1,7 +1,8 @@
 """modelsel.select scans its groups (combinations of the non-C grid values)
-on the calling process plus one forked child per further CPU. These tests
-pin what that must not change: the selection bytes at any CPU count, which
-error is raised, and that no child outlives the call or hangs it."""
+and bench.run_benchmark its protocol runs 1..R-1 on the calling process plus
+one forked child per further CPU (modelsel.fork_map). These tests pin what
+that must not change: the selection and benchmark bytes at any CPU count,
+which error is raised, and that no child outlives the call or hangs it."""
 
 import contextlib
 import os
@@ -13,11 +14,13 @@ import numpy as np
 import pytest
 from conftest import run_code
 
+import occelm.bench
 import occelm.modelsel
+from occelm.bench import run_benchmark
 from occelm.dataset import Dataset, write_csv
 from occelm.errors import NonFiniteOutput
 from occelm.featuremap import kernel_gram, polynomial_kernel
-from occelm.modelsel import select
+from occelm.modelsel import fork_map, select
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
@@ -275,3 +278,108 @@ def test_unflushed_stdout_is_printed_once(tmp_path):
     )
     proc = run_code(code, tmp_path, one_cpu=False)
     assert proc.stdout == "before select\nafter select\n"
+
+
+def test_fork_map_of_no_item_or_one_forks_nothing(workers, monkeypatch):
+    """bench --runs 1 and --runs 2 leave 0 and 1 runs to fork_map."""
+
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    workers(3)
+    assert fork_map(lambda i: i * i, 0) == []
+    assert fork_map(lambda i: i * i, 1) == [0]
+
+
+def _table(tmp_path):
+    """Integer features, as in perfbench's table: 120 targets, 60 outliers."""
+    rng = np.random.default_rng(5)
+    samples = np.vstack([rng.integers(1, 11, (120, 5)), rng.integers(6, 16, (60, 5))])
+    write_csv(Dataset(samples.astype(float), np.arange(180) < 120), str(tmp_path / "t.csv"))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+@pytest.mark.parametrize("vid", ["aakelm_thr3", "ocelm_thr1", "os_ocelm_thr1"])
+def test_bench_bytes_match_one_cpu(vid, tmp_path):
+    """bench --runs 5 --select: run 0 selects on the caller, and runs 1-4 are
+    dealt to the caller and a child per further CPU; every written byte is
+    the one-CPU byte."""
+    _table(tmp_path)
+    outputs = []
+    for one_cpu in (False, True):
+        out = f"{one_cpu}.csv"
+        cli = (
+            "from occelm.cli import main; raise SystemExit(main(['bench', "
+            f"{vid!r}, 't.csv', '--label-col', '-1', '--runs', '5', '--select', "
+            f"'--seed', '3', '-o', {out!r}]))"
+        )
+        proc = run_code(cli, tmp_path, one_cpu)
+        assert [line.split(":")[0] for line in proc.stderr.splitlines()] == [
+            f"run {r}" for r in range(5)
+        ]
+        outputs.append((proc.stdout, *(
+            (tmp_path / f"{out}{suffix}").read_bytes() for suffix in ("", ".runs.csv", ".sel.csv")
+        )))
+    assert len(outputs[0][2].splitlines()) == 6
+    assert outputs[0] == outputs[1]
+
+
+def _bench():
+    rng = np.random.default_rng(4)
+    data = Dataset(np.vstack([rng.normal(0.0, 1.0, (40, 2)), rng.normal(5.0, 1.0, (20, 2))]),
+                   np.arange(60) < 40)
+    with deadline(60):
+        result = run_benchmark(data, "ockelm_thr1", runs=5, seed=2, select_params=True)
+    return [repr(r) for r in result.run_reports], result.run_params, repr(result.report)
+
+
+def _fit_that(fail):
+    """bench.fit, with fail(run) called first in each protocol run's fit."""
+    real = occelm.bench.fit
+
+    def fit(variant, params, rows, *, layer_seed, **kwargs):
+        fail(layer_seed[1])  # bench.run_seed(seed, run)
+        return real(variant, params, rows, layer_seed=layer_seed, **kwargs)
+
+    return fit
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_first_failing_run_raises(workers, monkeypatch, k):
+    """Runs 2 and 3 fail. Two workers: the caller runs 1 and 3, a child 2
+    and 4; three: the caller 1 and 4, the children 2 and 3. The caller runs
+    again what a child did not deliver, so run 2's error is raised in the
+    caller, as in one loop, with no EOFError chained to it."""
+    caller = os.getpid()
+
+    def fail(run):
+        if run in (2, 3):
+            where = "caller" if os.getpid() == caller else "child"
+            raise (ZeroDivisionError, LookupError)[run % 2](f"run {run} in the {where}")
+
+    monkeypatch.setattr(occelm.bench, "fit", _fit_that(fail))
+    workers(k)
+    with pytest.raises(ZeroDivisionError, match="^run 2 in the caller$") as raised:
+        _bench()
+    assert raised.value.__context__ is None
+
+
+@pytest.mark.parametrize("death", ["exit", "kill"])
+def test_run_child_that_dies_gives_the_one_cpu_result(workers, monkeypatch, death):
+    """A child that exits or is killed at its run 3 or later, after
+    delivering any earlier run, gives the one-CPU reports and parameters."""
+    workers(1)
+    expected = _bench()
+    caller = os.getpid()
+
+    def fail(run):
+        if os.getpid() != caller and run >= 3:
+            if death == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(occelm.bench, "fit", _fit_that(fail))
+    for k in (2, 3):
+        workers(k)
+        assert _bench() == expected

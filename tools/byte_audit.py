@@ -50,6 +50,8 @@ ALL_IDS = ["ocelm_thr1", "ocelm_thr2", "ockelm_thr1", "ockelm_thr2", "aaelm_thr1
 RUN_IDS = ["ocelm_thr1", "ockelm_thr2", "aaelm_thr3", "aakelm_thr3",
            "ocelm_thr1_rbf", "os_ocelm_thr1", "os_aaelm_thr2"]
 SELECT_IDS = ["ockelm_thr1", "ocelm_thr2", "aakelm_thr3"]
+# a kernel, a random and an online id benched over 5 runs: runs 1-4 may run in forked children
+FORK_IDS = ["aakelm_thr3", "ocelm_thr1", "os_ocelm_thr1"]
 # the kernel grids with a degree, a b_w or no kernel parameter
 KERNEL_SELECT = [(v, k) for v in ("ockelm_thr1", "aakelm_thr3")
                  for k in ("linear", "polynomial", "wavelet")]
@@ -119,7 +121,8 @@ REFUSALS = [
 def commands(full: bool = True) -> list[list[str]]:
     """The audited commands in order; without full, the subset tier-1
     replays: all but the selections over an rbf or wavelet grid or of a
-    random-feature id, about 37 of the 42 s all take in one process."""
+    random-feature id and the 5-run selections, about 37 of the 42 s all
+    take in one process."""
     cmds = [["--help"]] + [[name, "--help"] for name in COMMANDS]
     # ring.csv and ring62.csv hold 1770 and 1891 pairwise distances: the
     # default width is the median of an even and of an odd count
@@ -142,6 +145,10 @@ def commands(full: bool = True) -> list[list[str]]:
             cmds += [["select", v, *TABLE, "--kernel", k, "-o", f"{v}_{k}.sel.csv"],
                      ["bench", v, *TABLE, "--kernel", k, "--runs", "2", "--select",
                       "-o", f"{v}_{k}.bsel.csv"]]
+    for v in FORK_IDS:
+        cmds += [["bench", v, *TABLE, "--runs", "5", "-o", f"{v}.bench5.csv"]]
+        if full:
+            cmds += [["bench", v, *TABLE, "--runs", "5", "--select", "-o", f"{v}.bsel5.csv"]]
     cmds += [["select", "os_ocelm_thr1", *TABLE, "-o", "os_ocelm_thr1.sel.csv"],  # no C grid
              ["train", "os_ocelm_thr1", *TABLE, "--select", "-o", "os_ocelm_thr1.sel.occ"]]
     cmds += [["train", "ockelm_thr1", "ring.csv", "--seed", "3", "-o", "ring.occ"],
